@@ -16,11 +16,13 @@ requested operation once; ``mix="shift"`` follows it with a second phase of
 a different (op, precision) — the case static capping cannot adapt to,
 because its ``B`` states were derived for the first phase's kernel.
 
-Both runs share one instrumentation stack (tracer, metrics, decision log,
-power sampler, energy meter spanning all phases), so the comparison
-isolates the governor, and both are bit-deterministic per (seed, plan):
-re-running reproduces ``govern.json`` and the budget-move ledger
-byte-for-byte.
+Both runs share the measurement path: a power sampler ticking on the sim
+clock and an energy meter spanning all phases, so the comparison isolates
+the governor.  Only the governed run attaches the tracer, metrics and
+decision log, because only its artefacts are written; the static-best run
+reports makespans, flops and joules.  Both are bit-deterministic per
+(seed, plan): re-running reproduces ``govern.json`` and the budget-move
+ledger byte-for-byte.
 """
 
 from __future__ import annotations
@@ -471,15 +473,15 @@ def _run_phases(
     seed: int,
     power_period_s: float,
 ):
-    """The static-best run: same instrumentation, no injector, no governor."""
+    """The static-best run: no injector, no governor, no telemetry.
+
+    It shares the governed run's power sampler (its ticks are sim events)
+    and energy meter; nothing reads a tracer, metrics or decision log here.
+    """
     sim = Simulator()
-    tracer = Tracer()
-    node = build_platform(platform, sim, tracer)
-    runtime = RuntimeSystem(
-        node, scheduler=scheduler, seed=seed, tracer=tracer,
-        metrics=MetricsRegistry(clock=sim), decision_log=DecisionLog(),
-        ewma_alpha=0.3,
-    )
+    node = build_platform(platform, sim)
+    runtime = RuntimeSystem(node, scheduler=scheduler, seed=seed,
+                            ewma_alpha=0.3)
     apply_caps_verified(node, caps_w, strict=False)
     sampler = PowerSampler(node, runtime, period_s=power_period_s)
     meter = EnergyMeter(node)

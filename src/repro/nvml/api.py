@@ -1,12 +1,15 @@
 """The pynvml-style API surface (module-level functions, integer units).
 
 NVML talks in milliwatts (power, limits) and millijoules (energy).  Handles
-are opaque; here they wrap the simulated device.  The module holds one bound
-node at a time, matching pynvml's process-global initialisation model.
+are opaque; here they wrap the simulated device.  Each thread holds one
+bound node at a time: pynvml's initialisation is process-global, but
+simulations running on concurrent threads (the advisor's shards) each
+drive their own node and must never read another's devices.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,24 +35,27 @@ class _Handle:
     device: GPUDevice
 
 
-_node: Optional[Node] = None
+class _Binding(threading.local):
+    node: Optional[Node] = None
+
+
+_bound = _Binding()
 
 
 def nvmlInit(node: Node) -> None:
-    """Bind NVML to a simulated node (the 'driver attach')."""
-    global _node
-    _node = node
+    """Bind this thread's NVML to a simulated node (the 'driver attach')."""
+    _bound.node = node
 
 
 def nvmlShutdown() -> None:
-    global _node
-    _node = None
+    _bound.node = None
 
 
 def _require_node() -> Node:
-    if _node is None:
+    node = _bound.node
+    if node is None:
         raise NVMLError(NVML_ERROR_UNINITIALIZED, "call nvmlInit(node) first")
-    return _node
+    return node
 
 
 def nvmlDeviceGetCount() -> int:

@@ -22,7 +22,11 @@ from typing import Optional
 
 from repro.obs.decisions import DecisionLog
 from repro.sim.tracing import Tracer
-from repro.tools.chrometrace import CounterTrack, to_chrome_trace
+from repro.tools.chrometrace import (
+    CounterTrack,
+    to_chrome_trace,
+    write_chrome_trace,
+)
 
 EVENTS_FILENAME = "events.jsonl"
 TRACE_FILENAME = "trace.json"
@@ -136,6 +140,18 @@ def backlog_counter_tracks(decisions: DecisionLog) -> list[CounterTrack]:
     ]
 
 
+def _enriched_counters(
+    sampler=None, decisions: Optional[DecisionLog] = None
+) -> list[CounterTrack]:
+    """Per-device power tracks, then per-worker backlog tracks."""
+    counters: list[CounterTrack] = []
+    if sampler is not None:
+        counters.extend(sampler.counter_tracks())
+    if decisions is not None:
+        counters.extend(backlog_counter_tracks(decisions))
+    return counters
+
+
 def enriched_chrome_trace(
     tracer: Tracer,
     sampler=None,
@@ -143,12 +159,10 @@ def enriched_chrome_trace(
     time_unit_us: float = 1e6,
 ) -> dict:
     """Perfetto document with power and backlog counter tracks attached."""
-    counters: list[CounterTrack] = []
-    if sampler is not None:
-        counters.extend(sampler.counter_tracks())
-    if decisions is not None:
-        counters.extend(backlog_counter_tracks(decisions))
-    return to_chrome_trace(tracer, time_unit_us=time_unit_us, counters=counters)
+    return to_chrome_trace(
+        tracer, time_unit_us=time_unit_us,
+        counters=_enriched_counters(sampler, decisions),
+    )
 
 
 def write_enriched_chrome_trace(
@@ -157,5 +171,7 @@ def write_enriched_chrome_trace(
     sampler=None,
     decisions: Optional[DecisionLog] = None,
 ) -> None:
-    with open(path, "w") as fh:
-        json.dump(enriched_chrome_trace(tracer, sampler, decisions), fh)
+    """Stream :func:`enriched_chrome_trace`'s document to ``path``."""
+    write_chrome_trace(
+        tracer, path, counters=_enriched_counters(sampler, decisions)
+    )

@@ -15,9 +15,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from repro.sim.tracing import Tracer
+
+#: Events per ``json.dumps`` call in :func:`write_chrome_trace`: enough to
+#: amortise the call, few enough that the writer's memory stays small.
+WRITE_CHUNK_EVENTS = 256
 
 
 @dataclass(frozen=True)
@@ -47,68 +52,70 @@ def _resource_tids(tracer: Tracer) -> dict[str, int]:
     return tids
 
 
-def to_chrome_trace(
+def iter_chrome_events(
     tracer: Tracer,
     time_unit_us: float = 1e6,
     counters: Optional[Sequence[CounterTrack]] = None,
-) -> dict:
-    """Build a trace-event dict (serialise with ``json.dumps``).
+) -> Iterator[dict]:
+    """Yield the trace events: thread metadata, intervals, points, counters.
 
     ``time_unit_us`` scales simulated seconds to microsecond timestamps
     (default: 1 simulated second = 1 second of trace time).  ``counters``
     are emitted as ``ph: "C"`` counter tracks on their own process row.
     """
-    events = []
     tids = _resource_tids(tracer)
-    for iv in tracer.intervals:
-        events.append(
-            {
-                "name": iv.label or iv.kind,
-                "cat": iv.kind,
-                "ph": "X",
-                "ts": iv.start * time_unit_us,
-                "dur": iv.duration * time_unit_us,
-                "pid": 0,
-                "tid": tids[iv.resource],
-                "args": dict(iv.info),
-            }
-        )
-    for point in tracer.points:
-        events.append(
-            {
-                "name": point.label or point.kind,
-                "cat": point.kind,
-                "ph": "i",
-                "ts": point.time * time_unit_us,
-                "pid": 0,
-                "tid": tids[point.resource],
-                "s": "t",
-                "args": dict(point.info),
-            }
-        )
-    for track in counters or ():
-        value_key = track.unit or "value"
-        for t, v in track.series:
-            events.append(
-                {
-                    "name": track.name,
-                    "ph": "C",
-                    "ts": t * time_unit_us,
-                    "pid": 0,
-                    "args": {value_key: v},
-                }
-            )
-    metadata = [
-        {
+    for resource, tid in tids.items():
+        yield {
             "name": "thread_name",
             "ph": "M",
             "pid": 0,
             "tid": tid,
             "args": {"name": resource},
         }
-        for resource, tid in tids.items()
-    ]
-    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
+    for iv in tracer.intervals:
+        yield {
+            "name": iv.label or iv.kind,
+            "cat": iv.kind,
+            "ph": "X",
+            "ts": iv.start * time_unit_us,
+            "dur": iv.duration * time_unit_us,
+            "pid": 0,
+            "tid": tids[iv.resource],
+            "args": dict(iv.info),
+        }
+    for point in tracer.points:
+        yield {
+            "name": point.label or point.kind,
+            "cat": point.kind,
+            "ph": "i",
+            "ts": point.time * time_unit_us,
+            "pid": 0,
+            "tid": tids[point.resource],
+            "s": "t",
+            "args": dict(point.info),
+        }
+    for track in counters or ():
+        value_key = track.unit or "value"
+        for t, v in track.series:
+            yield {
+                "name": track.name,
+                "ph": "C",
+                "ts": t * time_unit_us,
+                "pid": 0,
+                "args": {value_key: v},
+            }
+
+
+def to_chrome_trace(
+    tracer: Tracer,
+    time_unit_us: float = 1e6,
+    counters: Optional[Sequence[CounterTrack]] = None,
+) -> dict:
+    """The whole trace-event document in memory (see :func:`iter_chrome_events`)."""
+    return {
+        "traceEvents": list(iter_chrome_events(tracer, time_unit_us, counters)),
+        "displayTimeUnit": "ms",
+    }
 
 
 def counter_series(doc: dict, name: str, time_unit_us: float = 1e6) -> list[tuple[float, float]]:
@@ -127,6 +134,21 @@ def write_chrome_trace(
     path: str,
     counters: Optional[Sequence[CounterTrack]] = None,
 ) -> None:
-    """Serialise the trace to a JSON file loadable by Perfetto."""
+    """Serialise the trace to a JSON file loadable by Perfetto.
+
+    The bytes equal ``json.dumps(to_chrome_trace(tracer, counters=...))``,
+    but the document is never built: each chunk of
+    :data:`WRITE_CHUNK_EVENTS` events goes through one ``json.dumps`` call
+    with its list brackets stripped.  ``json.dump`` would be simpler and
+    much slower, because only the one-shot ``json.dumps`` path uses
+    CPython's C encoder.
+    """
+    events = iter_chrome_events(tracer, counters=counters)
     with open(path, "w") as fh:
-        json.dump(to_chrome_trace(tracer, counters=counters), fh)
+        fh.write('{"traceEvents": [')
+        sep = ""
+        while batch := list(islice(events, WRITE_CHUNK_EVENTS)):
+            fh.write(sep)
+            fh.write(json.dumps(batch)[1:-1])
+            sep = ", "
+        fh.write('], "displayTimeUnit": "ms"}')

@@ -1,5 +1,7 @@
 """Unit tests for the pynvml-compatible facade."""
 
+import threading
+
 import pytest
 
 from repro import nvml
@@ -75,3 +77,47 @@ def test_total_energy_counts_millijoules(node):
     sim.run()
     e1 = nvml.nvmlDeviceGetTotalEnergyConsumption(h)
     assert e1 - e0 == pytest.approx(2.0 * node.gpus[0].spec.idle_w * 1000, rel=1e-6)
+
+
+def test_binding_is_per_thread():
+    """Two threads bound to different nodes each see only their own GPUs
+    and energy, however their calls interleave."""
+    nodes = {
+        "a": build_platform("32-AMD-4-A100", Simulator()),
+        "b": build_platform("24-Intel-2-V100", Simulator()),
+    }
+    # Distinct energy counters per node: run b's GPUs for a while.
+    sim_b = nodes["b"].clock
+    sim_b.schedule(2.0, lambda: None)
+    sim_b.run()
+    bound = threading.Barrier(2)
+    step = threading.Barrier(2)
+    seen = {}
+
+    def worker(key):
+        node = nodes[key]
+        nvml.nvmlInit(node)
+        bound.wait()  # both threads bound before either reads
+        reads = []
+        for _ in range(3):
+            step.wait()
+            h = nvml.nvmlDeviceGetHandleByIndex(0)
+            reads.append((
+                nvml.nvmlDeviceGetCount(),
+                nvml.nvmlDeviceGetName(h),
+                nvml.nvmlDeviceGetTotalEnergyConsumption(h),
+            ))
+        nvml.nvmlShutdown()
+        seen[key] = reads
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in nodes]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    for key, node in nodes.items():
+        gpu = node.gpus[0]
+        expected = (len(node.gpus), gpu.spec.model,
+                    int(round(gpu.energy_j() * 1000)))
+        assert seen[key] == [expected] * 3
+    assert seen["a"][0][2] != seen["b"][0][2]

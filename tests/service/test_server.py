@@ -319,3 +319,33 @@ def test_healthz_payload_shape(start_server, client_for):
     assert doc["inflight_keys"] == 0
     assert doc["fingerprint"] == server.fingerprint[:12]
     assert json.dumps(doc)  # JSON-clean
+
+
+def test_two_shards_give_the_same_advice_as_one(start_server, tmp_path):
+    """Concurrent cold computations on two shard threads must not read
+    each other's simulated devices: the NVML binding is per thread."""
+    menu = [("24-Intel-2-V100", "gemm", "double"),
+            ("24-Intel-2-V100", "potrf", "double"),
+            ("64-AMD-2-A100", "gemm", "single"),
+            ("64-AMD-2-A100", "potrf", "double")]
+    queries = [
+        {"platform": p, "op": op, "precision": prec, "scale": "tiny",
+         "seed": seed}
+        for seed in (11, 12) for p, op, prec in menu
+    ]
+
+    def session(shards):
+        server = start_server(cache_dir=tmp_path / f"cache-{shards}",
+                              shards=shards, jobs=1)
+
+        def query(doc):
+            with AdvisorClient("127.0.0.1", server.port) as client:
+                response = client.advise(doc)
+            assert response.status == 200, response.text
+            assert response.doc["served"]["computed"] is True
+            return advice_bytes(response)
+
+        with ThreadPoolExecutor(max_workers=len(queries)) as pool:
+            return list(pool.map(query, queries))
+
+    assert session(2) == session(1)
