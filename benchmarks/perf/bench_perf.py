@@ -155,61 +155,24 @@ def _traced_reference_run(platform, spec, states, config, stream_dir=None):
 
     Both halves of the overhead pair run the full tracing stack — tracer,
     metrics registry, decision log, power sampler — because that is the
-    only configuration that can stream (the CLI wires the bus inside
-    :func:`repro.obs.capture.run_traced`); a bare runtime with a bus is
-    not a product path, and benchmarking one would measure a denominator
-    no user ever runs.  ``stream_dir`` switches the streaming side on:
-    the live-telemetry stack is wired exactly as ``attach_stream`` does
-    (same batch, same subscriber order, decision log and power sampler
-    publishing included).  Returns ``(wall_s, result, writer)`` where the
-    timed window covers the run plus the bus's closing drain/flush, and
-    ``writer`` is ``None`` for detached runs.
+    only configuration that can stream; a bare runtime with a bus is not a
+    product path, and benchmarking one would measure a denominator no user
+    ever runs.  The run is built by :func:`repro.core.runs.build_run` from
+    the same spec :func:`repro.obs.capture.run_traced` uses; ``stream_dir``
+    switches the live-telemetry stack on.  Returns ``(wall_s, result)``:
+    the timed window covers graph construction, the run and the bus's
+    closing drain/flush, but no artefact export.
     """
-    from repro.hardware.catalog import build_platform
-    from repro.obs.decisions import DecisionLog
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.stream import (
-        OnlineAggregator,
-        StreamWriter,
-        TelemetryBus,
-        Watchdogs,
-    )
-    from repro.runtime import RuntimeSystem
-    from repro.sim import Simulator, Tracer
-    from repro.tools.powertrace import PowerSampler
+    from repro.core.runs import RunSpec, build_run
 
-    sim = Simulator()
-    tracer = Tracer()
-    node = build_platform(platform, sim, tracer)
-    node.set_gpu_caps(config.watts(states))
-    registry = MetricsRegistry(clock=sim)
-    decisions = DecisionLog()
-    runtime = RuntimeSystem(
-        node, scheduler="dmdas", seed=0, tracer=tracer,
-        metrics=registry, decision_log=decisions,
+    run = build_run(
+        RunSpec(platform, spec, config, states, seed=0, observe=True,
+                power_period_s=0.005),
+        outdir=stream_dir, stream=stream_dir is not None,
     )
-    sampler = PowerSampler(node, runtime, period_s=0.005)
-    graph = spec.build_graph()
-    writer = None
-    close = None
-    if stream_dir is not None:
-        bus = TelemetryBus(clock=sim, batch=64)
-        writer = StreamWriter(str(Path(stream_dir) / "events.jsonl"))
-        aggregator = OnlineAggregator()
-        watchdogs = Watchdogs(aggregator, bus)
-        bus.subscribe(writer)
-        bus.subscribe(aggregator)
-        bus.subscribe(watchdogs)
-        runtime.bus = bus
-        decisions.bus = bus
-        sampler.bus = bus
-        close = bus.close
-    sampler.start()
     t0 = time.perf_counter()
-    result = runtime.run(graph)
-    if close is not None:
-        close()
-    return time.perf_counter() - t0, result, writer
+    (result,) = run.execute([spec])
+    return time.perf_counter() - t0, result
 
 
 def bench_obs(repeats: int) -> dict:

@@ -413,17 +413,17 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.core.capconfig import CapConfig
     from repro.experiments.platforms import cap_states, operation_spec
     from repro.obs.capture import run_traced
     from repro.obs.report import render_report
 
+    config = _cap_config(args.platform, args.config)
     spec = operation_spec(args.platform, args.op, args.precision, args.scale)
     states = cap_states(
         args.platform, args.op, args.precision, args.scale, cache=_open_cache(args)
     )
     traced = run_traced(
-        args.platform, spec, CapConfig(args.config.upper()), states,
+        args.platform, spec, config, states,
         outdir=args.outdir, scheduler=args.scheduler, seed=args.seed,
         scale=args.scale, power_period_s=args.power_period,
         stream=args.stream,
@@ -446,31 +446,23 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.core.capconfig import CapConfig
     from repro.experiments.platforms import cap_states, operation_spec
     from repro.faults.chaos import render_chaos_summary, run_chaos
-    from repro.faults.plan import PRESET_NAMES, FaultPlan, preset_plan
-    from repro.hardware.catalog import PLATFORMS
+    from repro.faults.plan import PRESET_NAMES
 
     if args.plan is None and args.preset == "help":
         for name in PRESET_NAMES:
             print(name)
         return 0
     if args.stream and args.outdir is None:
-        print("repro chaos: --stream requires --outdir", file=sys.stderr)
-        return 2
-    if args.plan is not None:
-        plan = FaultPlan.load(args.plan)
-    else:
-        plan = preset_plan(args.preset, seed=args.seed)
-    letters = args.config.upper() if args.config else (
-        "H" * PLATFORMS[args.platform].n_gpus
-    )
+        raise _UsageError("--stream requires --outdir")
+    plan = _fault_plan(args)
+    config = _cap_config(args.platform, args.config)
     cache = _open_cache(args)
     spec = operation_spec(args.platform, args.op, args.precision, args.scale)
     states = cap_states(args.platform, args.op, args.precision, args.scale, cache=cache)
     chaos = run_chaos(
-        args.platform, spec, CapConfig(letters), states, plan,
+        args.platform, spec, config, states, plan,
         outdir=args.outdir, scheduler=args.scheduler, seed=args.seed,
         scale=args.scale, power_period_s=args.power_period, cache=cache,
         stream=args.stream,
@@ -491,7 +483,7 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_govern(args) -> int:
     from repro.cluster.budget import ALLOCATORS
-    from repro.faults.plan import PRESET_NAMES, FaultPlan, preset_plan
+    from repro.faults.plan import PRESET_NAMES, FaultPlan
     from repro.govern import render_govern_summary, run_govern
 
     if args.plan is None and args.preset == "help":
@@ -502,15 +494,17 @@ def _cmd_govern(args) -> int:
         for name in sorted(ALLOCATORS):
             print(name)
         return 0
+    if args.allocator not in ALLOCATORS:
+        raise _UsageError(
+            f"unknown allocator {args.allocator!r}; "
+            f"known: {', '.join(sorted(ALLOCATORS))}"
+        )
     if args.stream and args.outdir is None:
-        print("repro govern: --stream requires --outdir", file=sys.stderr)
-        return 2
-    if args.plan is not None:
-        plan = FaultPlan.load(args.plan)
-    elif args.preset == "none":
+        raise _UsageError("--stream requires --outdir")
+    if args.plan is None and args.preset == "none":
         plan = FaultPlan(name="none")
     else:
-        plan = preset_plan(args.preset, seed=args.seed)
+        plan = _fault_plan(args)
     cache = _open_cache(args)
     gov = run_govern(
         args.platform, args.op, args.precision, plan,
@@ -620,10 +614,54 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A bad command-line input: one ``repro <cmd>: ...`` line, exit 2."""
+
+
+def _fault_plan(args):
+    """The ``--plan`` file or the named ``--preset`` plan."""
+    from repro.faults.plan import FaultPlan, FaultPlanError, preset_plan
+
+    try:
+        if args.plan is not None:
+            return FaultPlan.load(args.plan)
+        return preset_plan(args.preset, seed=args.seed)
+    except OSError as exc:
+        raise _UsageError(f"cannot read --plan {args.plan}: {exc.strerror}") from None
+    except FaultPlanError as exc:
+        source = f"--plan {args.plan}" if args.plan is not None else "--preset"
+        raise _UsageError(f"{source}: {exc}") from None
+
+
+def _cap_config(platform: str, letters: Optional[str]):
+    """``--config`` letters (default all-H) checked against the platform."""
+    from repro.core.capconfig import CapConfig
+    from repro.hardware.catalog import platform_spec
+
+    try:
+        n_gpus = platform_spec(platform).n_gpus
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+    try:
+        config = CapConfig((letters or "H" * n_gpus).upper())
+    except ValueError as exc:
+        raise _UsageError(f"--config {letters}: {exc}") from None
+    if config.n_gpus != n_gpus:
+        raise _UsageError(
+            f"--config {config.letters} has {config.n_gpus} states for "
+            f"{n_gpus} GPUs on {platform}"
+        )
+    return config
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    with _span_tracing(args):
-        return _dispatch(args)
+    try:
+        with _span_tracing(args):
+            return _dispatch(args)
+    except _UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

@@ -14,12 +14,10 @@ from typing import Mapping, Optional, Sequence
 
 from repro.core.capconfig import CapConfig, CapStates
 from repro.core.efficiency import ConfigMetrics
-from repro.energy.meters import EnergyMeter
-from repro.hardware.catalog import build_platform
+from repro.core.runs import RunSpec, build_run
 from repro.linalg import assign_priorities, gemm_graph, potrf_graph
 from repro.obs import spans as _spans
-from repro.runtime import RuntimeSystem
-from repro.sim import Simulator, Tracer
+from repro.sim import Tracer
 
 OPERATIONS = ("gemm", "potrf")
 
@@ -96,23 +94,13 @@ def run_operation(
         scheduler=scheduler,
         seed=seed,
     ):
-        sim = Simulator()
-        node = build_platform(platform, sim, tracer)
-        if config.n_gpus != node.n_gpus:
-            raise ValueError(
-                f"config {config.letters} has {config.n_gpus} states for "
-                f"{node.n_gpus} GPUs on {platform}"
-            )
-        node.set_gpu_caps(config.watts(states))
-        if cpu_caps:
-            for pkg, watts in cpu_caps.items():
-                node.cpus[pkg].set_power_limit(watts)
-        runtime = RuntimeSystem(node, scheduler=scheduler, seed=seed, tracer=tracer)
-        graph = spec.build_graph()
-        meter = EnergyMeter(node)
-        meter.start()
-        result = runtime.run(graph, reset_energy=False)
-        measurement = meter.stop()
+        run = build_run(
+            RunSpec(platform, spec, config, states, scheduler=scheduler,
+                    seed=seed, cpu_caps=cpu_caps),
+            tracer=tracer,
+        )
+        (result,) = run.execute([spec])
+        measurement = run.measurement
         return ConfigMetrics(
             config=config.letters,
             makespan_s=measurement.duration_s,

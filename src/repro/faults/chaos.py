@@ -3,10 +3,10 @@
 :func:`run_chaos` is the ``repro chaos`` backend.  It runs the operation
 twice with the same ``(platform, config, scheduler, seed)``:
 
-1. **baseline** — fault-free but instrumented exactly like the faulted run
-   (tracer, metrics, decision log, power sampler), so the degradation
-   percentages isolate the faults; its makespan resolves relative fault
-   plans;
+1. **baseline** — fault-free and lean: the same run spec without the
+   plan or the observers (tracer, metrics, decision log), which report
+   nothing the comparison reads; it keeps the power sampler, whose ticks
+   are sim events.  Its makespan resolves relative fault plans;
 2. **faulted** — the same run with the injector and recovery manager armed.
 
 The faulted run is audited: every task must complete exactly once, the
@@ -16,49 +16,41 @@ fault/recovery event stream) and ``chaos.json`` (the degradation summary);
 ``events.jsonl`` carries the fault events inline, and the tracer's
 ``faults`` track puts them on their own Perfetto row.
 
-Both runs are bit-deterministic: re-running with the same ``(seed, plan)``
-reproduces every event byte-for-byte.
+Both runs come from one :class:`~repro.core.runs.RunSpec` through the
+shared :func:`~repro.core.runs.compare` harness, and both are
+bit-deterministic: re-running with the same ``(seed, plan)`` reproduces
+every event byte-for-byte.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional
 
 from repro.core.capconfig import CapConfig, CapStates
+from repro.core.runs import (
+    Audited,
+    RunSpec,
+    audit_line,
+    compare,
+    comparison_lines,
+    recovery_line,
+)
 from repro.core.tradeoff import OperationSpec
-from repro.energy.meters import EnergyMeter
 from repro.faults.injector import FaultInjector
-from repro.faults.nvml_guard import apply_caps_verified
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoveryManager
-from repro.hardware.catalog import build_platform
-from repro.obs.capture import attach_stream, result_record
 from repro.obs.decisions import DecisionLog
-from repro.obs.exporters import (
-    CHAOS_FILENAME,
-    DECISIONS_FILENAME,
-    EVENTS_FILENAME,
-    FAULTS_FILENAME,
-    METRICS_FILENAME,
-    RESULT_FILENAME,
-    TRACE_FILENAME,
-    write_enriched_chrome_trace,
-    write_events_jsonl,
-)
-from repro.obs.manifest import RunManifest, code_version
+from repro.obs.exporters import CHAOS_FILENAME
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime import RuntimeSystem
 from repro.runtime.engine import RunResult
-from repro.runtime.graph import TaskState
-from repro.sim import Simulator, Tracer
+from repro.sim import Tracer
 from repro.tools.powertrace import PowerSampler
 
 
 @dataclass
-class ChaosRun:
+class ChaosRun(Audited):
     """Everything produced by one chaos comparison.
 
     ``baseline`` is ``None`` when the fault-free baseline came from the
@@ -79,17 +71,6 @@ class ChaosRun:
     #: Watchdog anomalies raised during a streamed faulted run (empty
     #: otherwise).
     anomalies: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        """Whether the resilience audit held."""
-        audit = self.summary["audit"]
-        return all(bool(v) if isinstance(v, bool) else v == 0
-                   for v in audit.values())
-
-
-def _pct(faulted: float, baseline: float) -> float:
-    return (faulted - baseline) / baseline * 100.0 if baseline > 0 else 0.0
 
 
 def run_chaos(
@@ -121,252 +102,61 @@ def run_chaos(
     ``events.jsonl`` live, with online watchdogs attached; the fault-free
     baseline stays unstreamed, it only anchors the degradation numbers.
     """
-    if stream and outdir is None:
-        raise ValueError("stream=True requires an outdir to stream into")
-    n_platform_gpus = build_platform(platform, Simulator()).n_gpus
-    if config.n_gpus != n_platform_gpus:
-        raise ValueError(
-            f"config {config.letters} has {config.n_gpus} states for "
-            f"{n_platform_gpus} GPUs on {platform}"
-        )
-
-    base_key = None
-    baseline_vals: Optional[dict] = None
-    if cache is not None:
-        from repro.cache.experiment import operation_call
-
-        try:
-            call = operation_call(
-                "chaos_baseline", platform, spec, config, states,
-                scheduler, seed, cpu_caps,
-            )
-        except (AttributeError, TypeError, ValueError):
-            call = None
-        if call is not None:
-            base_key = cache.key_for_call(call)
-            hit, value = cache.load(base_key)
-            if hit:
-                baseline_vals = value
-
-    # ------------------------------------------------------------- baseline
-    # Instrumented exactly like the faulted run (tracer, metrics, decision
-    # log, power sampler) so the degradation numbers isolate the *faults*,
-    # not the instrumentation: with an empty plan the two runs are
-    # event-for-event identical and degradation is exactly zero.
-    baseline: Optional[RunResult] = None
-    if baseline_vals is None:
-        sim = Simulator()
-        base_tracer = Tracer()
-        node = build_platform(platform, sim, base_tracer)
-        if config.n_gpus != node.n_gpus:
-            raise ValueError(
-                f"config {config.letters} has {config.n_gpus} states for "
-                f"{node.n_gpus} GPUs on {platform}"
-            )
-        node.set_gpu_caps(config.watts(states))
-        if cpu_caps:
-            for pkg, watts in cpu_caps.items():
-                node.cpus[pkg].set_power_limit(watts)
-        runtime = RuntimeSystem(
-            node, scheduler=scheduler, seed=seed, tracer=base_tracer,
-            metrics=MetricsRegistry(clock=sim), decision_log=DecisionLog(),
-        )
-        base_sampler = PowerSampler(node, runtime, period_s=power_period_s)
-        base_sampler.start()
-        meter = EnergyMeter(node)
-        meter.start()
-        baseline = runtime.run(spec.build_graph(), reset_energy=False)
-        base_measure = meter.stop()
-        baseline_vals = {
-            "makespan_s": baseline.makespan_s,
-            "energy_j": base_measure.total_j,
-            "gflops": baseline.gflops,
-        }
-        if base_key is not None:
-            cache.save(
-                base_key, baseline_vals,
-                label=f"chaos-baseline/{platform}/{config.letters}",
-            )
-
-    resolved = (
-        plan.resolve(baseline_vals["makespan_s"]) if plan.relative else plan
+    baseline = RunSpec(
+        platform, spec, config, states, scheduler=scheduler, seed=seed,
+        cpu_caps=cpu_caps, scale=scale, power_period_s=power_period_s,
+        cap_retries=cap_retries,
     )
+    treated = replace(baseline, observe=True)
 
-    # -------------------------------------------------------------- faulted
-    sim = Simulator()
-    tracer = Tracer()
-    node = build_platform(platform, sim, tracer)
-    registry = MetricsRegistry(clock=sim)
-    decisions = DecisionLog()
-    runtime = RuntimeSystem(
-        node, scheduler=scheduler, seed=seed, tracer=tracer,
-        metrics=registry, decision_log=decisions,
-    )
-    injector = FaultInjector(runtime, resolved, metrics=registry)
-    recovery = RecoveryManager(
-        runtime, injector, metrics=registry, decisions=decisions,
-    )
-    applied_cpu_caps: dict[str, float] = (
-        {f"cpu{pkg}": watts for pkg, watts in cpu_caps.items()}
-        if cpu_caps else {}
-    )
-    out: Optional[Path] = None
-    manifest: Optional[RunManifest] = None
-    if outdir is not None:
-        out = Path(outdir)
-        out.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest(
-            platform=platform,
-            scheduler=scheduler,
-            config=config.letters,
-            gpu_caps_w=tuple(config.watts(states)),
-            op=spec.op,
-            n=spec.n,
-            nb=spec.nb,
-            precision=spec.precision,
-            scale=scale,
-            seed=seed,
-            cpu_caps_w=applied_cpu_caps,
-            cache=cache.counts() if cache is not None else {},
-            version=code_version(),
-        )
-    stream_writer = None
-    watchdogs = None
-    if stream:
-        assert out is not None and manifest is not None
-        # Manifest before the run: a tail reader must be able to identify
-        # the run it is watching, and a killed run must still self-describe.
-        manifest.write(out)
-        bus, stream_writer, _aggregator, watchdogs = attach_stream(
-            out, sim, manifest
-        )
-        # Attach before arm(): cap-set faults fire inside the verified cap
-        # application below, and those injections belong in the stream too.
-        runtime.bus = bus
-        decisions.bus = bus
-        injector.bus = bus
-        recovery.bus = bus
-    injector.arm()
-    cap_reports = apply_caps_verified(
-        node, config.watts(states), retries=cap_retries, strict=False
-    )
-    if cpu_caps:
-        for pkg, watts in cpu_caps.items():
-            node.cpus[pkg].set_power_limit(watts)
-    sampler = PowerSampler(node, runtime, period_s=power_period_s)
-    sampler.blackouts.extend(resolved.dropout_windows())
-    if stream:
-        sampler.bus = runtime.bus
-    sampler.start()
-    meter = EnergyMeter(node)
-    meter.start()
-    graph = spec.build_graph()
-    try:
-        faulted = runtime.run(graph, reset_energy=False)
-    finally:
-        if stream_writer is not None:
-            stream_writer.close()
-    fault_measure = meter.stop()
-
-    # ---------------------------------------------------------------- audit
-    executed = sum(faulted.worker_tasks.values())
-    replay_mismatches = len(decisions.verify_replay())
-    # A cap mismatch is expected — not an audit failure — when the plan
-    # deliberately clamps caps; verify-after-set still has to *report* it.
-    clamp_expected = bool(resolved.by_kind("cap-silent-clamp"))
-    audit = {
-        "all_tasks_done": all(t.state is TaskState.DONE for t in graph.tasks),
-        "executed_exactly_once": executed == faulted.n_tasks,
-        "decisions_cover_all_tasks": (
-            len({r.tid for r in decisions}) == faulted.n_tasks
-        ),
-        "decision_replay_mismatches": replay_mismatches,
-        "caps_converged": all(r.verified for r in cap_reports) or clamp_expected,
-    }
-
-    fault_events = injector.events + recovery.events
-    summary = {
-        "platform": platform,
-        "op": spec.op,
-        "n": spec.n,
-        "nb": spec.nb,
-        "precision": spec.precision,
-        "config": config.letters,
-        "scheduler": scheduler,
-        "seed": seed,
-        "plan": {
-            "name": resolved.name,
-            "seed": resolved.seed,
-            "n_faults": len(resolved),
-            "faults": [f.to_record() for f in resolved.faults],
-        },
-        # Explicit key order: the cached payload round-trips through
-        # sorted-key JSON, and chaos.json must be byte-identical warm vs cold.
-        "baseline": {
-            "makespan_s": baseline_vals["makespan_s"],
-            "energy_j": baseline_vals["energy_j"],
-            "gflops": baseline_vals["gflops"],
-        },
-        "faulted": {
-            "makespan_s": faulted.makespan_s,
-            "energy_j": fault_measure.total_j,
-            "gflops": faulted.gflops,
-        },
-        "degradation": {
-            "makespan_pct": _pct(
-                faulted.makespan_s, baseline_vals["makespan_s"]
-            ),
-            "energy_pct": _pct(
-                fault_measure.total_j, baseline_vals["energy_j"]
-            ),
-        },
-        "faults_injected": injector.n_injected,
-        "recovery": recovery.stats(),
-        "cap_reports": [r.to_record() for r in cap_reports],
-        "power_samples_dropped": sampler.n_dropped,
-        "audit": audit,
-    }
-
-    if out is not None:
-        assert manifest is not None
-        if not stream:
-            manifest.write(out)
-        (out / RESULT_FILENAME).write_text(json.dumps(result_record(
-            faulted,
-            extra={
-                "measured_duration_s": fault_measure.duration_s,
-                "measured_total_j": fault_measure.total_j,
-                "baseline_makespan_s": baseline_vals["makespan_s"],
-                "baseline_energy_j": baseline_vals["energy_j"],
+    def summarize(cmp) -> dict:
+        run = cmp.run
+        faulted = run.results[0]
+        decisions = run.decisions
+        # A cap mismatch is expected — not an audit failure — when the plan
+        # deliberately clamps caps; verify-after-set still has to *report*.
+        clamp_expected = bool(cmp.plan.by_kind("cap-silent-clamp"))
+        return {
+            "platform": platform,
+            "op": spec.op,
+            "n": spec.n,
+            "nb": spec.nb,
+            "precision": spec.precision,
+            "config": config.letters,
+            "scheduler": scheduler,
+            "seed": seed,
+            "plan": cmp.plan_record(),
+            "baseline": cmp.baseline_block(),
+            "faulted": cmp.treated_block(),
+            "degradation": cmp.change_pct(),
+            **cmp.fault_record(),
+            "audit": {
+                "all_tasks_done": run.all_tasks_done(),
+                "executed_exactly_once": run.executed_exactly_once(),
+                "decisions_cover_all_tasks": (
+                    len({r.tid for r in decisions}) == faulted.n_tasks
+                ),
+                "decision_replay_mismatches": len(decisions.verify_replay()),
+                "caps_converged": (
+                    all(r.verified for r in run.cap_reports) or clamp_expected
+                ),
             },
-        ), indent=2) + "\n")
-        (out / CHAOS_FILENAME).write_text(json.dumps(summary, indent=2) + "\n")
-        with open(out / FAULTS_FILENAME, "w") as fh:
-            for rec in sorted(fault_events, key=lambda e: e["t"]):
-                fh.write(json.dumps(rec) + "\n")
-        decisions.write_jsonl(str(out / DECISIONS_FILENAME))
-        if not stream:
-            # Streamed runs wrote events.jsonl live; never clobber it with
-            # a post-hoc reconstruction.
-            write_events_jsonl(
-                str(out / EVENTS_FILENAME), tracer, decisions, sampler,
-                fault_events,
-            )
-        write_enriched_chrome_trace(
-            str(out / TRACE_FILENAME), tracer, sampler, decisions
-        )
-        if cache is not None:
-            cache.publish_metrics(registry)
-        from repro.obs.stream import publish_run_info, run_info_from_manifest
+        }
 
-        publish_run_info(registry, run_info_from_manifest(manifest))
-        (out / METRICS_FILENAME).write_text(registry.to_prometheus())
-
+    cmp, summary = compare(
+        baseline, treated, plan, [spec], summarize, CHAOS_FILENAME,
+        cache_name="chaos_baseline",
+        cache_label=f"chaos-baseline/{platform}/{config.letters}",
+        baseline_prefix="baseline", outdir=outdir, stream=stream, cache=cache,
+    )
+    run = cmp.run
     return ChaosRun(
-        outdir=out, plan=resolved, baseline=baseline, faulted=faulted,
-        summary=summary, registry=registry, decisions=decisions,
-        tracer=tracer, sampler=sampler, injector=injector, recovery=recovery,
-        anomalies=tuple(watchdogs.raised) if watchdogs is not None else (),
+        outdir=run.outdir, plan=cmp.plan,
+        baseline=cmp.baseline_results[0] if cmp.baseline_results else None,
+        faulted=run.results[0], summary=summary, registry=run.registry,
+        decisions=run.decisions, tracer=run.tracer, sampler=run.sampler,
+        injector=run.injector, recovery=run.recovery,
+        anomalies=tuple(run.anomalies),
     )
 
 
@@ -376,22 +166,10 @@ def render_chaos_summary(summary: dict) -> str:
         f"chaos: {summary['op']} n={summary['n']} {summary['precision']} "
         f"on {summary['platform']} [{summary['config']}] "
         f"({summary['scheduler']}, seed {summary['seed']})",
-        f"plan: {summary['plan']['name'] or 'custom'} "
-        f"({summary['plan']['n_faults']} faults, "
-        f"{summary['faults_injected']} events injected)",
-        f"baseline: {summary['baseline']['makespan_s']:.4f}s, "
-        f"{summary['baseline']['energy_j']:.1f} J",
-        f"faulted:  {summary['faulted']['makespan_s']:.4f}s, "
-        f"{summary['faulted']['energy_j']:.1f} J",
-        f"degradation: makespan {summary['degradation']['makespan_pct']:+.2f} %, "
-        f"energy {summary['degradation']['energy_pct']:+.2f} %",
+        *comparison_lines(summary, ("baseline", "faulted"), "degradation",
+                          "degradation"),
+        recovery_line(summary),
     ]
-    rec = summary["recovery"]
-    lines.append(
-        "recovery: "
-        + ", ".join(f"{k}={v}" for k, v in rec.items() if v)
-        if any(rec.values()) else "recovery: (no actions needed)"
-    )
     for report in summary["cap_reports"]:
         if report["attempts"] > 1 or not report["verified"]:
             lines.append(
@@ -400,10 +178,5 @@ def render_chaos_summary(summary: dict) -> str:
                 f"({report['attempts']} attempts, "
                 f"{'verified' if report['verified'] else 'MISMATCH'})"
             )
-    audit = summary["audit"]
-    ok = all(bool(v) if isinstance(v, bool) else v == 0 for v in audit.values())
-    lines.append(
-        "audit: " + ("PASS" if ok else "FAIL")
-        + " (" + ", ".join(f"{k}={v}" for k, v in audit.items()) + ")"
-    )
+    lines.append(audit_line(summary))
     return "\n".join(lines) + "\n"

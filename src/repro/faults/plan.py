@@ -37,6 +37,7 @@ Fault taxonomy (``target`` conventions in parentheses):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -80,6 +81,11 @@ class FaultSpec:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; known: {', '.join(FAULT_KINDS)}"
             )
+        for name in ("time", "duration", "magnitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise FaultPlanError(
+                    f"{self.kind}: {name} must be finite, got {getattr(self, name)}"
+                )
         if self.time < 0:
             raise FaultPlanError(f"{self.kind}: negative injection time {self.time}")
         if self.duration < 0:
@@ -109,14 +115,31 @@ class FaultSpec:
 
     @classmethod
     def from_record(cls, rec: dict) -> "FaultSpec":
+        if not isinstance(rec, dict):
+            raise FaultPlanError(
+                f"a fault must be a JSON object, got {type(rec).__name__}"
+            )
+        for name in ("kind", "time"):
+            if name not in rec:
+                raise FaultPlanError(f"missing required field {name!r}")
         return cls(
             kind=rec["kind"],
-            time=float(rec["time"]),
+            time=_number(rec, "time"),
             target=rec.get("target", ""),
-            duration=float(rec.get("duration", 0.0)),
-            magnitude=float(rec.get("magnitude", 0.0)),
+            duration=_number(rec, "duration"),
+            magnitude=_number(rec, "magnitude"),
             label=rec.get("label", ""),
         )
+
+
+def _number(rec: dict, name: str) -> float:
+    value = rec.get(name, 0.0)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise FaultPlanError(
+            f"field {name!r} must be a number, got {value!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -183,10 +206,33 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        doc = json.loads(text)
+        """Parse a plan; any malformed input raises :class:`FaultPlanError`."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FaultPlanError(f"fault plan is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise FaultPlanError(
+                f"fault plan must be a JSON object, got {type(doc).__name__}"
+            )
+        records = doc.get("faults", [])
+        if not isinstance(records, list):
+            raise FaultPlanError("field 'faults' must be a list")
+        faults = []
+        for i, rec in enumerate(records):
+            try:
+                faults.append(FaultSpec.from_record(rec))
+            except FaultPlanError as exc:
+                raise FaultPlanError(f"faults[{i}]: {exc}") from None
+        try:
+            seed = int(doc.get("seed", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise FaultPlanError(
+                f"field 'seed' must be an integer, got {doc['seed']!r}"
+            ) from None
         return cls(
-            faults=tuple(FaultSpec.from_record(r) for r in doc.get("faults", ())),
-            seed=int(doc.get("seed", 0)),
+            faults=tuple(faults),
+            seed=seed,
             relative=bool(doc.get("relative", False)),
             name=doc.get("name", ""),
         )

@@ -1,8 +1,10 @@
 """Fully-instrumented single runs: the ``repro trace`` backend.
 
-:func:`run_traced` mirrors :func:`repro.core.tradeoff.run_operation` but
-switches every observability layer on — tracer, metrics registry, scheduler
-decision log, power sampler — and writes a self-describing run directory:
+:func:`run_traced` builds the same run as
+:func:`repro.core.tradeoff.run_operation` (through
+:func:`repro.core.runs.build_run`) with every observability layer on —
+tracer, metrics registry, scheduler decision log, power sampler — and
+writes a self-describing run directory:
 
 ========================  ====================================================
 ``manifest.json``         provenance (:class:`repro.obs.manifest.RunManifest`)
@@ -31,39 +33,19 @@ the gate enforced by ``check_regression.py``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
 
 from repro.core.capconfig import CapConfig, CapStates
+from repro.core.runs import RunSpec, build_run
 from repro.core.tradeoff import OperationSpec
-from repro.energy.meters import EnergyMeter
-from repro.hardware.catalog import build_platform
 from repro.obs.decisions import DecisionLog
-from repro.obs.exporters import (
-    DECISIONS_FILENAME,
-    EVENTS_FILENAME,
-    METRICS_FILENAME,
-    RESULT_FILENAME,
-    TRACE_FILENAME,
-    write_enriched_chrome_trace,
-    write_events_jsonl,
-)
-from repro.obs.manifest import RunManifest, code_version
+from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.stream import (
-    OnlineAggregator,
-    StreamWriter,
-    TelemetryBus,
-    Watchdogs,
-    publish_run_info,
-    run_info_event,
-    run_info_from_manifest,
-)
-from repro.runtime import RuntimeSystem
+from repro.obs.stream import OnlineAggregator, TelemetryBus
 from repro.runtime.engine import RunResult
-from repro.sim import Simulator, Tracer
+from repro.sim import Tracer
 from repro.tools.powertrace import PowerSampler
 
 
@@ -82,55 +64,6 @@ class TracedRun:
     bus: Optional[TelemetryBus] = None
     aggregator: Optional[OnlineAggregator] = None
     anomalies: list = field(default_factory=list)
-
-
-def result_record(result: RunResult, extra: Optional[dict] = None) -> dict:
-    """JSON-friendly dump of a :class:`RunResult` (plus derived figures)."""
-    rec = {
-        "makespan_s": result.makespan_s,
-        "energies_j": result.energies_j,
-        "total_energy_j": result.total_energy_j,
-        "total_flops": result.total_flops,
-        "gflops": result.gflops,
-        "gflops_per_watt": result.gflops_per_watt,
-        "n_tasks": result.n_tasks,
-        "scheduler": result.scheduler,
-        "worker_tasks": result.worker_tasks,
-        "gpu_caps_w": result.gpu_caps_w,
-        "cpu_caps_w": result.cpu_caps_w,
-        "bytes_transferred": result.bytes_transferred,
-        "n_evictions": result.n_evictions,
-        "n_placement_evals": result.n_placement_evals,
-    }
-    if extra:
-        rec.update(extra)
-    return rec
-
-
-def attach_stream(
-    outdir: Path,
-    sim: Simulator,
-    manifest: RunManifest,
-) -> tuple[TelemetryBus, StreamWriter, OnlineAggregator, Watchdogs]:
-    """Build the live-telemetry stack over ``outdir/events.jsonl``.
-
-    Subscriber order matters: the writer first (so the raw stream is the
-    ground truth even if an aggregator update ever failed), then the
-    aggregator, then the watchdogs that read it.  The returned bus already
-    carries the ``run_info`` header event.
-    """
-    # batch=64 bounds delivery latency while keeping subscriber fan-out in
-    # tight loops — the attached-overhead budget (see stream.TelemetryBus);
-    # FLUSH_NOW types (header, faults, anomalies) still deliver at once.
-    bus = TelemetryBus(clock=sim, batch=64)
-    writer = StreamWriter(str(outdir / EVENTS_FILENAME))
-    aggregator = OnlineAggregator()
-    watchdogs = Watchdogs(aggregator, bus)
-    bus.subscribe(writer)
-    bus.subscribe(aggregator)
-    bus.subscribe(watchdogs)
-    bus.publish(run_info_event(run_info_from_manifest(manifest), t=sim.now))
-    return bus, writer, aggregator, watchdogs
 
 
 def run_traced(
@@ -152,93 +85,23 @@ def run_traced(
     ``stream=True`` writes ``events.jsonl`` live through a telemetry bus
     (crash-tolerant, watchable mid-run) instead of exporting it post-hoc.
     """
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    sim = Simulator()
-    tracer = Tracer()
-    node = build_platform(platform, sim, tracer)
-    if config.n_gpus != node.n_gpus:
-        raise ValueError(
-            f"config {config.letters} has {config.n_gpus} states for "
-            f"{node.n_gpus} GPUs on {platform}"
-        )
-    node.set_gpu_caps(config.watts(states))
-    applied_cpu_caps: dict[str, float] = {}
-    if cpu_caps:
-        for pkg, watts in cpu_caps.items():
-            node.cpus[pkg].set_power_limit(watts)
-            applied_cpu_caps[f"cpu{pkg}"] = watts
-
-    manifest = RunManifest(
-        platform=platform,
-        scheduler=scheduler,
-        config=config.letters,
-        gpu_caps_w=tuple(config.watts(states)),
-        op=spec.op,
-        n=spec.n,
-        nb=spec.nb,
-        precision=spec.precision,
-        scale=scale,
-        seed=seed,
-        cpu_caps_w=applied_cpu_caps,
-        version=code_version(),
+    run = build_run(
+        RunSpec(
+            platform, spec, config, states, scheduler=scheduler, seed=seed,
+            cpu_caps=cpu_caps, scale=scale, observe=True,
+            power_period_s=power_period_s,
+        ),
+        outdir=outdir, stream=stream,
     )
-
-    registry = MetricsRegistry(clock=sim)
-    decisions = DecisionLog()
-    runtime = RuntimeSystem(
-        node, scheduler=scheduler, seed=seed, tracer=tracer,
-        metrics=registry, decision_log=decisions,
-    )
-    sampler = PowerSampler(node, runtime, period_s=power_period_s)
-
-    bus: Optional[TelemetryBus] = None
-    writer: Optional[StreamWriter] = None
-    aggregator: Optional[OnlineAggregator] = None
-    watchdogs: Optional[Watchdogs] = None
-    if stream:
-        # Manifest first: a tail reader (or a post-mortem of a killed run)
-        # must be able to identify the run before any result exists.
-        manifest.write(out)
-        bus, writer, aggregator, watchdogs = attach_stream(out, sim, manifest)
-        runtime.bus = bus
-        decisions.bus = bus
-        sampler.bus = bus
-
-    sampler.start()
-    meter = EnergyMeter(node)
-    meter.start()
-    try:
-        result = runtime.run(spec.build_graph(), reset_energy=False)
-    finally:
-        if bus is not None:
-            bus.close()  # drain any batched tail, then flush the writer
-    measurement = meter.stop()
-
-    if not stream:
-        manifest.write(out)
-    (out / RESULT_FILENAME).write_text(json.dumps(result_record(
-        result,
-        extra={
-            "measured_duration_s": measurement.duration_s,
-            "measured_total_j": measurement.total_j,
-            "measured_cpu_j": measurement.cpu_j,
-            "measured_gpu_j": measurement.gpu_j,
-        },
-    ), indent=2) + "\n")
-    decisions.write_jsonl(str(out / DECISIONS_FILENAME))
-    if not stream:
-        # Post-hoc export; in stream mode events.jsonl was written live and
-        # must never be clobbered by a reconstruction.
-        write_events_jsonl(str(out / EVENTS_FILENAME), tracer, decisions, sampler)
-    write_enriched_chrome_trace(str(out / TRACE_FILENAME), tracer, sampler, decisions)
-    publish_run_info(registry, run_info_from_manifest(manifest))
-    (out / METRICS_FILENAME).write_text(registry.to_prometheus())
-
+    (result,) = run.execute([spec])
+    measure = run.measurement
+    run.write_artefacts(result_extra={
+        "measured_cpu_j": measure.cpu_j,
+        "measured_gpu_j": measure.gpu_j,
+    })
     return TracedRun(
-        outdir=out, result=result, manifest=manifest, registry=registry,
-        decisions=decisions, tracer=tracer, sampler=sampler,
-        bus=bus, aggregator=aggregator,
-        anomalies=list(watchdogs.raised) if watchdogs is not None else [],
+        outdir=run.outdir, result=result, manifest=run.manifest,
+        registry=run.registry, decisions=run.decisions, tracer=run.tracer,
+        sampler=run.sampler, bus=run.bus, aggregator=run.aggregator,
+        anomalies=run.anomalies,
     )

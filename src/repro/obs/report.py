@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core.reporting import format_table
+from repro.core.runs import audit_passed
 from repro.obs.decisions import DecisionLog
 from repro.obs.exporters import (
     CHAOS_FILENAME,
@@ -454,10 +455,7 @@ class RunReport:
                 f"makespan {deg['makespan_pct']:+.2f} %, "
                 f"energy {deg['energy_pct']:+.2f} %\n"
             )
-            ok = all(
-                bool(v) if isinstance(v, bool) else v == 0
-                for v in self.chaos["audit"].values()
-            )
+            ok = audit_passed(self.chaos["audit"])
             parts.append(f"[faults] resilience audit: {'PASS' if ok else 'FAIL'}\n")
         if self.decisions is not None:
             for ann in self.decisions.annotations:

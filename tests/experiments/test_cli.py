@@ -70,3 +70,38 @@ def test_tradeoff_invalid_config_letters():
     with pytest.raises(ValueError):
         main(["tradeoff", "--config", "HX", "--scale", "tiny",
               "--platform", "24-Intel-2-V100"])
+
+
+@pytest.fixture
+def bad_plans(tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"faults": [{"kind": "worker-kill", "target": "gpu-w0"}]}')
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    return {"malformed": str(malformed), "list": str(listed),
+            "missing": str(tmp_path / "missing.json"), "out": str(tmp_path / "out")}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chaos", "--preset", "bogus"], "unknown preset 'bogus'"),
+    (["chaos", "--plan", "{malformed}"], "missing required field 'time'"),
+    (["chaos", "--plan", "{list}"], "must be a JSON object"),
+    (["govern", "--plan", "{missing}"], "cannot read --plan"),
+    (["govern", "--plan", "{malformed}"], "missing required field 'time'"),
+    (["govern", "--preset", "bogus"], "unknown preset 'bogus'"),
+    (["govern", "--allocator", "bogus"], "unknown allocator 'bogus'"),
+    (["trace", "--config", "HHH", "--outdir", "{out}"],
+     "--config HHH has 3 states for 2 GPUs"),
+    (["chaos", "--config", "HHH"], "--config HHH has 3 states for 2 GPUs"),
+    (["chaos", "--config", "HQ"], "invalid cap states"),
+    (["chaos", "--platform", "nowhere"], "unknown platform 'nowhere'"),
+])
+def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
+                                                  capsys):
+    argv = [a.format(**bad_plans) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"repro {argv[0]}: ")
+    assert message in lines[0]
+    assert "Traceback" not in captured.err

@@ -103,3 +103,35 @@ def test_random_plan_is_seed_deterministic():
     assert len(a) == 6
     for spec in a.faults:
         assert spec.kind in FAULT_KINDS
+
+
+_KILL = '{"kind": "worker-kill", "target": "gpu-w0", "time": 0.1}'
+
+
+@pytest.mark.parametrize("text, field", [
+    ("{not json", "not valid JSON"),
+    ("[1, 2]", "must be a JSON object"),
+    ('"kill"', "must be a JSON object"),
+    ('{"faults": {"kind": "worker-kill"}}', "'faults' must be a list"),
+    ('{"faults": [3]}', r"faults\[0\]: a fault must be a JSON object"),
+    ('{"faults": [{"time": 0.1}]}', r"faults\[0\]: missing required field 'kind'"),
+    ('{"faults": [{"kind": "worker-kill", "target": "gpu-w0"}]}',
+     r"faults\[0\]: missing required field 'time'"),
+    ('{"faults": [%s, {"kind": "worker-hang", "target": "gpu-w1", '
+     '"time": "soon", "duration": 0.1}]}' % _KILL,
+     r"faults\[1\]: field 'time' must be a number"),
+    ('{"faults": [{"kind": "meter-dropout", "time": 0.1, "duration": [1]}]}',
+     "field 'duration' must be a number"),
+    ('{"faults": [{"kind": "gpu-throttle", "target": "gpu0", "time": 0.1, '
+     '"duration": 0.1, "magnitude": null}]}', "field 'magnitude' must be a number"),
+    ('{"faults": [{"kind": "worker-kill", "target": "gpu-w0", "time": NaN}]}',
+     "time must be finite"),
+    ('{"faults": [{"kind": "meter-dropout", "time": 0.1, "duration": Infinity}]}',
+     "duration must be finite"),
+    ('{"faults": [{"kind": "gpu-throttle", "target": "gpu0", "time": 0.1, '
+     '"duration": 0.1, "magnitude": -Infinity}]}', "magnitude must be finite"),
+    ('{"seed": "abc", "faults": []}', "field 'seed' must be an integer"),
+])
+def test_malformed_plan_json_raises_fault_plan_error(text, field):
+    with pytest.raises(FaultPlanError, match=field):
+        FaultPlan.from_json(text)
