@@ -9,8 +9,10 @@ as the paper does.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.core.capconfig import CapConfig, CapStates
 from repro.core.efficiency import ConfigMetrics
@@ -20,6 +22,28 @@ from repro.obs import spans as _spans
 from repro.sim import Tracer
 
 OPERATIONS = ("gemm", "potrf")
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; restore the caller's state.
+
+    Building a paper-scale graph leaves ~376 k container objects alive,
+    which triggers repeated full collections that find nothing: task
+    graphs hold no reference cycles (edges point forward only, see
+    :mod:`repro.runtime.graph`), so refcounting alone frees them.  Pausing
+    only defers collection; whatever the caller had enabled is re-enabled
+    on exit, exception or not.  The GC switch is process-wide, so a
+    concurrent build in another thread may re-enable it early; that costs
+    speed, never correctness.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -42,11 +66,12 @@ class OperationSpec:
         return self.n // self.nb
 
     def build_graph(self):
-        if self.op == "gemm":
-            graph, *_ = gemm_graph(self.n, self.nb, self.precision)
-        else:
-            graph, _ = potrf_graph(self.n, self.nb, self.precision)
-        assign_priorities(graph)
+        with gc_paused():
+            if self.op == "gemm":
+                graph, *_ = gemm_graph(self.n, self.nb, self.precision)
+            else:
+                graph, _ = potrf_graph(self.n, self.nb, self.precision)
+            assign_priorities(graph)
         return graph
 
     def __str__(self) -> str:  # pragma: no cover

@@ -51,6 +51,9 @@ class CPUPackage:
         # Dynamic power of one working core at the current frequency; only
         # changes with the cap, but consulted on every begin/end_core.
         self._dyn_w = spec.per_core_w
+        # Kernel-model cache (tile-op ground-truth durations), valid
+        # for the current cap only: set_power_limit clears it.
+        self.kernel_time_cache: dict = {}
         self._n_busy = 0
         self._n_spinning = 0
         self._energy_j = 0.0
@@ -140,6 +143,7 @@ class CPUPackage:
             watts, self.spec.idle_w, self.spec.tdp_w, self.spec.f_min
         )
         self._dyn_w = self.spec.per_core_w * self._freq_scale**3
+        self.kernel_time_cache.clear()
         self._recompute_power()
         if self._tracer is not None:
             self._tracer.point(self.name, "cap", self._clock.now, f"{watts:.0f}W")

@@ -62,6 +62,27 @@ GPU_SUPPORTED = {
 #: Fixed per-task CPU overhead (runtime bookkeeping + BLAS dispatch).
 CPU_TASK_OVERHEAD_S = 8e-6
 
+#: Flop count f(nb) = coefficient * nb**3 for the cubic kernels.
+_CUBIC_FLOPS = {
+    "gemm": 2.0,
+    "trsm": 1.0,
+    "potrf": 1.0 / 3.0,
+    "getrf": 2.0 / 3.0,
+    "geqrt": 4.0 / 3.0,
+    "ormqr": 2.0,
+    "tsqrt": 10.0 / 3.0,
+    "tsmqr": 4.0,  # dominant QR update: total ~ (4/3) N^3
+}
+
+
+def _tile_flops(kind: str, nb_int: int) -> float:
+    nb = float(nb_int)
+    if kind == "syrk":
+        return nb**2 * (nb + 1.0)
+    if kind == "stencil":
+        return 5.0 * nb**2  # 5-point update: 4 adds + 1 multiply per point
+    return _CUBIC_FLOPS[kind] * nb**3
+
 
 @dataclass(frozen=True)
 class TileOp:
@@ -82,35 +103,21 @@ class TileOp:
         key = (self.kind, self.nb, self.precision)
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
+        # Pure in the op, read once per task: computed here, once.  Plain
+        # instance attributes, not dataclass fields, so they stay out of
+        # eq, hash and repr.
+        #: Whether a CUDA codelet exists for this kind.
+        object.__setattr__(self, "runs_on_gpu", GPU_SUPPORTED[self.kind])
+        #: Flop count of one tile kernel.
+        object.__setattr__(self, "flops", _tile_flops(self.kind, self.nb))
+        # Activity memo: ``id(spec) -> (spec, activity)``.  Activity is pure
+        # in (op, spec); holding the spec keeps its id from being reused.
+        object.__setattr__(self, "_activity_memo", {})
 
     def __hash__(self) -> int:
         return self._hash
 
     # ------------------------------------------------------------------ work
-
-    @property
-    def runs_on_gpu(self) -> bool:
-        """Whether a CUDA codelet exists for this kind."""
-        return GPU_SUPPORTED[self.kind]
-
-    @property
-    def flops(self) -> float:
-        nb = float(self.nb)
-        cubes = {
-            "gemm": 2.0,
-            "trsm": 1.0,
-            "potrf": 1.0 / 3.0,
-            "getrf": 2.0 / 3.0,
-            "geqrt": 4.0 / 3.0,
-            "ormqr": 2.0,
-            "tsqrt": 10.0 / 3.0,
-            "tsmqr": 4.0,  # dominant QR update: total ~ (4/3) N^3
-        }
-        if self.kind == "syrk":
-            return nb**2 * (nb + 1.0)
-        if self.kind == "stencil":
-            return 5.0 * nb**2  # 5-point update: 4 adds + 1 multiply per point
-        return cubes[self.kind] * nb**3
 
     @property
     def n_tiles_touched(self) -> int:
@@ -130,9 +137,14 @@ class TileOp:
         return float(self.n_tiles_touched * self.tile_bytes)
 
     def activity(self, gpu_spec) -> float:
-        """Power-activity factor on a GPU."""
+        """Power-activity factor on a GPU (memoised per spec)."""
+        hit = self._activity_memo.get(id(gpu_spec))
+        if hit is not None and hit[0] is gpu_spec:
+            return hit[1]
         base = GemmKernel.square(self.nb, self.precision).activity(gpu_spec)
-        return max(0.05, base * _ACTIVITY[self.kind])
+        act = max(0.05, base * _ACTIVITY[self.kind])
+        self._activity_memo[id(gpu_spec)] = (gpu_spec, act)
+        return act
 
     # ------------------------------------------------------------- durations
 
@@ -166,9 +178,18 @@ class TileOp:
         return gpu.busy_power(self.precision, self.activity(gpu.spec))
 
     def time_on_cpu_core(self, cpu: CPUPackage) -> float:
-        """Ground-truth duration on one CPU core under the package cap."""
+        """Ground-truth duration on one CPU core under the package cap.
+
+        Pure in (op, spec, cap): cached on the package like
+        :meth:`time_on_gpu`, and invalidated by ``set_power_limit``.
+        """
+        cached = cpu.kernel_time_cache.get(self.key)
+        if cached is not None:
+            return cached
         gflops = cpu.core_gflops(self.precision) * _CPU_FACTOR[self.kind]
-        return self.flops / (gflops * 1e9) + CPU_TASK_OVERHEAD_S
+        duration = self.flops / (gflops * 1e9) + CPU_TASK_OVERHEAD_S
+        cpu.kernel_time_cache[self.key] = duration
+        return duration
 
     def gpu_activity(self, gpu: GPUDevice) -> float:
         return self.activity(gpu.spec)

@@ -21,6 +21,7 @@ idle draw — the same quantity the paper's NVML/PAPI protocol measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -111,6 +112,11 @@ class RuntimeSystem:
     ) -> None:
         if not isinstance(node.clock, Simulator):
             raise RuntimeError_("node must be built on a Simulator clock")
+        for name, sigma in (("exec_noise", exec_noise), ("calib_noise", calib_noise)):
+            # A NaN sigma would otherwise surface much later as an
+            # unrelated placement failure; inf and negatives are nonsense.
+            if not 0.0 <= sigma < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
         self.node = node
         self.sim: Simulator = node.clock
         self.scheduler_name = scheduler

@@ -67,8 +67,9 @@ class HistoryModel:
         self._ewma: dict[tuple[ModelKey, str], float] = {}
 
     def record(self, key: ModelKey, arch: str, duration: float) -> None:
-        if duration <= 0:
-            raise ValueError("durations must be positive")
+        # One chained comparison rejects <= 0, NaN and inf alike.
+        if not 0.0 < duration < math.inf:
+            raise ValueError(f"durations must be positive and finite, got {duration!r}")
         k = (key, arch)
         stats = self._stats.get(k)
         if stats is None:
@@ -165,7 +166,7 @@ class PerfModelSet:
         self._cache.pop((key, arch), None)
 
     def estimate(self, op: TileOp, arch: str) -> float:
-        key = model_key(op)
+        key = op.key
         cached = self._cache.get((key, arch))
         if cached is not None:
             self.n_cache_hits += 1

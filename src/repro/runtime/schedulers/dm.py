@@ -45,6 +45,24 @@ class DMScheduler(Scheduler):
     uses_perfmodel = True
     binds_tasks = True
 
+    #: Whether the class scan may compute the placement terms inline: the
+    #: duration estimate, then the transfer term when
+    #: :meth:`_prepare_decision` priced one into :attr:`_xfer_by_node`.
+    #: Cleared automatically for a subclass that overrides
+    #: :meth:`placement_terms` or :meth:`estimate` without re-declaring it,
+    #: so such a subclass's terms always go through its override.
+    _inline_terms = True
+
+    #: Per-decision transfer estimates keyed by memory node, installed by a
+    #: data-aware policy's :meth:`_prepare_decision`; ``None`` otherwise.
+    _xfer_by_node = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        overrides = "placement_terms" in cls.__dict__ or "estimate" in cls.__dict__
+        if overrides and "_inline_terms" not in cls.__dict__:
+            cls._inline_terms = False
+
     #: Debug flag: evaluate :meth:`placement_cost` for every eligible worker
     #: (the pre-optimization path) instead of once per equivalence class.
     #: The equivalence tests assert both paths produce identical schedules.
@@ -125,7 +143,10 @@ class DMScheduler(Scheduler):
         backlog = self._backlog
         op = task.op
         runs_on_gpu = op.runs_on_gpu
+        estimate = self.perf.estimate
+        inline = self._inline_terms
         candidates = [] if log is not None else None
+        n_evals = 0
         # Scoped transfer-estimate memo for this decision (same effect as
         # data.estimate_cache(), without the contextmanager overhead).
         # Policies that batch their data estimates (dmda) precompute them in
@@ -135,26 +156,37 @@ class DMScheduler(Scheduler):
         if fresh_memo:
             data._estimate_memo = {}
         self._prepare_decision(task, now)
+        xfer = self._xfer_by_node
         try:
             for members, indices, view, buf in self._placement_classes_np:
                 w0 = members[0][1]
                 if w0.is_gpu and not runs_on_gpu:
                     continue
-                terms = self.placement_terms(task, w0, now)
-                self.n_placement_evals += 1
+                n_evals += 1
+                # The class's terms: the duration estimate first, then the
+                # rest in fold order.  Stock policies compute them inline
+                # (no method call, no tuple); overrides go through
+                # placement_terms.
+                if inline:
+                    est = estimate(op, w0.arch)
+                    rest = () if xfer is None else (xfer[w0.mem_node],)
+                else:
+                    terms = self.placement_terms(task, w0, now)
+                    est = terms[0]
+                    rest = terms[1:]
                 if buf is None:
-                    # Singleton class (each GPU is its own arch): scalar fold.
+                    # Singleton class (each GPU is its own arch): a scalar
+                    # fold in Python floats (IEEE doubles, as numpy's).
                     index = members[0][0]
-                    cost = backlog[index]
-                    for term in terms:
-                        cost = cost + term
+                    seg_backlog = backlog.item(index)
+                    cost = seg_backlog + est
+                    for term in rest:
+                        cost += term
                     if cost < best_cost or (cost == best_cost and index < best_index):
-                        best, best_cost, best_index, best_est = (
-                            w0, cost, index, terms[0],
-                        )
+                        best, best_cost, best_index, best_est = w0, cost, index, est
                     if candidates is not None:
-                        costs_list = [float(cost)]
-                        class_backlogs = (float(backlog[index]),)
+                        costs_list = [cost]
+                        class_backlogs = (seg_backlog,)
                 else:
                     # Vectorized fold: element-wise IEEE adds in the same
                     # left-to-right order as the scalar loop, so every cost
@@ -164,18 +196,18 @@ class DMScheduler(Scheduler):
                     # platforms); ``buf`` is the class's reusable output
                     # array.
                     seg = backlog[view] if view is not None else backlog[indices]
-                    np.add(seg, terms[0], out=buf)
-                    for term in terms[1:]:
+                    np.add(seg, est, out=buf)
+                    for term in rest:
                         np.add(buf, term, out=buf)
                     # argmin returns the FIRST minimum; members are in
                     # worker-index order, so this is the lowest-index winner
                     # — the same tie-break as the scalar scan.
                     i = int(buf.argmin())
-                    cost = buf[i]
+                    cost = buf.item(i)
                     index = members[i][0]
                     if cost < best_cost or (cost == best_cost and index < best_index):
                         best, best_cost, best_index, best_est = (
-                            members[i][1], cost, index, terms[0],
+                            members[i][1], cost, index, est,
                         )
                     if candidates is not None:
                         costs_list = buf.tolist()
@@ -186,10 +218,11 @@ class DMScheduler(Scheduler):
                         workers=tuple(w.name for _, w in members),
                         indices=tuple(i for i, _ in members),
                         backlogs=class_backlogs,
-                        terms=tuple(terms),
+                        terms=(est, *rest),
                         costs=tuple(costs_list),
                     ))
         finally:
+            self.n_placement_evals += n_evals
             self._finish_decision()
             if fresh_memo:
                 data._estimate_memo = None

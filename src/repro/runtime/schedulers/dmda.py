@@ -15,22 +15,19 @@ from repro.runtime.worker import WorkerType
 class DMDAScheduler(DMScheduler):
     name = "dmda"
 
-    #: Per-decision transfer estimates keyed by memory node, installed by
-    #: :meth:`_prepare_decision`.  ``None`` outside a decision (and for
-    #: callers that invoke :meth:`placement_terms` directly, e.g. the
-    #: brute-force equivalence path), in which case the singular
-    #: ``transfer_estimate`` fallback runs.
-    _xfer_by_node = None
+    #: :meth:`placement_terms` below is exactly what the class scan
+    #: computes inline (estimate, then ``_xfer_by_node[mem_node]``).
+    _inline_terms = True
 
     def _prepare_decision(self, task: Task, now: float) -> None:
         # One pass over the task's handles prices every candidate memory
         # node at once (the d2h leg of each miss is shared across targets),
-        # instead of one full walk per placement class.
-        nodes = self._placement_mem_nodes
-        if nodes:
-            self._xfer_by_node = self.data.transfer_estimates(
-                task.accesses, nodes
-            )
+        # instead of one full walk per placement class.  Outside a decision
+        # (e.g. the brute-force path calling placement_terms directly) the
+        # table is None and the singular transfer_estimate runs instead.
+        self._xfer_by_node = self.data.transfer_estimates(
+            task.accesses, self._placement_mem_nodes
+        )
 
     def _finish_decision(self) -> None:
         self._xfer_by_node = None

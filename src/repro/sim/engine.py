@@ -51,6 +51,7 @@ from typing import Any, Callable, Optional
 _TIME, _SEQ, _FN, _ARGS, _HANDLE = range(5)
 
 _NEG_INF = float("-inf")
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -175,8 +176,9 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # One chained comparison: rejects negative, NaN and inf delays.
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
         time = self._now + delay
         handle = EventHandle(time, fn, args, self)
         seq = self._seq
@@ -190,9 +192,9 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
-        if time < self._now:
+        if not self._now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"event time must be finite and >= now (t={self._now}), got {time!r}"
             )
         handle = EventHandle(time, fn, args, self)
         seq = self._seq
@@ -211,8 +213,9 @@ class Simulator:
         cancelled.  This is the cheapest way to enqueue work and what the
         runtime engine uses when no fault injector needs a cancel hook.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # One chained comparison: rejects negative, NaN and inf delays.
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
@@ -224,9 +227,9 @@ class Simulator:
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fast-path :meth:`schedule_at`: absolute-time, non-cancellable."""
-        if time < self._now:
+        if not self._now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"event time must be finite and >= now (t={self._now}), got {time!r}"
             )
         seq = self._seq
         self._seq = seq + 1

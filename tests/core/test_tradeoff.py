@@ -1,7 +1,10 @@
 """Integration tests for the trade-off runner (the Figs. 3/4 workhorse)."""
 
+import gc
+
 import pytest
 
+from repro.core import tradeoff
 from repro.core.capconfig import CapConfig, CapStates
 from repro.core.cpu_capping import compare_cpu_capping
 from repro.core.tradeoff import OperationSpec, run_config_set, run_operation
@@ -25,6 +28,51 @@ def test_operation_spec_builds_graphs():
     p = OperationSpec(op="potrf", n=64 * 5, nb=64, precision="single").build_graph()
     assert len(p) == 35
     assert max(t.priority for t in p.tasks) > 0  # priorities assigned
+
+
+POTRF_TINY = OperationSpec(op="potrf", n=64 * 5, nb=64, precision="single")
+
+
+def _spy_builder(monkeypatch, seen, fail=False):
+    real = tradeoff.potrf_graph
+
+    def builder(n, nb, precision):
+        seen.append(gc.isenabled())
+        if fail:
+            raise RuntimeError("builder failed")
+        return real(n, nb, precision)
+
+    monkeypatch.setattr(tradeoff, "potrf_graph", builder)
+
+
+def test_build_graph_pauses_gc_and_reenables_it(monkeypatch):
+    seen = []
+    _spy_builder(monkeypatch, seen)
+    assert gc.isenabled()
+    assert len(POTRF_TINY.build_graph()) == 35
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_build_graph_leaves_a_disabled_gc_disabled(monkeypatch):
+    seen = []
+    _spy_builder(monkeypatch, seen)
+    gc.disable()
+    try:
+        POTRF_TINY.build_graph()
+        assert seen == [False]
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_build_graph_restores_gc_when_the_builder_raises(monkeypatch):
+    seen = []
+    _spy_builder(monkeypatch, seen, fail=True)
+    with pytest.raises(RuntimeError, match="builder failed"):
+        POTRF_TINY.build_graph()
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 def test_run_operation_returns_metrics():

@@ -162,6 +162,19 @@ def test_run_requires_simulator_clock():
         RuntimeSystem(node)
 
 
+@pytest.mark.parametrize("field", ["exec_noise", "calib_noise"])
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.01])
+def test_bad_noise_sigma_rejected_with_its_name(field, sigma):
+    """A NaN sigma used to surface as 'no worker can run' mid-run."""
+    with pytest.raises(ValueError, match=field):
+        _system(**{field: sigma})
+
+
+def test_zero_noise_is_allowed():
+    _, rt = _system(exec_noise=0.0, calib_noise=0.0)
+    assert rt.run(_chain_graph(3)).n_tasks == 3
+
+
 def test_calibrate_false_reuses_models():
     _, rt = _system(seed=1)
     g1 = _chain_graph(3)

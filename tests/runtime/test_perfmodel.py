@@ -36,6 +36,14 @@ def test_history_rejects_nonpositive():
         m.record(("gemm", 512, "double"), "cuda0", 0.0)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+def test_history_rejects_non_finite(duration):
+    m = HistoryModel()
+    with pytest.raises(ValueError, match="finite"):
+        m.record(("gemm", 512, "double"), "cuda0", duration)
+    assert m.nsamples(("gemm", 512, "double"), "cuda0") == 0
+
+
 def test_regression_interpolates_power_law():
     m = HistoryModel()
     # t = 1e-9 * nb^3

@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments.platforms import operation_spec
 from repro.hardware.catalog import build_platform
+from repro.obs.decisions import DecisionLog
 from repro.runtime import RuntimeSystem
 from repro.runtime.schedulers import SCHEDULERS
 from repro.runtime.schedulers.dm import DMScheduler
@@ -59,3 +60,53 @@ def test_brute_force_counts_per_worker(monkeypatch):
     # 24-Intel-2-V100 has 24 CPU workers + 2 GPU workers but only 4 classes,
     # so brute force must evaluate strictly more placements.
     assert brute.n_placement_evals > fast.n_placement_evals
+
+
+# ------------------------------------------------- unlogged fast path pinned
+
+#: The dm-family policies (the class scan's inline terms cover dm and the
+#: dmda variants; dmdae's energy term goes through its override).
+DM_FAMILY = ["dm", "dmda", "dmdas", "dmdar", "dmdae"]
+PAPER_PLATFORMS = ["24-Intel-2-V100", "64-AMD-2-A100", "32-AMD-4-A100"]
+
+
+def _schedule(platform: str, scheduler: str, scale: str, logged: bool) -> dict:
+    sim = Simulator()
+    node = build_platform(platform, sim)
+    log = DecisionLog() if logged else None
+    runtime = RuntimeSystem(node, scheduler=scheduler, seed=0, decision_log=log)
+    graph = operation_spec(platform, "potrf", "double", scale).build_graph()
+    result = runtime.run(graph)
+    if logged:
+        assert len(log.records) == result.n_tasks
+    return {
+        "tasks": [(t.worker_name, t.start_time, t.end_time) for t in graph.tasks],
+        "makespan_s": result.makespan_s,
+        "n_placement_evals": result.n_placement_evals,
+        "perf_cache": (runtime.perf.n_cache_hits, runtime.perf.n_cache_misses),
+    }
+
+
+def _assert_same_placements(monkeypatch, platform, name, scale):
+    unlogged = _schedule(platform, name, scale, logged=False)
+    logged = _schedule(platform, name, scale, logged=True)
+    # The decision log rides the same loop: nothing it observes may move.
+    assert unlogged == logged
+    monkeypatch.setattr(DMScheduler, "brute_force_placement", True)
+    brute = _schedule(platform, name, scale, logged=False)
+    # Brute force evaluates (and estimates) per worker, not per class, so
+    # only its evaluation counters differ by design.
+    assert brute["tasks"] == unlogged["tasks"]
+    assert brute["makespan_s"] == unlogged["makespan_s"]
+
+
+@pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+@pytest.mark.parametrize("name", DM_FAMILY)
+def test_unlogged_logged_and_brute_force_place_identically(monkeypatch, platform, name):
+    _assert_same_placements(monkeypatch, platform, name, "tiny")
+
+
+@pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+@pytest.mark.parametrize("name", ["dmdas", "dmdae"])
+def test_unlogged_fast_path_pinned_at_small_scale(monkeypatch, platform, name):
+    _assert_same_placements(monkeypatch, platform, name, "small")

@@ -152,3 +152,29 @@ def test_zero_delay_event_fires_at_current_time():
     sim.schedule(1.0, lambda: sim.schedule(0.0, out.append, sim.now))
     sim.run()
     assert out == [1.0]
+
+
+_ENQUEUE = ("schedule", "schedule_at", "post", "post_at")
+
+
+@pytest.mark.parametrize("method", _ENQUEUE)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_times_rejected(method, value):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        getattr(sim, method)(value, lambda: None)
+    # Nothing was enqueued: the clock neither jumps nor misorders.
+    sim.run()
+    assert sim.now == 0.0
+
+
+def test_nan_event_cannot_misorder_the_queue():
+    """A NaN time used to compare false both ways and fire first."""
+    sim = Simulator()
+    out = []
+    sim.post(1.0, out.append, "a")
+    with pytest.raises(SimulationError, match="finite"):
+        sim.post(float("nan"), out.append, "nan")
+    sim.post(0.5, out.append, "b")
+    sim.run()
+    assert out == ["b", "a"]
