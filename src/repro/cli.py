@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import sys
 import time
@@ -345,6 +346,10 @@ def _cmd_sweep(args) -> int:
     from repro.core.sweep import best_point, sweep_gemm
     from repro.experiments.runner import ExperimentResult
 
+    if args.n <= 0:
+        raise _UsageError(f"--n must be positive, got {args.n}")
+    if not 0.0 < args.step_pct < math.inf:
+        raise _UsageError(f"--step-pct must be finite and > 0, got {args.step_pct}")
     cache = _open_cache(args)
     points = sweep_gemm(
         args.model, args.n, args.precision, step_pct=args.step_pct, cache=cache
@@ -534,7 +539,11 @@ def _cmd_report(args) -> int:
                 "[stream] timeout waiting for the run to finish; "
                 "reporting the partial stream\n"
             )
-    sys.stdout.write(render_report(args.rundir, max_gaps=args.max_gaps))
+    try:
+        report = render_report(args.rundir, max_gaps=args.max_gaps)
+    except FileNotFoundError as exc:
+        raise _UsageError(f"cannot read {exc.filename}: {exc.strerror}") from None
+    sys.stdout.write(report)
     return 0
 
 
@@ -638,10 +647,7 @@ def _cap_config(platform: str, letters: Optional[str]):
     from repro.core.capconfig import CapConfig
     from repro.hardware.catalog import platform_spec
 
-    try:
-        n_gpus = platform_spec(platform).n_gpus
-    except KeyError as exc:
-        raise _UsageError(exc.args[0]) from None
+    n_gpus = platform_spec(platform).n_gpus
     try:
         config = CapConfig((letters or "H" * n_gpus).upper())
     except ValueError as exc:
@@ -654,9 +660,28 @@ def _cap_config(platform: str, letters: Optional[str]):
     return config
 
 
+def _check_names(args) -> None:
+    """Reject an unknown ``--platform``, ``--model`` or ``--scheduler``."""
+    from repro.hardware.catalog import gpu_spec, platform_spec
+    from repro.runtime.schedulers import SCHEDULERS
+
+    for attr, lookup in (("platform", platform_spec), ("model", gpu_spec)):
+        if getattr(args, attr, None) is not None:
+            try:
+                lookup(getattr(args, attr))
+            except KeyError as exc:
+                raise _UsageError(exc.args[0]) from None
+    scheduler = getattr(args, "scheduler", None)
+    if scheduler is not None and scheduler not in SCHEDULERS:
+        raise _UsageError(
+            f"unknown scheduler {scheduler!r}; have {sorted(SCHEDULERS)}"
+        )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_names(args)
         with _span_tracing(args):
             return _dispatch(args)
     except _UsageError as exc:

@@ -28,8 +28,8 @@ evaluation so that only configurations that can still win are simulated:
    *strictly* worse than an exactly-known incumbent.  Pruned configurations
    therefore cannot win or tie, so the returned winner and its
    :class:`~repro.core.efficiency.ConfigMetrics` are byte-identical to an
-   exhaustive scan (enforced by tests and the ``check_regression.py
-   --planner`` audit; see ``docs/performance.md`` for the bound derivation
+   exhaustive scan (enforced by ``tests/core/test_planner.py`` and
+   :func:`audit_plan`; see ``docs/performance.md`` for the bound derivation
    and the cases where pruning is disabled).
 
 Objectives are pluggable (:data:`OBJECTIVES`): ``efficiency`` (Gflop/s/W,
@@ -625,8 +625,7 @@ def audit_plan(
     Returns an audit document: for every replayed configuration the exact
     simulation must (a) not beat the winner — else pruning was unsound and
     ``beaten_by`` names the offender — and (b) land inside the slack bounds
-    around the analytic estimate (``bounds_sound``).  This is what the
-    ``check_regression.py --planner`` gate consumes.
+    around the analytic estimate (``bounds_sound``).
     """
     obj = get_objective(result.report.objective)
     pruned = list(result.report.pruned)

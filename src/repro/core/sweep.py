@@ -8,6 +8,7 @@ same protocol the paper uses on real silicon.  The sweep varies the cap in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +48,12 @@ def cap_grid(spec: GPUSpec, step_pct: float = 2.0) -> list[float]:
     keys on platforms whose ``cap_min/tdp`` ratio is not exactly
     representable.  For drift-free steps (the catalog defaults 2/5/10) the
     index grid is bit-identical to the historical accumulation.
+
+    Raises :class:`ValueError` unless ``step_pct`` is finite and > 0 (a
+    zero, negative or NaN step would never reach the top of the grid).
     """
+    if not 0.0 < step_pct < math.inf:
+        raise ValueError(f"step_pct must be finite and > 0, got {step_pct!r}")
     pct_lo = 100.0 * spec.cap_min_w / spec.tdp_w
     pct_hi = 100.0 * spec.cap_max_w / spec.tdp_w
     caps: list[float] = []

@@ -120,7 +120,7 @@ def run_best(
     ``objective`` configuration while simulating only configurations that
     could still win — the winner and its metrics are byte-identical to
     exhausting the ladder with :func:`run_precision` (the exactness gate
-    behind ``check_regression.py --planner``).  The per-row plan statistics
+    pinned by ``tests/core/test_planner.py``).  The per-row plan statistics
     (grid size, cache hits, simulated, pruned) make the avoided work
     visible in the emitted table.
     """

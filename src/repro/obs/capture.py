@@ -26,7 +26,7 @@ bit-identical either way.  The streamed ``events.jsonl`` differs from the
 post-hoc export in one deliberate way: ``decision`` events are sampled at
 the decision log's stream cadence (the full per-task records stay in
 ``decisions.jsonl``), which is what keeps the attached overhead inside
-the gate enforced by ``check_regression.py``.
+the gate enforced by ``benchmarks/obs_overhead.py``.
 
 ``repro report`` consumes such a directory; see :mod:`repro.obs.report`.
 """

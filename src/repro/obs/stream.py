@@ -22,9 +22,9 @@ appear when the run finishes.  This module makes the same signals available
 The discipline is the same as the rest of the package: stdlib-only, opt-in,
 and zero-cost when detached — a runtime built without a bus pays one
 ``None`` check per hot-path event.  When attached, the budget is tight (the
-overhead gate in ``check_regression.py`` demands attached ≤ 1.05× detached
-wall time), which is why :func:`jsonline` hand-rolls the common flat-dict
-case instead of calling :func:`json.dumps` per event.
+overhead gate ``benchmarks/obs_overhead.py`` demands attached ≤ 1.05×
+detached wall time), which is why :func:`jsonline` hand-rolls the common
+flat-dict case instead of calling :func:`json.dumps` per event.
 """
 
 from __future__ import annotations

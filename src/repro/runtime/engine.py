@@ -108,7 +108,6 @@ class RuntimeSystem:
         ewma_alpha: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         decision_log: Optional[DecisionLog] = None,
-        macro_tasks: bool = False,
     ) -> None:
         if not isinstance(node.clock, Simulator):
             raise RuntimeError_("node must be built on a Simulator clock")
@@ -132,15 +131,6 @@ class RuntimeSystem:
         # Observability (off by default: both None keeps hot paths clean).
         self.metrics = metrics
         self.decision_log = decision_log
-        #: Opt-in macro-task mode: a task whose inputs are already resident
-        #: (zero staging delay) starts executing inside the event that freed
-        #: its worker, fusing same-worker no-new-transfer task chains into
-        #: one engine event per link instead of two.  This reorders event
-        #: delivery relative to the reference schedule, so it is OFF by
-        #: default and excluded from the bit-identity bar (decision replay /
-        #: fig3 byte-compare run with it disabled).  Ignored while a fault
-        #: injector is attached (recovery needs cancellable staging events).
-        self.macro_tasks = macro_tasks
         # Pre-drawn execution-noise samples.  Block draws from a numpy
         # Generator are bit-identical to the same number of scalar draws,
         # and the buffer survives across run() calls, so consumption order
@@ -266,10 +256,8 @@ class RuntimeSystem:
         if self.faults is not None:
             self.faults.on_run_start(self._scheduler, graph)
         # With no fault injector attached nothing ever cancels engine
-        # events, so the engine's no-handle fast path is safe; macro-task
-        # fusion additionally requires it (an inlined start has no event).
+        # events, so the engine's no-handle fast path is safe.
         self._no_faults = self.faults is None
-        self._macro_inline = self.macro_tasks and self._no_faults
         self._remaining = len(graph.tasks)
         for w in self.workers:
             w.busy = False
@@ -523,13 +511,7 @@ class RuntimeSystem:
         now = self.sim.now
         start = ready if ready > now else now
         if self._no_faults:
-            if self._macro_inline and start <= now:
-                # Macro-task fusion: inputs are resident, so the kernel
-                # starts inside the event that freed the worker — no
-                # intermediate engine event for this chain link.
-                self._start_exec(task, worker)
-            else:
-                self.sim.post_at(start, self._start_exec, task, worker)
+            self.sim.post_at(start, self._start_exec, task, worker)
         else:
             handle = self.sim.schedule_at(start, self._start_exec, task, worker)
             self.faults.on_task_staging(task, worker, handle)

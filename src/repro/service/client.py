@@ -1,7 +1,7 @@
 """Blocking client for the cap-advisor service.
 
-Used by the test suite, the CI smoke job and the load generator
-(``benchmarks/perf/bench_service.py``).  Thin on purpose: one
+Used by the test suite, the CI smoke job and the ``advisor-mixed``
+workload of ``perfbench/``.  Thin on purpose: one
 ``http.client.HTTPConnection`` per client, JSON in/out.  Not thread-safe —
 give each load-generator thread its own client.
 

@@ -1,5 +1,7 @@
 """Unit tests for the analytic bound-and-prune sweep planner."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from repro.experiments.platforms import (
     config_list,
     operation_spec,
 )
-from repro.hardware.catalog import _profiles, gpu_spec
+from repro.hardware.catalog import _profiles, gpu_models, gpu_spec
 from repro.hardware.specs import GPUSpec
 
 # ------------------------------------------------------------ exact sweep gate
@@ -110,6 +112,12 @@ def test_cap_grid_matches_historical_accumulation_for_default_steps():
                 pct += step
             old.append(spec.cap_max_w)
             assert cap_grid(spec, step) == old
+
+
+@pytest.mark.parametrize("step", [0.0, -2.0, float("nan"), float("inf")])
+def test_cap_grid_rejects_steps_that_never_reach_the_top(step):
+    with pytest.raises(ValueError, match="step_pct must be finite and > 0"):
+        cap_grid(gpu_spec("V100-PCIE-32GB"), step)
 
 
 def test_cap_grid_endpoints_and_monotone():
@@ -358,3 +366,74 @@ def test_best_ladder_under_budget_infeasible():
         best_ladder_under_budget(
             "32-AMD-4-A100", GemmKernel.square(5760, "double"), states, 10.0
         )
+
+
+# ------------------------------------------------- simulations eliminated
+
+
+@pytest.fixture
+def count_simulators(monkeypatch):
+    """Count every :class:`repro.sim.Simulator` construction."""
+    import repro.sim as sim_mod
+
+    counter = {"n": 0}
+    real_init = sim_mod.Simulator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counter["n"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sim_mod.Simulator, "__init__", counting_init)
+    return counter
+
+
+def test_planner_pipeline_runs_five_times_fewer_simulations(count_simulators):
+    """The catalog sweeps and the Figs. 3/4 tiny config scans, old vs new.
+
+    The old pipeline simulated one kernel per sweep cap point and one run
+    per configuration.  The analytic sweep builds no Simulator at all and
+    the planner simulates only possible winners, yet both answer
+    byte-identically to the exhaustive pipeline.
+    """
+    combos = [
+        (model, precision)
+        for model in sorted(gpu_models())
+        for precision in ("double", "single")
+    ]
+    analytic = [sweep_gemm(m, 2880, p) for m, p in combos]
+    assert count_simulators["n"] == 0
+    simulated = [simulated_sweep_gemm(m, 2880, p) for m, p in combos]
+    assert analytic == simulated
+
+    exhaustive_sims = sum(len(points) for points in simulated)
+    planner_sims = 0
+    cpu_caps = PAPER_CPU_CAPS[_PLATFORM]
+    for op in ("gemm", "potrf"):
+        spec, states, configs = _tiny_case(op)
+        plan = plan_configs(_PLATFORM, spec, configs, states, cpu_caps=cpu_caps)
+        winner, metrics = _exhaustive_best(
+            _PLATFORM, spec, configs, states, "efficiency", cpu_caps
+        )
+        assert (plan.winner, plan.metrics) == (winner, metrics)
+        exhaustive_sims += len(configs)
+        planner_sims += plan.report.n_simulated
+
+    assert exhaustive_sims >= 5 * planner_sims
+
+
+def test_plan_full_h100_ladder_matches_exhaustive():
+    """The widest grid the repo can pose: all 3^4 configs on 4xH100."""
+    platform, model = "32-AMD-4-H100", "H100-SXM5-80GB"
+    spec = OperationSpec(op="gemm", n=4 * 1440, nb=1440, precision="double")
+    gpu = gpu_spec(model)
+    states = CapStates(
+        h_w=gpu.cap_max_w,
+        b_w=best_cap_watts(model, "double", spec.nb),
+        l_w=gpu.cap_min_w,
+    )
+    configs = [CapConfig("".join(p)) for p in itertools.product("HBL", repeat=4)]
+    plan = plan_configs(platform, spec, configs, states)
+    winner, metrics = _exhaustive_best(
+        platform, spec, configs, states, "efficiency", None
+    )
+    assert (plan.winner, plan.metrics) == (winner, metrics)

@@ -95,6 +95,13 @@ def bad_plans(tmp_path):
     (["chaos", "--config", "HHH"], "--config HHH has 3 states for 2 GPUs"),
     (["chaos", "--config", "HQ"], "invalid cap states"),
     (["chaos", "--platform", "nowhere"], "unknown platform 'nowhere'"),
+    (["sweep", "--n", "0"], "--n must be positive, got 0"),
+    (["sweep", "--model", "nope"], "unknown GPU model 'nope'"),
+    (["sweep", "--step-pct", "0"], "--step-pct must be finite and > 0"),
+    (["sweep", "--step-pct", "nan"], "--step-pct must be finite and > 0"),
+    (["tradeoff", "--scheduler", "bogus"], "unknown scheduler 'bogus'"),
+    (["tradeoff", "--platform", "nowhere"], "unknown platform 'nowhere'"),
+    (["report", "{out}"], "cannot read"),
 ])
 def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
                                                   capsys):

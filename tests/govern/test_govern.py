@@ -20,6 +20,9 @@ from repro.govern.controller import QUARANTINED
 
 PLATFORM = "24-Intel-2-V100"
 SEED = 3
+#: The gated scenarios' budget, pinned so that a change of
+#: ``default_budget_w`` (400 W on this platform today) cannot move them.
+BUDGET_W = 400.0
 
 
 def _govern(preset, mix="steady", outdir=None, **kw):
@@ -33,12 +36,12 @@ def _govern(preset, mix="steady", outdir=None, **kw):
 
 @pytest.fixture(scope="module")
 def fault_free():
-    return _govern("none")
+    return _govern("none", budget_w=BUDGET_W)
 
 
 @pytest.fixture(scope="module")
 def fault_free_shift():
-    return _govern("none", mix="shift")
+    return _govern("none", mix="shift", budget_w=BUDGET_W)
 
 
 # ------------------------------------------------------------ fault matrix
@@ -61,7 +64,8 @@ def test_every_preset_respects_budget_and_exactly_once(preset):
 def test_kill_throttle_under_shifting_mix_completes():
     """The worst case: a permanent worker death followed by a second
     workload phase whose fresh scheduler must re-exclude the corpse."""
-    gov = _govern("kill-throttle", mix="shift")
+    gov = _govern("kill-throttle", mix="shift", budget_w=BUDGET_W)
+    assert gov.summary["audit"]["budget_respected"] is True
     assert gov.passed is True
     assert gov.summary["recovery"]["quarantined"] >= 1
     kinds = {e["kind"] for e in gov.recovery.events}
@@ -139,6 +143,8 @@ def test_fault_free_governed_not_worse_than_static(fault_free):
     """The regression-gate condition: <= 2% makespan cost fault-free."""
     comp = fault_free.summary["comparison"]
     assert comp["makespan_pct"] <= 2.0
+    assert fault_free.summary["audit"]["budget_respected"] is True
+    assert fault_free.passed is True
 
 
 def test_shifting_mix_governed_beats_static_energy(fault_free_shift):
@@ -146,6 +152,8 @@ def test_shifting_mix_governed_beats_static_energy(fault_free_shift):
     for phase 2's kernel and must come out ahead on energy."""
     comp = fault_free_shift.summary["comparison"]
     assert comp["energy_pct"] < 0.0
+    assert fault_free_shift.summary["governor"]["safe_mode"] is False
+    assert fault_free_shift.summary["audit"]["budget_respected"] is True
     assert fault_free_shift.passed is True
 
 

@@ -14,7 +14,7 @@ module pins that invariant to committed artifacts:
 
 Any optimisation that perturbs a single tie-break, float fold order, or
 RNG consumption shows up here as a hard failure — this is the regression
-gate that lets the perf work in ``benchmarks/perf/`` chase throughput
+gate that lets perf work (measured by ``perfbench/``) chase throughput
 without a correctness referee in the room.
 """
 
@@ -83,13 +83,27 @@ def test_golden_log_self_replays(golden_run):
     assert log.verify_replay() == []
 
 
-def test_fig3_small_rows_byte_identical():
+def test_fig3_small_rows_byte_identical(tmp_path):
+    """Cold on a fresh cache: the golden rows.  Warm: all hits, no events."""
+    from repro.cache import ExperimentCache
     from repro.experiments import fig3_double
+    from repro.sim import ENGINE_TOTALS
 
     def canonical(doc):
         return json.dumps(doc, indent=1, sort_keys=True)
 
     golden = json.loads(GOLDEN_FIG3.read_text())
-    res = fig3_double.run(scale="small")
+    cold_cache = ExperimentCache(tmp_path)
+    res = fig3_double.run(scale="small", cache=cold_cache)
     fresh = {"headers": res.headers, "rows": [list(r) for r in res.rows]}
     assert canonical(fresh) == canonical(golden)
+    assert cold_cache.misses > 0
+
+    # A fresh cache object on the same store isolates the warm counters.
+    warm_cache = ExperimentCache(tmp_path, fingerprint=cold_cache.fingerprint)
+    events_before = ENGINE_TOTALS.snapshot()[0]
+    warm = fig3_double.run(scale="small", cache=warm_cache)
+    assert warm.rows == res.rows
+    assert warm_cache.misses == 0
+    assert warm_cache.hits == cold_cache.hits + cold_cache.misses
+    assert ENGINE_TOTALS.snapshot()[0] == events_before

@@ -149,14 +149,12 @@ def test_metrics_and_cache_stats(start_server, client_for, tiny_request):
 
 # ------------------------------------------------- injected compute behaviour
 
-def test_coalescing_burst_single_computation(start_server, tiny_request):
+def _assert_burst_coalesces(start_server, tiny_request, n_clients):
     """N identical in-flight cold queries -> exactly one computation."""
     server = start_server(max_queue=4)
     compute = _fake_compute(delay_s=0.3)
     server._compute = compute
     server._probe = _always_cold
-
-    n_clients = 16
 
     def query(_):
         with AdvisorClient("127.0.0.1", server.port) as client:
@@ -171,6 +169,14 @@ def test_coalescing_burst_single_computation(start_server, tiny_request):
     assert len(bodies) == 1  # every waiter got the leader's answer
     assert sum(r.doc["served"]["computed"] for r in responses) == 1
     assert sum(r.doc["served"]["coalesced"] for r in responses) == n_clients - 1
+
+
+def test_coalescing_burst_single_computation(start_server, tiny_request):
+    _assert_burst_coalesces(start_server, tiny_request, n_clients=16)
+
+
+def test_coalescing_burst_of_64_single_computation(start_server, tiny_request):
+    _assert_burst_coalesces(start_server, tiny_request, n_clients=64)
 
 
 def test_distinct_keys_compute_separately(start_server, tiny_request):
