@@ -5,7 +5,7 @@ Runs the reference traced run (POTRF double, small scale, ``HH`` on
 ``run_traced(stream=True)`` (``events.jsonl`` written live through the
 telemetry bus) and ``run_traced(stream=False)`` (the same artefacts,
 ``events.jsonl`` exported after the run).  The pair order alternates so
-machine-speed drift during the session is not booked against one side.
+machine-speed drift over the run is not booked against one side.
 
 Prints the median streamed/post-hoc wall ratio and exits 1 when it is
 above ``CEILING`` or when a streamed run's ``RunResult`` differs from its
