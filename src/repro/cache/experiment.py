@@ -11,10 +11,8 @@ repo's cacheable call shapes:
 - ``chaos_baseline`` — the fault-free instrumented baseline of ``repro
   chaos`` (a small dict of makespan/energy/gflops).
 
-A call with a live tracer (or any argument shape it does not recognise) is
-**uncacheable**: :meth:`key_for` returns ``None`` and the caller runs it
-normally.  Instrumented runs produce side-channel artefacts (traces,
-decision logs) that a memoised value cannot reproduce.
+A call of any argument shape it does not recognise is **uncacheable**:
+:meth:`key_for` returns ``None`` and the caller runs it normally.
 
 The object is picklable — counters, the store root and the precomputed
 code fingerprint travel to ``parallel_starmap`` pool workers, which write
@@ -34,7 +32,7 @@ from repro.cache.store import CacheStore, CorruptEntry
 from repro.obs import spans as _spans
 
 #: Positional defaults of ``run_operation`` past the four required args.
-_RUN_OPERATION_DEFAULTS: tuple = ("dmdas", 0, None, None)
+_RUN_OPERATION_DEFAULTS: tuple = ("dmdas", 0, None)
 
 #: Positional defaults of ``sweep_gemm`` past (model, n, precision).
 _SWEEP_DEFAULTS: tuple = (2.0, None, None)
@@ -91,12 +89,9 @@ class ExperimentCache:
 
     @staticmethod
     def _run_operation_call(args: tuple) -> Optional[dict]:
-        if not 4 <= len(args) <= 8:
+        if not 4 <= len(args) <= 7:
             return None
-        filled = args[4:] + _RUN_OPERATION_DEFAULTS[len(args) - 4:]
-        scheduler, seed, cpu_caps, tracer = filled
-        if tracer is not None:  # instrumented runs are uncacheable
-            return None
+        scheduler, seed, cpu_caps = args[4:] + _RUN_OPERATION_DEFAULTS[len(args) - 4:]
         platform, spec, config, states = args[:4]
         try:
             return operation_call(

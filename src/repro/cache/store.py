@@ -17,6 +17,7 @@ crashed writer on a non-atomic filesystem, bit rot, manual edits) raises
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -210,8 +211,13 @@ class CacheStore:
 
         ``max_age_s`` removes entries whose mtime is older than ``now``
         minus the age; ``max_size_bytes`` then evicts oldest-first until the
-        store fits.  Either limit may be ``None`` (unbounded).
+        store fits.  Either limit may be ``None`` (unbounded); a negative or
+        non-finite limit raises ``ValueError`` (it would empty the store).
         """
+        for name, limit in (("max_size_bytes", max_size_bytes),
+                            ("max_age_s", max_age_s)):
+            if limit is not None and not 0 <= limit < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {limit!r}")
         now = time.time() if now is None else now
         removed = 0
         freed = 0

@@ -43,11 +43,15 @@ def _parse_size(text: str) -> int:
     mult = units.get(t[-1:] or "", 1)
     num = t[:-1] if mult != 1 else t
     try:
-        return int(float(num) * mult)
+        size = float(num) * mult
     except ValueError:
+        size = math.nan
+    if not 0.0 <= size < math.inf:
         raise argparse.ArgumentTypeError(
-            f"invalid size {text!r} (use e.g. 500M, 2G, 1048576)"
-        ) from None
+            f"invalid size {text!r} (use e.g. 500M, 2G, 1048576; "
+            "finite and >= 0)"
+        )
+    return int(size)
 
 
 def _parse_age(text: str) -> float:
@@ -57,11 +61,15 @@ def _parse_age(text: str) -> float:
     mult = units.get(t[-1:] or "", 1.0)
     num = t[:-1] if t[-1:] in units else t
     try:
-        return float(num) * mult
+        age = float(num) * mult
     except ValueError:
+        age = math.nan
+    if not 0.0 <= age < math.inf:
         raise argparse.ArgumentTypeError(
-            f"invalid age {text!r} (use e.g. 90s, 30m, 12h, 7d)"
-        ) from None
+            f"invalid age {text!r} (use e.g. 90s, 30m, 12h, 7d; "
+            "finite and >= 0)"
+        )
+    return age
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
@@ -490,6 +498,7 @@ def _cmd_govern(args) -> int:
     from repro.cluster.budget import ALLOCATORS
     from repro.faults.plan import PRESET_NAMES, FaultPlan
     from repro.govern import render_govern_summary, run_govern
+    from repro.govern.run import check_budget
 
     if args.plan is None and args.preset == "help":
         for name in PRESET_NAMES:
@@ -510,6 +519,11 @@ def _cmd_govern(args) -> int:
         plan = FaultPlan(name="none")
     else:
         plan = _fault_plan(args)
+    if args.budget is not None:
+        try:
+            check_budget(args.platform, args.budget)
+        except ValueError as exc:
+            raise _UsageError(f"--budget: {exc}") from None
     cache = _open_cache(args)
     gov = run_govern(
         args.platform, args.op, args.precision, plan,
@@ -660,8 +674,9 @@ def _cap_config(platform: str, letters: Optional[str]):
     return config
 
 
-def _check_names(args) -> None:
-    """Reject an unknown ``--platform``, ``--model`` or ``--scheduler``."""
+def _check_args(args) -> None:
+    """Reject an unknown ``--platform``, ``--model`` or ``--scheduler``, and
+    a ``--power-period`` that is not finite and positive."""
     from repro.hardware.catalog import gpu_spec, platform_spec
     from repro.runtime.schedulers import SCHEDULERS
 
@@ -676,12 +691,15 @@ def _check_names(args) -> None:
         raise _UsageError(
             f"unknown scheduler {scheduler!r}; have {sorted(SCHEDULERS)}"
         )
+    period = getattr(args, "power_period", None)
+    if period is not None and not 0.0 < period < math.inf:
+        raise _UsageError(f"--power-period must be finite and > 0, got {period}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_names(args)
+        _check_args(args)
         with _span_tracing(args):
             return _dispatch(args)
     except _UsageError as exc:

@@ -14,11 +14,9 @@ evaluation so that only configurations that can still win are simulated:
    kernel-level half of the paper (Table I/II ``P_best`` derivation, the
    advisor's cap states) costs **zero** simulations with no fidelity caveat.
 
-2. **Vectorized cap-grid pre-pass** — :func:`grid_operating_points` runs the
-   60-iteration frequency bisection for an entire cap grid as batched numpy,
-   and :func:`estimate_configs` prices a whole configuration grid (makespan
-   and energy per config) from the tile-kernel work model in a handful of
-   array expressions.
+2. **Vectorized config-grid estimates** — :meth:`OperationModel.estimate`
+   prices a whole configuration grid (makespan and energy per config) from
+   the tile-kernel work model in a handful of numpy array expressions.
 
 3. **Bound-and-prune config planning** — :func:`plan_configs` turns the
    estimates into score *bounds* (estimate divided/multiplied by audited
@@ -53,7 +51,7 @@ from repro.core.sweep import SweepPoint, cap_grid
 from repro.core.tradeoff import OperationSpec, run_operation
 from repro.hardware.catalog import gpu_spec, platform_spec
 from repro.hardware.cpu import SPIN_FACTOR
-from repro.hardware.dvfs import PowerProfile, cpu_freq_at_cap
+from repro.hardware.dvfs import cpu_freq_at_cap
 from repro.hardware.gpu import GPUDevice
 from repro.hardware.specs import GPUSpec
 from repro.kernels.gemm import GemmKernel
@@ -212,74 +210,6 @@ def analytic_sweep_points(
             )
         )
     return points
-
-
-# ------------------------------------------------ vectorized cap-grid pre-pass
-
-
-def grid_operating_points(
-    profile: PowerProfile,
-    caps_w: Sequence[float],
-    activity: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(freq, perf_scale, power)`` arrays for a whole cap grid at once.
-
-    The batched bisection mirrors :meth:`PowerProfile.freq_at_cap` operation
-    for operation (same midpoint expression, same 60 iterations), so the
-    arrays match a scalar loop to the last bit while evaluating thousands of
-    caps in a handful of numpy calls.
-    """
-    caps = np.asarray(caps_w, dtype=float)
-
-    def power(f: np.ndarray) -> np.ndarray:
-        return profile.s0 + profile.s1 * f + activity * profile.d * f ** profile.gamma
-
-    lo = np.full_like(caps, profile.f_min)
-    hi = np.ones_like(caps)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fits = power(mid) <= caps
-        lo = np.where(fits, mid, lo)
-        hi = np.where(fits, hi, mid)
-    f = lo
-    f = np.where(power(np.full_like(caps, profile.f_min)) >= caps, profile.f_min, f)
-    f = np.where(power(np.ones_like(caps)) <= caps, 1.0, f)
-    return f, f ** profile.beta, power(f)
-
-
-def analytic_cap_curve(
-    model: str | GPUSpec,
-    n: int,
-    precision: str,
-    step_pct: float = 2.0,
-) -> dict[str, np.ndarray]:
-    """Whole-grid analytic sweep evaluation as batched numpy arrays.
-
-    The estimate ignores only the NVML millijoule quantisation, so it tracks
-    the exact replay to ~1e-6 relative — use :func:`analytic_sweep_points`
-    when byte-identity with the simulated sweep matters, and this when
-    evaluating thousands of (cap, objective) points per second does.
-    """
-    spec = gpu_spec(model) if isinstance(model, str) else model
-    kernel = GemmKernel.square(n, precision)
-    profile = spec.power_profiles[precision]
-    act = kernel.activity(spec)
-    caps = np.asarray(cap_grid(spec, step_pct))
-    f, perf, power = grid_operating_points(profile, caps, act)
-    gflops_rate = spec.peak_gflops[precision] * kernel.utilization(spec) * perf
-    t_compute = kernel.flops / (gflops_rate * 1e9)
-    t_memory = kernel.traffic_bytes / (spec.mem_bw_gbs * 1e9)
-    time_s = np.maximum(t_compute, t_memory) + spec.launch_overhead_s
-    gflops = kernel.flops / time_s / 1e9
-    return {
-        "cap_w": caps,
-        "freq": f,
-        "perf_scale": perf,
-        "power_w": power,
-        "time_s": time_s,
-        "gflops": gflops,
-        "efficiency": gflops / power,
-    }
 
 
 # ------------------------------------------------------- config-grid estimates
@@ -511,7 +441,7 @@ def plan_configs(
         for c in configs:
             key = cache.key_for(
                 "run_operation",
-                (platform, spec, c, states, scheduler, seed, cpu_caps, None),
+                (platform, spec, c, states, scheduler, seed, cpu_caps),
             )
             if key is not None:
                 keys[c.letters] = key

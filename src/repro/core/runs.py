@@ -11,8 +11,9 @@ differ only in their specs differ only in what the specs say.
 - ``plan`` (an absolute-time :class:`~repro.faults.plan.FaultPlan`) arms a
   fault injector and recovery manager, and the caps are then applied
   through the verified NVML path (cap-set faults fire inside it);
-- ``governor`` runs a :class:`~repro.govern.controller.PowerBudgetGovernor`
-  over ``budget_w`` from the spec's caps;
+- ``governor`` (an allocator name) runs a
+  :class:`~repro.govern.controller.PowerBudgetGovernor` over ``budget_w``
+  from the spec's caps;
 - ``power_period_s`` attaches a power sampler (its ticks are sim events,
   so runs that compare numbers must agree on it).
 
@@ -62,7 +63,6 @@ from repro.tools.powertrace import PowerSampler
 if TYPE_CHECKING:  # the faults and govern packages import this module
     from repro.core.tradeoff import OperationSpec
     from repro.faults.plan import FaultPlan
-    from repro.govern.controller import GovernorConfig
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class RunSpec:
     cap_retries: int = 3
     power_period_s: Optional[float] = None
     ewma_alpha: Optional[float] = None
-    governor: Optional["GovernorConfig"] = None
+    governor: Optional[str] = None  # the governor's allocator
     budget_w: float = 0.0  # the governor's watt budget
 
     @property
@@ -100,7 +100,7 @@ class Run:
 
     spec: RunSpec
     runtime: RuntimeSystem
-    tracer: Any = None        # Tracer: observe, or a caller's tracer
+    tracer: Any = None        # Tracer: observe
     registry: Any = None      # MetricsRegistry: observe
     decisions: Any = None     # DecisionLog: observe
     injector: Any = None      # FaultInjector: plan
@@ -242,7 +242,6 @@ def build_run(
     outdir: Optional[str] = None,
     stream: bool = False,
     cache=None,
-    tracer: Optional[Tracer] = None,
 ) -> Run:
     """Compose the run ``spec`` declares, ready to :meth:`Run.execute`.
 
@@ -250,14 +249,12 @@ def build_run(
     through a telemetry bus with the online aggregator and watchdogs
     attached; the manifest is written first, so a tail reader (or a
     post-mortem of a killed run) can identify the run.  ``cache`` only
-    labels the manifest and ``metrics.prom``.  ``tracer`` records into a
-    caller's tracer without the other observers.
+    labels the manifest and ``metrics.prom``.
     """
     if stream and outdir is None:
         raise ValueError("stream=True requires an outdir to stream into")
     sim = Simulator()
-    if spec.observe and tracer is None:
-        tracer = Tracer()
+    tracer = Tracer() if spec.observe else None
     node = build_platform(spec.platform, sim, tracer)
     if spec.config.n_gpus != node.n_gpus:
         raise ValueError(
@@ -333,7 +330,7 @@ def build_run(
             from repro.govern.controller import PowerBudgetGovernor
 
             run.governor = PowerBudgetGovernor(
-                node, runtime, spec.budget_w, spec.caps_w, config=spec.governor,
+                node, runtime, spec.budget_w, spec.caps_w, allocator=spec.governor,
                 metrics=registry, decisions=decisions,
             )
             run.recovery.listeners.append(run.governor)

@@ -19,7 +19,6 @@ from repro.core.efficiency import ConfigMetrics
 from repro.core.runs import RunSpec, build_run
 from repro.linalg import assign_priorities, gemm_graph, potrf_graph
 from repro.obs import spans as _spans
-from repro.sim import Tracer
 
 OPERATIONS = ("gemm", "potrf")
 
@@ -86,27 +85,25 @@ def run_operation(
     scheduler: str = "dmdas",
     seed: int = 0,
     cpu_caps: Optional[Mapping[int, float]] = None,
-    tracer: Optional[Tracer] = None,
     cache: Optional["ExperimentCache"] = None,
 ) -> ConfigMetrics:
     """Execute one operation under one cap configuration; return metrics.
 
     The run is a pure function of its arguments (own Simulator, own seeded
     RNG pool), so with ``cache`` set the result is memoised under the full
-    run identity; traced runs (``tracer`` not ``None``) are never cached
-    because their side-channel artefacts cannot be replayed from a value.
+    run identity.
     """
     if cache is not None:
         key = cache.key_for(
             "run_operation",
-            (platform, spec, config, states, scheduler, seed, cpu_caps, tracer),
+            (platform, spec, config, states, scheduler, seed, cpu_caps),
         )
         if key is not None:
             hit, value = cache.load(key)
             if hit:
                 return value
             value = run_operation(
-                platform, spec, config, states, scheduler, seed, cpu_caps, tracer
+                platform, spec, config, states, scheduler, seed, cpu_caps
             )
             cache.save(key, value, label=f"{platform}/{spec.op}/{config.letters}")
             return value
@@ -122,7 +119,6 @@ def run_operation(
         run = build_run(
             RunSpec(platform, spec, config, states, scheduler=scheduler,
                     seed=seed, cpu_caps=cpu_caps),
-            tracer=tracer,
         )
         (result,) = run.execute([spec])
         measurement = run.measurement
@@ -163,37 +159,6 @@ def run_config_set(
         cache=cache,
     )
     return {config.letters: m for config, m in zip(configs, metrics)}
-
-
-def best_config(
-    platform: str,
-    spec: OperationSpec,
-    configs: Sequence[CapConfig],
-    states: CapStates,
-    objective: str = "efficiency",
-    scheduler: str = "dmdas",
-    seed: int = 0,
-    cpu_caps: Optional[Mapping[int, float]] = None,
-    jobs: int = 1,
-    cache: Optional["ExperimentCache"] = None,
-    prune: bool = True,
-) -> "PlanResult":
-    """Arg-best over a configuration grid without simulating the whole grid.
-
-    Thin entry point to the bound-and-prune planner
-    (:func:`repro.core.planner.plan_configs`, lazy import — the planner
-    imports this module): identical winner and metrics to running
-    :func:`run_config_set` over the full grid and taking the best
-    ``objective`` score, but only configurations that could still win are
-    simulated.
-    """
-    from repro.core.planner import plan_configs
-
-    return plan_configs(
-        platform, spec, configs, states,
-        objective=objective, scheduler=scheduler, seed=seed,
-        cpu_caps=cpu_caps, jobs=jobs, cache=cache, prune=prune,
-    )
 
 
 @dataclass(frozen=True)

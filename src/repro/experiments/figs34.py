@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.core.capconfig import CapConfig
 from repro.core.efficiency import ConfigMetrics
-from repro.core.tradeoff import best_config, run_operation
+from repro.core.tradeoff import run_operation
 from repro.experiments.parallel import parallel_starmap
 from repro.experiments.platforms import (
     PAPER_CPU_CAPS,
@@ -98,62 +98,6 @@ def run_precision(
                     round(m.energy_saving_pct(base), 2),
                     round(m.efficiency, 2),
                     round(m.gpu_task_fraction, 3),
-                )
-            )
-    return result
-
-
-def run_best(
-    precision: str,
-    scale: str = "small",
-    seed: int = 0,
-    platforms: list[str] | None = None,
-    ops: tuple[str, ...] = ("gemm", "potrf"),
-    objective: str = "efficiency",
-    jobs: int = 1,
-    cache=None,
-    prune: bool = True,
-) -> ExperimentResult:
-    """Winner-only view of the Figs. 3/4 grid via the bound-and-prune planner.
-
-    For every (platform, operation) the planner finds the grid's best
-    ``objective`` configuration while simulating only configurations that
-    could still win — the winner and its metrics are byte-identical to
-    exhausting the ladder with :func:`run_precision` (the exactness gate
-    pinned by ``tests/core/test_planner.py``).  The per-row plan statistics
-    (grid size, cache hits, simulated, pruned) make the avoided work
-    visible in the emitted table.
-    """
-    check_scale(scale)
-    result = ExperimentResult(
-        name=f"best-{precision}",
-        title=f"Best configuration per (platform, operation), {precision} "
-        f"precision, objective={objective} (bound-and-prune planner)",
-        headers=[
-            "platform", "operation", "best_config", "eff_gflops_per_W",
-            "n_configs", "n_cache_hits", "n_simulated", "n_pruned",
-        ],
-    )
-    for platform in platforms or platform_names():
-        for op in ops:
-            spec = operation_spec(platform, op, precision, scale)
-            states = cap_states(platform, op, precision, scale, cache=cache)
-            plan = best_config(
-                platform, spec, config_list(platform), states,
-                objective=objective, seed=seed,
-                cpu_caps=PAPER_CPU_CAPS[platform], jobs=jobs, cache=cache,
-                prune=prune,
-            )
-            result.rows.append(
-                (
-                    platform,
-                    op,
-                    plan.winner,
-                    round(plan.metrics.efficiency, 2),
-                    plan.report.n_configs,
-                    plan.report.n_cache_hits,
-                    plan.report.n_simulated,
-                    plan.report.n_pruned,
                 )
             )
     return result

@@ -99,7 +99,3 @@ def cap_states(
 def config_list(platform: str) -> list[CapConfig]:
     """The Figs. 3/4 configuration ladder for this platform's GPU count."""
     return standard_configs(platform_spec(platform).n_gpus)
-
-
-def platform_gpu_model(platform: str) -> str:
-    return platform_spec(platform).gpu_model

@@ -17,10 +17,10 @@ and running tasks, and implements the countermeasures:
   placement and any parked tasks are re-submitted;
 - **hang detection** — a watchdog per running task (cancelled on normal
   completion) fires when a kernel overruns its expected duration by
-  ``watchdog_factor``; the task is retried elsewhere and the worker
+  ``WATCHDOG_FACTOR``; the task is retried elsewhere and the worker
   quarantined;
 - **throttle detection → recalibration** — when observed durations drift
-  from the model estimate by more than ``drift_ratio`` for ``drift_hits``
+  from the model estimate by more than ``DRIFT_RATIO`` for ``DRIFT_HITS``
   consecutive tasks of one architecture, that architecture's performance
   models are re-seeded under the *current* device state
   (:meth:`~repro.runtime.engine.RuntimeSystem.recalibrate_arch`), so
@@ -50,6 +50,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.schedulers.base import Scheduler
 
 
+#: Retry backoff after an aborted task: ``min(cap, base * 2**(attempt-1))``.
+BACKOFF_BASE_S = 0.002
+BACKOFF_CAP_S = 0.064
+#: Hang watchdog: a kernel is hung past ``max(floor, factor × estimate)``.
+WATCHDOG_FACTOR = 4.0
+WATCHDOG_FLOOR_S = 0.05
+#: Recalibrate an architecture after this many consecutive tasks whose
+#: observed/estimated duration ratio leaves ``[1/ratio, ratio]``.
+DRIFT_RATIO = 1.25
+DRIFT_HITS = 3
+#: Re-admission probes of an excluded worker: doubling from delay to cap.
+PROBE_DELAY_S = 0.02
+PROBE_CAP_S = 0.32
+
+
 @dataclass
 class _Inflight:
     """One task currently staged or running on a worker."""
@@ -70,14 +85,6 @@ class RecoveryManager:
         runtime: "RuntimeSystem",
         injector: Optional["FaultInjector"] = None,
         *,
-        backoff_base_s: float = 0.002,
-        backoff_cap_s: float = 0.064,
-        watchdog_factor: float = 4.0,
-        watchdog_floor_s: float = 0.05,
-        drift_ratio: float = 1.25,
-        drift_hits: int = 3,
-        probe_delay_s: float = 0.02,
-        probe_cap_s: float = 0.32,
         metrics: Optional["MetricsRegistry"] = None,
         decisions: Optional["DecisionLog"] = None,
     ) -> None:
@@ -90,14 +97,6 @@ class RecoveryManager:
         runtime.faults = self
         self.metrics = metrics
         self.decisions = decisions
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.watchdog_factor = watchdog_factor
-        self.watchdog_floor_s = watchdog_floor_s
-        self.drift_ratio = drift_ratio
-        self.drift_hits = drift_hits
-        self.probe_delay_s = probe_delay_s
-        self.probe_cap_s = probe_cap_s
         #: Chronological recovery-action records (merged into events.jsonl).
         self.events: list[dict] = []
         #: Optional live-telemetry bus; recovery actions publish ``fault``
@@ -155,7 +154,7 @@ class RecoveryManager:
                 scheduler.exclude_worker(worker)
                 self._event("re-exclude", target=worker.name,
                             detail="still dead at run start")
-                self._schedule_probe(worker, self.probe_delay_s)
+                self._schedule_probe(worker, PROBE_DELAY_S)
         if self.injector is not None and not self.injector.armed:
             self.injector.arm()
 
@@ -174,7 +173,7 @@ class RecoveryManager:
         entry.phase = "running"
         entry.handle = handle
         entry.est = self.runtime.perf.estimate(task.op, worker.arch)
-        timeout = max(self.watchdog_floor_s, self.watchdog_factor * duration)
+        timeout = max(WATCHDOG_FLOOR_S, WATCHDOG_FACTOR * duration)
         entry.watchdog = self.sim.schedule(timeout, self._watchdog_fired, entry)
 
     def on_task_finished(
@@ -207,7 +206,7 @@ class RecoveryManager:
         self._count("repro_worker_quarantines_total",
                     "Workers excluded from placement (death or hang).")
         self._notify("on_worker_excluded", worker)
-        self._schedule_probe(worker, self.probe_delay_s)
+        self._schedule_probe(worker, PROBE_DELAY_S)
 
     def on_worker_hang(self, worker: WorkerType, extra_s: float) -> None:
         """The worker's current kernel takes ``extra_s`` longer to complete.
@@ -245,7 +244,7 @@ class RecoveryManager:
         task = entry.task
         attempt = self._retries.get(task.tid, 0) + 1
         self._retries[task.tid] = attempt
-        delay = min(self.backoff_cap_s, self.backoff_base_s * 2.0 ** (attempt - 1))
+        delay = min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2.0 ** (attempt - 1))
         self.n_retries += 1
         self._count("repro_fault_retries_total", "Task retries after aborts.")
         self._event("retry", task=task.label,
@@ -283,7 +282,7 @@ class RecoveryManager:
         self._count("repro_worker_quarantines_total",
                     "Workers excluded from placement (death or hang).")
         self._notify("on_worker_excluded", worker)
-        self._schedule_probe(worker, self.probe_delay_s)
+        self._schedule_probe(worker, PROBE_DELAY_S)
 
     def _schedule_probe(self, worker: WorkerType, delay: float) -> None:
         self._later(delay, self._probe, worker, delay)
@@ -298,8 +297,8 @@ class RecoveryManager:
         if not alive:
             self.n_probes_failed += 1
             self._event("probe-failed", target=worker.name,
-                        detail=f"next probe in {min(self.probe_cap_s, delay * 2) * 1e3:.0f}ms")
-            self._schedule_probe(worker, min(self.probe_cap_s, delay * 2))
+                        detail=f"next probe in {min(PROBE_CAP_S, delay * 2) * 1e3:.0f}ms")
+            self._schedule_probe(worker, min(PROBE_CAP_S, delay * 2))
             return
         worker.available = True
         self._require_scheduler().readmit_worker(worker)
@@ -316,9 +315,9 @@ class RecoveryManager:
         self.runtime.wake()
 
     def _note_drift(self, arch: str, ratio: float) -> None:
-        if ratio > self.drift_ratio or ratio < 1.0 / self.drift_ratio:
+        if ratio > DRIFT_RATIO or ratio < 1.0 / DRIFT_RATIO:
             hits = self._suspect.get(arch, 0) + 1
-            if hits >= self.drift_hits:
+            if hits >= DRIFT_HITS:
                 self._suspect[arch] = 0
                 n = self.runtime.recalibrate_arch(arch)
                 self.n_recalibrations += 1

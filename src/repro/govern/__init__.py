@@ -13,7 +13,6 @@ from repro.govern.controller import (
     ACTIVE,
     HELD,
     QUARANTINED,
-    GovernorConfig,
     PowerBudgetGovernor,
 )
 from repro.govern.run import (
@@ -31,7 +30,6 @@ __all__ = [
     "ACTIVE",
     "HELD",
     "QUARANTINED",
-    "GovernorConfig",
     "PowerBudgetGovernor",
     "MIXES",
     "GovernRun",

@@ -24,7 +24,7 @@ of blast radius:
 1. *meter dropout* → a device whose power samples go stale is **held** at
    its last-known-good cap and excluded from reallocation until samples
    resume;
-2. *repeated actuation failure* → after ``max_failures`` consecutive NVML
+2. *repeated actuation failure* → after :data:`MAX_FAILURES` consecutive NVML
    errors (with capped-exponential backoff between attempts) the device is
    **quarantined** at its last verified cap and its budget share is
    re-allocated to the healthy GPUs;
@@ -53,6 +53,7 @@ from repro.core.dynamic_runtime import PeriodicController
 from repro.faults.nvml_guard import set_power_limit_verified
 from repro.hardware.node import Node
 from repro.kernels.gemm import GemmKernel
+from repro.obs.stream import BUDGET_TOLERANCE_W
 from repro.runtime.engine import RuntimeSystem
 from repro.runtime.worker import GPUWorker
 from repro.sim.engine import EventHandle
@@ -63,39 +64,30 @@ HELD = "held"
 QUARANTINED = "quarantined"
 
 
-@dataclass(frozen=True)
-class GovernorConfig:
-    """Tuning knobs of the control loop (see ``docs/governor.md``)."""
-
-    #: Re-solve cadence on the sim clock.
-    period_s: float = 0.02
-    #: Allocation policy name (:data:`repro.cluster.budget.ALLOCATORS`).
-    allocator: str = "efficiency"
-    #: Water-filling quantum handed to the allocator.
-    step_w: float = 5.0
-    #: Deadband: proposed moves smaller than this are not actuated.
-    hysteresis_w: float = 2.0
-    #: Per-tick rate limit on any one device's cap.
-    max_step_w: float = 40.0
-    #: A device whose last power sample is older than this is held.
-    staleness_s: float = 0.03
-    #: Verified-set retries per actuation attempt.
-    cap_retries: int = 2
-    #: Capped exponential backoff between failed actuations.
-    backoff_base_s: float = 0.01
-    backoff_cap_s: float = 0.16
-    #: Consecutive actuation failures before quarantine.
-    max_failures: int = 3
-    #: Budget slack treated as float noise rather than a violation.
-    budget_tolerance_w: float = 0.5
-    #: Stall watchdog fires when no tick ran for this many periods.
-    stall_factor: float = 4.0
-    #: Throttle ceiling = measured draw × this headroom.
-    throttle_headroom: float = 1.1
-    #: Throttle ceiling clears when draw recovers to this × ceiling.
-    throttle_clear_ratio: float = 0.95
-    #: A silent-clamp ceiling is re-probed after this long.
-    clamp_reprobe_s: float = 0.2
+# Control-loop constants (see ``docs/governor.md``).
+#: Re-solve cadence on the sim clock.
+PERIOD_S = 0.02
+#: Deadband: proposed moves smaller than this are not actuated.
+HYSTERESIS_W = 2.0
+#: Per-tick rate limit on any one device's cap.
+MAX_STEP_W = 40.0
+#: A device whose last power sample is older than this is held.
+STALENESS_S = 0.03
+#: Verified-set retries per actuation attempt.
+CAP_RETRIES = 2
+#: Capped exponential backoff between failed actuations.
+BACKOFF_BASE_S = 0.01
+BACKOFF_CAP_S = 0.16
+#: Consecutive actuation failures before quarantine.
+MAX_FAILURES = 3
+#: Stall watchdog fires when no tick ran for this many periods.
+STALL_FACTOR = 4.0
+#: Throttle ceiling = measured draw × this headroom.
+THROTTLE_HEADROOM = 1.1
+#: Throttle ceiling clears when draw recovers to this × ceiling.
+THROTTLE_CLEAR_RATIO = 0.95
+#: A silent-clamp ceiling is re-probed after this long.
+CLAMP_REPROBE_S = 0.2
 
 
 @dataclass
@@ -166,21 +158,21 @@ class PowerBudgetGovernor(PeriodicController):
         runtime: RuntimeSystem,
         budget_w: float,
         static_caps: Sequence[float],
-        config: Optional[GovernorConfig] = None,
+        allocator: str,
         metrics=None,
         decisions=None,
     ) -> None:
-        cfg = config or GovernorConfig()
-        super().__init__(runtime, cfg.period_s)
+        super().__init__(runtime, PERIOD_S)
         self.node = node
-        self.config = cfg
         self.budget_w = float(budget_w)
         self.static_caps = [float(w) for w in static_caps]
-        self.allocate = get_allocator(cfg.allocator)
+        self.allocate = get_allocator(allocator)
         self.metrics = metrics
         self.decisions = decisions
         self.bus = None
         min_w = sum(g.spec.cap_min_w for g in node.gpus)
+        if not math.isfinite(self.budget_w):
+            raise ValueError(f"budget must be finite, got {budget_w!r}")
         if self.budget_w < min_w - 1e-9:
             raise ValueError(
                 f"budget {self.budget_w:.0f} W below the node's minimum "
@@ -301,7 +293,7 @@ class PowerBudgetGovernor(PeriodicController):
         if dev.last_power_w <= 0.0 or dev.state == QUARANTINED:
             return
         ceil = max(dev.cap_min_w,
-                   dev.last_power_w * self.config.throttle_headroom)
+                   dev.last_power_w * THROTTLE_HEADROOM)
         if ceil < min(dev.ceil_w, dev.cap_max_w) - 1e-9:
             dev.ceil_w = ceil
             dev.ceil_kind = "throttle"
@@ -352,7 +344,6 @@ class PowerBudgetGovernor(PeriodicController):
 
     def _govern(self) -> None:
         now = self.sim.now
-        cfg = self.config
         # The bus batches bulk events (power samples included) for the
         # attached-overhead budget; a controller deciding on them must see
         # them first, or staleness tracking false-positives on the batch lag.
@@ -411,7 +402,7 @@ class PowerBudgetGovernor(PeriodicController):
         total = sum(d.applied_w for d in self.devices)
         if total > self.max_total_cap_w:
             self.max_total_cap_w = total
-        if total > self.budget_w + cfg.budget_tolerance_w:
+        if total > self.budget_w + BUDGET_TOLERANCE_W:
             self._enter_safe_mode(
                 f"caps total {total:.1f}W exceed budget {self.budget_w:.1f}W"
             )
@@ -425,11 +416,10 @@ class PowerBudgetGovernor(PeriodicController):
                                 dev.applied_w, labels={"device": dev.name})
 
     def _refresh_states(self, now: float) -> None:
-        cfg = self.config
         for dev in self.devices:
             if dev.state == QUARANTINED:
                 continue
-            stale = now - dev.last_power_t > cfg.staleness_s
+            stale = now - dev.last_power_t > STALENESS_S
             if dev.state == ACTIVE and stale:
                 dev.state = HELD
                 self._move("hold", dev, from_w=dev.applied_w,
@@ -441,7 +431,7 @@ class PowerBudgetGovernor(PeriodicController):
                 self._move("resume", dev, from_w=dev.applied_w,
                            to_w=dev.applied_w, detail="power samples resumed")
             if dev.ceil_kind == "throttle" and (
-                dev.last_power_w >= cfg.throttle_clear_ratio * dev.ceil_w
+                dev.last_power_w >= THROTTLE_CLEAR_RATIO * dev.ceil_w
             ):
                 self._clear_ceiling(dev, "draw recovered")
             elif dev.ceil_kind == "clamp" and now >= dev.ceil_until:
@@ -458,14 +448,13 @@ class PowerBudgetGovernor(PeriodicController):
     def _rate_limit(
         self, active: list[_DeviceState], targets: list[float]
     ) -> list[float]:
-        cfg = self.config
         out = []
         for dev, target in zip(active, targets):
             delta = target - dev.applied_w
-            if abs(delta) < cfg.hysteresis_w:
+            if abs(delta) < HYSTERESIS_W:
                 out.append(dev.applied_w)
                 continue
-            step = max(-cfg.max_step_w, min(cfg.max_step_w, delta))
+            step = max(-MAX_STEP_W, min(MAX_STEP_W, delta))
             new_w = dev.applied_w + step
             hi = min(dev.cap_max_w, dev.ceil_w)
             out.append(min(hi, max(dev.cap_min_w, new_w)))
@@ -500,23 +489,22 @@ class PowerBudgetGovernor(PeriodicController):
     # -------------------------------------------------------------- actuation
 
     def _actuate(self, dev: _DeviceState, new_w: float, kind: str) -> None:
-        cfg = self.config
         old = dev.applied_w
         limit_mw = int(round(new_w * 1000))
         try:
             applied_mw, attempts = set_power_limit_verified(
                 self._handles[dev.index], limit_mw,
-                retries=cfg.cap_retries, strict=False,
+                retries=CAP_RETRIES, strict=False,
             )
         except nvml.NVMLError as exc:
             dev.failures += 1
-            delay = min(cfg.backoff_cap_s,
-                        cfg.backoff_base_s * 2.0 ** (dev.failures - 1))
+            delay = min(BACKOFF_CAP_S,
+                        BACKOFF_BASE_S * 2.0 ** (dev.failures - 1))
             dev.backoff_until = self.sim.now + delay
             self._move("cap-fail", dev, from_w=old, to_w=old,
                        detail=f"attempt {dev.failures} failed ({exc}); "
                               f"backoff {delay * 1e3:.0f}ms")
-            if dev.failures >= cfg.max_failures:
+            if dev.failures >= MAX_FAILURES:
                 self._quarantine(dev)
             return
         dev.failures = 0
@@ -527,7 +515,7 @@ class PowerBudgetGovernor(PeriodicController):
             # more until the re-probe window, or the loop churns every tick.
             dev.ceil_w = applied_w
             dev.ceil_kind = "clamp"
-            dev.ceil_until = self.sim.now + cfg.clamp_reprobe_s
+            dev.ceil_until = self.sim.now + CLAMP_REPROBE_S
         if abs(applied_w - old) > 1e-9:
             dev.applied_w = applied_w
             self._move(kind, dev, from_w=old, to_w=applied_w,
@@ -567,7 +555,7 @@ class PowerBudgetGovernor(PeriodicController):
             try:
                 applied_mw, _ = set_power_limit_verified(
                     self._handles[dev.index], int(round(target * 1000)),
-                    retries=self.config.cap_retries, strict=False,
+                    retries=CAP_RETRIES, strict=False,
                 )
                 dev.applied_w = applied_mw / 1000.0
             except nvml.NVMLError:
@@ -602,7 +590,7 @@ class PowerBudgetGovernor(PeriodicController):
         }
 
     def _arm_stall(self) -> None:
-        delay = self.config.stall_factor * self.period_s
+        delay = STALL_FACTOR * self.period_s
         self._stall_handle = self.sim.schedule(delay, self._stall_check)
 
     def _stall_check(self) -> None:
@@ -610,7 +598,7 @@ class PowerBudgetGovernor(PeriodicController):
         if self.safe_mode or self.runtime.pending_tasks <= 0:
             return
         gap = self.sim.now - self.last_tick_t
-        if gap > self.config.stall_factor * self.period_s + 1e-9:
+        if gap > STALL_FACTOR * self.period_s + 1e-9:
             self._enter_safe_mode(
                 f"controller stalled: no tick for {gap:.3f}s"
             )

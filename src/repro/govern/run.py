@@ -29,6 +29,7 @@ bit-deterministic per (seed, plan): re-running reproduces
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -47,12 +48,13 @@ from repro.experiments.platforms import cap_states, operation_spec
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoveryManager
-from repro.govern.controller import GovernorConfig, PowerBudgetGovernor
+from repro.govern.controller import CAP_RETRIES, PowerBudgetGovernor
 from repro.hardware.catalog import gpu_spec, platform_spec
 from repro.kernels.gemm import GemmKernel
 from repro.obs.decisions import DecisionLog
 from repro.obs.exporters import GOVERN_FILENAME
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stream import BUDGET_TOLERANCE_W
 from repro.runtime.engine import RunResult
 from repro.sim import Tracer
 from repro.tools.powertrace import PowerSampler
@@ -121,6 +123,19 @@ def default_budget_w(platform: str) -> float:
     return round(0.8 * sum([gpu_spec(spec.gpu_model).cap_max_w] * spec.n_gpus), 1)
 
 
+def check_budget(platform: str, budget_w: float) -> None:
+    """Reject a budget no governed run can honour: a non-finite one, or one
+    below the platform's floor (every GPU at its minimum cap)."""
+    if not math.isfinite(budget_w):
+        raise ValueError(f"budget must be finite, got {budget_w!r}")
+    spec = platform_spec(platform)
+    floor = gpu_spec(spec.gpu_model).cap_min_w * spec.n_gpus
+    if budget_w < floor - 1e-9:
+        raise ValueError(
+            f"budget {budget_w:.0f} W below the platform floor {floor:.0f} W"
+        )
+
+
 def static_best_config(
     platform: str, phase: Phase, budget_w: float
 ) -> tuple[CapConfig, list[float]]:
@@ -159,7 +174,6 @@ def run_govern(
     scale: str = "tiny",
     allocator: str = "efficiency",
     power_period_s: float = 0.005,
-    governor_config: Optional[GovernorConfig] = None,
     cache=None,
     stream: bool = False,
 ) -> GovernRun:
@@ -176,17 +190,13 @@ def run_govern(
     """
     phases = scenario_phases(platform, op, precision, scale, mix, cache=cache)
     budget = default_budget_w(platform) if budget_w is None else budget_w
-    cfg = governor_config or GovernorConfig(allocator=allocator)
-    if cfg.allocator != allocator:
-        raise ValueError(
-            f"allocator {allocator!r} disagrees with governor_config "
-            f"({cfg.allocator!r})"
-        )
+    check_budget(platform, budget)
     static_config, static_caps = static_best_config(platform, phases[0], budget)
     static = static_spec(platform, phases, static_config, scheduler, seed,
                          power_period_s)
     governed = replace(static, scale=scale, observe=True,
-                       cap_retries=cfg.cap_retries, governor=cfg, budget_w=budget)
+                       cap_retries=CAP_RETRIES, governor=allocator,
+                       budget_w=budget)
 
     def summarize(cmp) -> dict:
         run = cmp.run
@@ -221,7 +231,7 @@ def run_govern(
                 "decision_replay_mismatches": len(run.decisions.verify_replay()),
                 "budget_respected": (
                     governor.max_total_cap_w
-                    <= budget + cfg.budget_tolerance_w
+                    <= budget + BUDGET_TOLERANCE_W
                 ),
                 "no_spurious_safe_mode": bool(cmp.plan) or not governor.safe_mode,
             },

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,6 @@ class DecisionLog:
         #: candidate record, which stays post-hoc in ``decisions.jsonl`` —
         #: at most once per :data:`STREAM_PERIOD_S` of simulated time.
         self.bus: Any = None
-        self.stream_period_s = self.STREAM_PERIOD_S
         self._last_stream_t = -math.inf
 
     def append(self, record: DecisionRecord) -> None:
@@ -185,7 +184,7 @@ class DecisionLog:
         bus = self.bus
         if bus is not None:
             t = record.time
-            if t - self._last_stream_t < self.stream_period_s:
+            if t - self._last_stream_t < self.STREAM_PERIOD_S:
                 return
             self._last_stream_t = t
             bus.publish({
@@ -245,11 +244,4 @@ class DecisionLog:
                     )
                 else:
                     log.append(DecisionRecord.from_record(rec))
-        return log
-
-    @classmethod
-    def from_records(cls, records: Iterable[dict]) -> "DecisionLog":
-        log = cls()
-        for rec in records:
-            log.append(DecisionRecord.from_record(rec))
         return log

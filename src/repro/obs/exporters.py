@@ -97,11 +97,6 @@ def write_events_jsonl(
     return len(events)
 
 
-def read_events_jsonl(path: str) -> list[dict]:
-    events, _ = read_events_jsonl_tolerant(path)
-    return events
-
-
 def read_events_jsonl_tolerant(path: str) -> tuple[list[dict], int]:
     """Read an event stream, skipping torn lines: ``(events, n_skipped)``.
 

@@ -36,6 +36,11 @@ from typing import Any, Callable, Optional
 
 EVENTS_STREAM_FILENAME = "events.jsonl"
 
+#: Slack over the global watt budget treated as float noise rather than a
+#: violation: the one tolerance of "caps never exceed the budget", read by
+#: the governor's own check and by the budget-violation watchdog alike.
+BUDGET_TOLERANCE_W = 0.5
+
 #: Event types worth pushing to disk immediately (rare; operators wait on
 #: them).  Bulk types (``interval``, ``decision``, ``power``) batch instead.
 FLUSH_NOW_TYPES = frozenset(
@@ -222,17 +227,12 @@ class TelemetryBus:
                 closer()
 
 
-#: One formatting pass for the dominant event shape; ``%.10g`` keeps float
-#: formatting inside the C-level ``%`` operator (``repr`` per float costs
-#: more than the whole format) at 10 significant digits — nanoseconds at
-#: sim-time scales, far below anything a consumer derives from the stream.
-_INTERVAL_FMT = (
-    '{"t":%.10g,"type":"interval","resource":"%s","kind":"%s","end":%.10g,'
-    '"label":"%s","task_kind":"%s"}'
-)
-
-#: Same line for the tuple fast lane (:meth:`TelemetryBus.publish_interval`),
-#: where ``kind`` is always ``"task"``.
+#: One formatting pass for the tuple fast lane
+#: (:meth:`TelemetryBus.publish_interval`), where ``kind`` is always
+#: ``"task"``; ``%.10g`` keeps float formatting inside the C-level ``%``
+#: operator (``repr`` per float costs more than the whole format) at 10
+#: significant digits — nanoseconds at sim-time scales, far below anything
+#: a consumer derives from the stream.
 _TASK_INTERVAL_FMT = (
     '{"t":%.10g,"type":"interval","resource":"%s","kind":"task","end":%.10g,'
     '"label":"%s","task_kind":"%s"}'
@@ -247,36 +247,6 @@ def _interval_event(item: tuple) -> dict:
         "t": t, "type": "interval", "resource": resource, "kind": "task",
         "end": end, "label": label, "task_kind": task_kind,
     }
-
-
-def _interval_line(event: dict) -> Optional[str]:
-    """Serialize the dominant hot-path event shape with one format.
-
-    Task-interval events are ~99% of an attached run's stream, and the
-    generic :func:`jsonline` key loop costs ~2.5× this single format pass
-    (measured: 3.1 µs vs 1.2 µs on realistic varied events).  Returns
-    ``None`` for anything that is not exactly the engine's interval shape
-    with escape-free strings and numeric timestamps — the caller falls
-    back to :func:`jsonline`, so the output is always valid JSON.
-    """
-    try:
-        if len(event) != 7:
-            return None
-        # One concatenation + two scans beats four per-string checks; a
-        # non-str value raises TypeError straight into the fallback, as
-        # does a non-numeric timestamp hitting ``%.10g`` below.
-        strs = (
-            event["resource"] + event["kind"]
-            + event["label"] + event["task_kind"]
-        )
-        if '"' in strs or "\\" in strs:
-            return None
-        return _INTERVAL_FMT % (
-            event["t"], event["resource"], event["kind"], event["end"],
-            event["label"], event["task_kind"],
-        )
-    except (KeyError, TypeError):
-        return None
 
 
 class StreamWriter:
@@ -300,18 +270,13 @@ class StreamWriter:
         self._closed = False
 
     def __call__(self, event: dict) -> None:
-        etype = event["type"]
-        if etype == "interval":
-            line = _interval_line(event) or jsonline(event)
-        else:
-            line = jsonline(event)
         buf = self._buf
-        buf.append(line)
+        buf.append(jsonline(event))
         self.n_written += 1
         if (
             len(buf) >= self._flush_every
             or self.n_written == 1
-            or etype in FLUSH_NOW_TYPES
+            or event["type"] in FLUSH_NOW_TYPES
         ):
             self.flush()
 
@@ -321,7 +286,7 @@ class StreamWriter:
     _CLEAN_QUOTES = _TASK_INTERVAL_FMT.count('"')
 
     def on_intervals(self, items: list) -> None:
-        """Tuple fast lane — same lines the dict path would produce.
+        """Tuple fast lane: a whole run of intervals in one format pass.
 
         The whole run is serialized with ``map(fmt.__mod__, items)`` and
         validated with one C-level scan of the joined chunk (a quote
@@ -422,7 +387,7 @@ class OnlineAggregator:
     def __call__(self, event: dict) -> None:
         etype = event["type"]
         if etype == "interval":
-            self.on_interval((event["t"], event["resource"], event["end"]))
+            self.on_intervals(((event["t"], event["resource"], event["end"]),))
             return
         self.n_events += 1
         t = event["t"]
@@ -467,33 +432,11 @@ class OnlineAggregator:
             self.run_done = True
             self.makespan = event.get("makespan", t)
 
-    def on_interval(self, item: tuple) -> None:
-        """Tuple fast lane — identical state updates to the dict path
-        (which delegates here; only ``item[:3]`` is read, so both the
-        engine's 5-tuple and the dict path's 3-tuple work)."""
-        t = item[0]
-        resource = item[1]
-        end = item[2]
-        self.n_events += 1
-        if t > self.now:
-            self.now = t
-        dur = end - t
-        self.tasks.append((end, dur, resource))
-        self.tasks_done += 1
-        if end > self.last_task_end:
-            self.last_task_end = end
-        st = self.workers.get(resource)
-        if st is None:
-            self.workers[resource] = [1, dur, deque((dur,), maxlen=16), end]
-        else:
-            st[0] += 1
-            st[1] += dur
-            st[2].append(dur)
-            st[3] = end
-
     def on_intervals(self, items: list) -> None:
-        """Batch form of :meth:`on_interval` for whole tuple runs — the
-        same state transitions, with the loop locals hoisted."""
+        """Task intervals as ``(t, resource, end, ...)`` tuples, loop locals
+        hoisted: the bus's fast lane hands whole runs of the engine's
+        5-tuples, and the dict path one 3-tuple (only ``item[:3]`` is
+        read)."""
         now = self.now
         last_end = self.last_task_end
         tasks_append = self.tasks.append
@@ -586,7 +529,6 @@ class WatchdogConfig:
         "cache_max_miss_rate",
         "imbalance_ratio",
         "imbalance_min_s",
-        "budget_tolerance_w",
     )
 
     def __init__(
@@ -600,7 +542,6 @@ class WatchdogConfig:
         cache_max_miss_rate: float = 0.5,
         imbalance_ratio: float = 4.0,
         imbalance_min_s: float = 0.05,
-        budget_tolerance_w: float = 0.5,
     ) -> None:
         self.eval_period_s = eval_period_s
         self.rearm_s = rearm_s
@@ -611,7 +552,6 @@ class WatchdogConfig:
         self.cache_max_miss_rate = cache_max_miss_rate
         self.imbalance_ratio = imbalance_ratio
         self.imbalance_min_s = imbalance_min_s
-        self.budget_tolerance_w = budget_tolerance_w
 
 
 class Watchdogs:
@@ -648,52 +588,20 @@ class Watchdogs:
         self._eval_period_s = self.config.eval_period_s
         self._idle_gap_s = self.config.idle_gap_s
 
-    # Hot path: a couple of float compares per event unless a gap is seen
-    # or the cadence gate opens.
     def __call__(self, event: dict) -> None:
         etype = event["type"]
         if etype == "interval":
-            self.on_interval((event["t"], event["resource"], event["end"]))
-            return
-        if etype == "anomaly":
-            return
-        t = event["t"]
-        if t - self._last_eval < self._eval_period_s:
-            return
-        self._last_eval = t
-        if self.agg.run_done:
-            return
-        self._check_throttle_drift(t)
-        self._check_cache_miss_storm(t)
-        self._check_backlog_imbalance(t)
-        self._check_budget_violation(t)
-
-    def on_interval(self, item: tuple) -> None:
-        """Tuple fast lane — same rules as the dict path (which delegates
-        here).  Idle-gap is edge-triggered on the task that ends the gap,
-        so its cheap bail-out runs per event; the other rules sit behind
-        the cadence gate."""
-        t = item[0]
-        worker = item[1]
-        prev_end = self._prev_end.get(worker)
-        self._prev_end[worker] = item[2]
-        if prev_end is not None and t - prev_end > self._idle_gap_s:
-            self._check_idle_gap(worker, prev_end, t)
-        if t - self._last_eval < self._eval_period_s:
-            return
-        self._last_eval = t
-        if self.agg.run_done:
-            return
-        self._check_throttle_drift(t)
-        self._check_cache_miss_storm(t)
-        self._check_backlog_imbalance(t)
-        self._check_budget_violation(t)
+            self.on_intervals(((event["t"], event["resource"], event["end"]),))
+        elif etype != "anomaly":
+            self._evaluate(event["t"])
 
     def on_intervals(self, items: list) -> None:
-        """Batch form of :meth:`on_interval`: idle-gap stays edge-triggered
-        per task (order-correct within the run), while the cadence-gated
-        rules evaluate once per run at its latest timestamp — the same
-        granularity the bus's batching already imposes on delivery."""
+        """Task intervals as ``(t, resource, end, ...)`` tuples (the dict
+        path passes one).  Idle-gap is edge-triggered per task, on the task
+        that ends the gap (order-correct within the run), so its cheap
+        bail-out runs per item; the cadence-gated rules evaluate once per
+        run at its latest timestamp — the same granularity the bus's
+        batching already imposes on delivery."""
         prev_ends = self._prev_end
         idle_gap_s = self._idle_gap_s
         for item in items:
@@ -703,7 +611,11 @@ class Watchdogs:
             prev_ends[worker] = item[2]
             if prev_end is not None and t - prev_end > idle_gap_s:
                 self._check_idle_gap(worker, prev_end, t)
-        t = items[-1][0]
+        self._evaluate(items[-1][0])
+
+    def _evaluate(self, t: float) -> None:
+        """The four cadence-gated rules, at most once per ``eval_period_s``
+        and never after the run ended."""
         if t - self._last_eval < self._eval_period_s:
             return
         self._last_eval = t
@@ -738,7 +650,7 @@ class Watchdogs:
     def _check_idle_gap(self, worker: str, prev_end: float, start: float) -> None:
         """A worker sat idle while peers made progress (called only once
         a gap above threshold is seen; the cheap test lives in the hot
-        ``__call__`` path)."""
+        per-item path)."""
         # Only anomalous if someone else finished work inside the gap —
         # a globally quiet stretch is a dependency stall, not an imbalance.
         peer_ends = [
@@ -803,7 +715,7 @@ class Watchdogs:
         if budget is None or not caps:
             return
         total = sum(caps.values())
-        if total > budget + self.config.budget_tolerance_w:
+        if total > budget + BUDGET_TOLERANCE_W:
             self._fire(
                 t,
                 "budget-violation",

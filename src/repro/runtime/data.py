@@ -169,15 +169,19 @@ class MemoryManager:
             self.used_bytes -= nbytes
 
 
+#: Share of each GPU's memory the runtime may fill before evicting.
+MEMORY_HEADROOM = 0.9
+
+
 class DataManager:
     """Coherence + transfers over a node's memory hierarchy."""
 
-    def __init__(self, node: Node, memory_headroom: float = 0.9) -> None:
+    def __init__(self, node: Node) -> None:
         self.node = node
         self.managers: dict[int, MemoryManager] = {
             node.mem_node_of_gpu(i): MemoryManager(
                 node.mem_node_of_gpu(i),
-                int(gpu.spec.memory_gb * 1e9 * memory_headroom),
+                int(gpu.spec.memory_gb * 1e9 * MEMORY_HEADROOM),
             )
             for i, gpu in enumerate(node.gpus)
         }

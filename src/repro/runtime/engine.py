@@ -42,6 +42,13 @@ from repro.runtime.worker import (
 from repro.sim import RNGPool, Simulator, Tracer
 
 
+#: Noisy calibration runs per (kernel, architecture) when a perf model is
+#: seeded or re-seeded.
+CALIBRATION_SAMPLES = 4
+#: Upcoming queued tasks whose input transfers overlap a running kernel.
+PREFETCH_DEPTH = 3
+
+
 class RuntimeError_(RuntimeError):
     """Engine-level failure (deadlock, misuse)."""
 
@@ -101,10 +108,8 @@ class RuntimeSystem:
         scheduler: str = "dmdas",
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        calibration_samples: int = 4,
         exec_noise: float = 0.015,
         calib_noise: float = 0.03,
-        prefetch_depth: int = 3,
         ewma_alpha: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         decision_log: Optional[DecisionLog] = None,
@@ -124,10 +129,8 @@ class RuntimeSystem:
         self.data = DataManager(node)
         self.perf = PerfModelSet(history=HistoryModel(ewma_alpha=ewma_alpha))
         self.rng = RNGPool(seed)
-        self.calibration_samples = calibration_samples
         self.exec_noise = exec_noise
         self.calib_noise = calib_noise
-        self.prefetch_depth = prefetch_depth
         # Observability (off by default: both None keeps hot paths clean).
         self.metrics = metrics
         self.decision_log = decision_log
@@ -158,7 +161,7 @@ class RuntimeSystem:
         Calibration runs happen offline in StarPU (dedicated runs after each
         power-cap change); they consume no simulated time here.
         """
-        with _spans.span("runtime.calibrate", samples=self.calibration_samples):
+        with _spans.span("runtime.calibrate", samples=CALIBRATION_SAMPLES):
             rng = self.rng.stream("calibration")
             seen_arch: dict[str, WorkerType] = {}
             for w in self.workers:
@@ -169,7 +172,7 @@ class RuntimeSystem:
                     if not w.can_run(op):
                         continue
                     truth = ground_truth_duration(w, op)
-                    for _ in range(self.calibration_samples):
+                    for _ in range(CALIBRATION_SAMPLES):
                         noisy = truth * float(rng.lognormal(0.0, self.calib_noise))
                         self.perf.record(op, arch, noisy)
             self.perf.enable_regression()
@@ -369,7 +372,7 @@ class RuntimeSystem:
             if not sample.can_run(op):
                 continue
             truth = ground_truth_duration(sample, op)
-            for _ in range(self.calibration_samples):
+            for _ in range(CALIBRATION_SAMPLES):
                 noisy = truth * float(rng.lognormal(0.0, self.calib_noise))
                 self.perf.record(op, arch, noisy)
             reseeded += 1
@@ -550,7 +553,7 @@ class RuntimeSystem:
             handle = self.sim.schedule(duration, self._finish, task, worker, duration)
             self.faults.on_task_running(task, worker, handle, duration)
         # Overlap upcoming queued tasks' transfers with this execution.
-        for nxt in self._scheduler.peek_many(worker, self.prefetch_depth):
+        for nxt in self._scheduler.peek_many(worker, PREFETCH_DEPTH):
             self.data.prefetch(nxt.accesses, worker.mem_node, nxt.label)
 
     def _finish(self, task: Task, worker: WorkerType, duration: float) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode, DataHandle
@@ -200,7 +200,3 @@ class TaskGraph:
             depth[t.tid] = 1 + max((depth[s.tid] for s in t.successors), default=0)
         for t in self.tasks:
             t.priority = depth[t.tid]
-
-
-def ready_tasks(tasks: Iterable[Task]) -> list[Task]:
-    return [t for t in tasks if t.deps_remaining == 0 and t.state is TaskState.CREATED]

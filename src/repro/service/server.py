@@ -27,7 +27,6 @@ import asyncio
 import json
 import os
 import signal
-import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional
@@ -486,10 +485,3 @@ def serve_url(host: str, port: int) -> str:
     if ":" in host and not host.startswith("["):
         return f"http://[{host}]:{port}"
     return f"http://{host}:{port}"
-
-
-def pick_free_port(host: str = "127.0.0.1") -> int:
-    """An ephemeral port for tests/benchmarks (race-tolerant best effort)."""
-    with socket.socket() as s:
-        s.bind((host, 0))
-        return s.getsockname()[1]

@@ -9,7 +9,7 @@ consume; it is deliberately append-only so tracing never perturbs scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,6 @@ class Tracer:
     def makespan(self) -> float:
         """End of the latest interval (0.0 on an empty trace)."""
         return max((iv.end for iv in self.intervals), default=0.0)
-
-    def gantt_rows(self) -> Iterator[tuple[str, list[Interval]]]:
-        """Iterate ``(resource, sorted-intervals)`` rows for rendering."""
-        for res in self.resources():
-            yield res, sorted(self.by_resource(res), key=lambda iv: iv.start)
 
     def to_records(self) -> list[dict]:
         """Flatten intervals to plain dicts (CSV/JSON friendly)."""

@@ -1,7 +1,6 @@
-"""Observability tooling: Gantt rendering, power sampling, trace export."""
+"""Observability tooling: power sampling and trace export."""
 
 from repro.tools.chrometrace import to_chrome_trace
-from repro.tools.gantt import render_gantt
 from repro.tools.powertrace import PowerSample, PowerSampler
 
-__all__ = ["to_chrome_trace", "render_gantt", "PowerSample", "PowerSampler"]
+__all__ = ["to_chrome_trace", "PowerSample", "PowerSampler"]

@@ -8,6 +8,7 @@ monitoring daemon would use on real hardware.  Start it before
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,6 +44,14 @@ class PowerSampler:
     #: Optional live-telemetry bus; each non-blackout sample also publishes
     #: a ``power`` event so dashboards see the timeline during the run.
     bus: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        # A zero period re-arms the tick at the same instant forever, so the
+        # simulated clock would never advance.
+        if not 0.0 < self.period_s < math.inf:
+            raise ValueError(
+                f"period_s must be finite and > 0, got {self.period_s!r}"
+            )
 
     def start(self) -> None:
         nvml.nvmlInit(self.node)
@@ -111,25 +120,3 @@ class PowerSampler:
 
     def series(self, device: str) -> list[tuple[float, float]]:
         return [(s.time_s, s.device_w[device]) for s in self.samples]
-
-    def ascii_plot(self, device: str, width: int = 60, height: int = 8) -> str:
-        """Tiny terminal sparkline of one device's power over time."""
-        series = self.series(device)
-        if not series:
-            return "(no samples)\n"
-        values = [v for _, v in series]
-        vmax = max(values) or 1.0
-        # Downsample to `width` buckets by averaging.
-        buckets = []
-        for b in range(width):
-            chunk = values[b * len(values) // width : (b + 1) * len(values) // width]
-            buckets.append(sum(chunk) / len(chunk) if chunk else 0.0)
-        rows = []
-        for level in range(height, 0, -1):
-            threshold = vmax * (level - 0.5) / height
-            rows.append(
-                f"{vmax * level / height:7.0f}W |"
-                + "".join("*" if v >= threshold else " " for v in buckets)
-            )
-        rows.append(" " * 9 + "-" * width)
-        return "\n".join(rows) + "\n"

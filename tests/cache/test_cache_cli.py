@@ -107,6 +107,25 @@ def test_cache_gc_size_and_age_parsers():
         _parse_age("soon")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-size", "-1M"), ("--max-size", "inf"), ("--max-size", "nan"),
+    ("--max-age", "-1d"), ("--max-age", "inf"), ("--max-age", "nan"),
+])
+def test_cache_gc_rejects_negative_and_non_finite_limits(tmp_path, capsys,
+                                                         flag, value):
+    from repro.cache import CacheStore
+    from repro.cache.keys import digest
+
+    store = CacheStore(tmp_path / "cache")
+    for i in range(3):
+        store.write(digest({"n": i}), "json", {"i": i})
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "--cache-dir", str(store.root), "gc", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert store.stats()["entries"] == 3
+
+
 def test_chaos_cli_uses_cache(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     assert main(["chaos", "--scale", "tiny", "--cache-dir", cache]) == 0

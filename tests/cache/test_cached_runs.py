@@ -10,7 +10,6 @@ from repro.core.sweep import sweep_gemm
 from repro.core.tradeoff import OperationSpec, run_operation, run_config_set
 from repro.experiments.parallel import parallel_starmap
 from repro.hardware.catalog import gpu_spec
-from repro.sim import Tracer
 
 PLATFORM = "24-Intel-2-V100"
 SPEC = OperationSpec(op="gemm", n=1920 * 4, nb=1920, precision="double")
@@ -39,14 +38,6 @@ def test_key_covers_every_identity_field(tmp_path):
                   CapStates(h_w=250.0, b_w=140.0, l_w=100.0), cache=cache)
     run_operation(*ARGS, cpu_caps={1: 60.0}, cache=cache)
     assert cache.hits == 0 and cache.misses == 5
-
-
-def test_traced_runs_bypass_the_cache(tmp_path):
-    cache = ExperimentCache(tmp_path)
-    run_operation(*ARGS, cache=cache)  # populate
-    traced = run_operation(*ARGS, tracer=Tracer(), cache=cache)
-    assert cache.hits == 0  # instrumented run never consulted the cache
-    assert traced.makespan_s > 0
 
 
 def test_fingerprint_mismatch_forces_recompute(tmp_path):

@@ -93,6 +93,19 @@ def test_gc_by_age_then_size(tmp_path):
     assert store.stats()["entries"] == 1
 
 
+@pytest.mark.parametrize("limits", [
+    {"max_size_bytes": -1}, {"max_size_bytes": float("inf")},
+    {"max_age_s": -86400.0}, {"max_age_s": float("nan")},
+])
+def test_gc_rejects_negative_and_non_finite_limits(tmp_path, limits):
+    store = CacheStore(tmp_path)
+    for i in range(3):
+        store.write(k(30 + i), "json", {"i": i})
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        store.gc(**limits)
+    assert store.stats()["entries"] == 3
+
+
 def _write_one(args):
     root, key, i = args
     CacheStore(root).write(key, "json", {"writer": i, "pad": "y" * 2000})

@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 from repro.core import planner as planner_mod
@@ -13,17 +12,14 @@ from repro.core.planner import (
     MAKESPAN_SLACK,
     OBJECTIVES,
     OperationModel,
-    analytic_cap_curve,
-    analytic_sweep_points,
     audit_plan,
     best_ladder_under_budget,
     best_sweep_point,
     get_objective,
-    grid_operating_points,
     plan_configs,
 )
 from repro.core.sweep import best_point, cap_grid, simulated_sweep_gemm, sweep_gemm
-from repro.core.tradeoff import OperationSpec, best_config, run_config_set
+from repro.core.tradeoff import OperationSpec, run_config_set
 from repro.experiments.platforms import (
     PAPER_CPU_CAPS,
     cap_states,
@@ -161,38 +157,6 @@ def test_best_cap_watts_objective_passthrough():
     assert eff < gfl
 
 
-# ----------------------------------------------------- vectorized prepass
-
-
-def test_grid_operating_points_bit_match_scalar_bisection():
-    spec = gpu_spec("A100-SXM4-40GB")
-    prof = spec.power_profiles["double"]
-    caps = cap_grid(spec, 2.0)
-    for act in (1.0, 0.45):
-        f, perf, power = grid_operating_points(prof, caps, act)
-        for i, cap in enumerate(caps):
-            f_scalar = prof.freq_at_cap(cap, act)
-            # The bisected frequency is bit-identical (it drives the exact
-            # replay path); the derived pow() terms may differ by one ulp
-            # between numpy and libm.
-            assert f[i] == f_scalar
-            assert perf[i] == pytest.approx(prof.perf_scale(f_scalar), rel=1e-12)
-            assert power[i] == pytest.approx(prof.power(f_scalar, act), rel=1e-12)
-
-
-def test_analytic_cap_curve_tracks_exact_replay():
-    curve = analytic_cap_curve("V100-PCIE-32GB", 2048, "double", step_pct=5.0)
-    exact = analytic_sweep_points("V100-PCIE-32GB", 2048, "double", step_pct=5.0)
-    assert len(curve["cap_w"]) == len(exact)
-    # The curve ignores only millijoule quantisation; agreement is ~1e-6.
-    np.testing.assert_allclose(
-        curve["time_s"], [p.time_s for p in exact], rtol=1e-5
-    )
-    np.testing.assert_allclose(
-        curve["efficiency"], [p.efficiency for p in exact], rtol=1e-3
-    )
-
-
 # ------------------------------------------------------------ plan-and-prune
 
 _PLATFORM = "24-Intel-2-V100"
@@ -288,17 +252,6 @@ def test_plan_resolves_cache_hits_without_simulating(tmp_path):
     assert plan.report.n_simulated == 0
     winner, metrics = _exhaustive_best(
         _PLATFORM, spec, configs, states, "efficiency", cpu_caps
-    )
-    assert (plan.winner, plan.metrics) == (winner, metrics)
-
-
-def test_best_config_wrapper_delegates():
-    spec, states, configs = _tiny_case()
-    plan = best_config(
-        _PLATFORM, spec, configs, states, cpu_caps=PAPER_CPU_CAPS[_PLATFORM]
-    )
-    winner, metrics = _exhaustive_best(
-        _PLATFORM, spec, configs, states, "efficiency", PAPER_CPU_CAPS[_PLATFORM]
     )
     assert (plan.winner, plan.metrics) == (winner, metrics)
 

@@ -1,4 +1,4 @@
-"""Tests for the Gantt renderer and power sampler."""
+"""Tests for the power sampler."""
 
 import pytest
 
@@ -6,8 +6,7 @@ from repro.hardware.catalog import build_platform
 from repro.linalg import assign_priorities, gemm_graph
 from repro.runtime import RuntimeSystem
 from repro.sim import Simulator, Tracer
-from repro.tools import PowerSampler, render_gantt
-from repro.tools.gantt import utilization_summary
+from repro.tools import PowerSampler
 
 
 @pytest.fixture
@@ -22,44 +21,6 @@ def traced_run():
     sampler.start()
     result = rt.run(graph)
     return node, tracer, sampler, result
-
-
-def test_gantt_renders_rows_for_busy_workers(traced_run):
-    _, tracer, _, _ = traced_run
-    text = render_gantt(tracer, width=60)
-    assert "gpu-w0" in text and "#" in text
-    assert "idle" in text  # legend
-    lines = [ln for ln in text.splitlines() if "|" in ln]
-    assert len(lines) >= 2
-
-
-def test_gantt_empty_trace():
-    assert render_gantt(Tracer()) == "(empty trace)\n"
-
-
-def test_gantt_width_validation(traced_run):
-    _, tracer, _, _ = traced_run
-    with pytest.raises(ValueError):
-        render_gantt(tracer, width=5)
-
-
-def test_gantt_window_validation(traced_run):
-    _, tracer, _, _ = traced_run
-    with pytest.raises(ValueError):
-        render_gantt(tracer, t_min=5.0, t_max=5.0)
-
-
-def test_gantt_window_restricts_content(traced_run):
-    _, tracer, _, _ = traced_run
-    full = render_gantt(tracer, width=40)
-    tail = render_gantt(tracer, width=40, t_min=tracer.makespan() * 0.9)
-    assert full != tail
-
-
-def test_utilization_summary(traced_run):
-    _, tracer, _, _ = traced_run
-    util = dict(utilization_summary(tracer))
-    assert 0.2 < util["gpu-w0"] <= 1.0
 
 
 def test_sampler_collects_samples(traced_run):
@@ -84,11 +45,13 @@ def test_sampler_total_consistency(traced_run):
     assert s.total_w == pytest.approx(sum(s.device_w.values()))
 
 
-def test_sampler_ascii_plot(traced_run):
-    _, _, sampler, _ = traced_run
-    plot = sampler.ascii_plot("gpu0", width=40, height=5)
-    assert plot.count("\n") == 6
-    assert "*" in plot
+@pytest.mark.parametrize("period", [0.0, -0.01, float("nan"), float("inf")])
+def test_sampler_rejects_non_positive_or_non_finite_period(period):
+    sim = Simulator()
+    node = build_platform("24-Intel-2-V100", sim)
+    rt = RuntimeSystem(node, seed=0)
+    with pytest.raises(ValueError, match="period_s must be finite and > 0"):
+        PowerSampler(node, rt, period_s=period)
 
 
 def test_sampler_empty():
@@ -98,4 +61,3 @@ def test_sampler_empty():
     sampler = PowerSampler(node, rt)
     assert sampler.peak_w() == 0.0
     assert sampler.average_w() == 0.0
-    assert sampler.ascii_plot("gpu0") == "(no samples)\n"

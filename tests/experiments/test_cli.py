@@ -102,6 +102,15 @@ def bad_plans(tmp_path):
     (["tradeoff", "--scheduler", "bogus"], "unknown scheduler 'bogus'"),
     (["tradeoff", "--platform", "nowhere"], "unknown platform 'nowhere'"),
     (["report", "{out}"], "cannot read"),
+    (["trace", "--config", "HH", "--outdir", "{out}", "--power-period", "0"],
+     "--power-period must be finite and > 0, got 0.0"),
+    (["chaos", "--power-period", "0"], "--power-period must be finite and > 0"),
+    (["chaos", "--power-period", "-0.01"],
+     "--power-period must be finite and > 0"),
+    (["govern", "--power-period", "nan"], "--power-period must be finite and > 0"),
+    (["govern", "--budget", "nan"], "--budget: budget must be finite, got nan"),
+    (["govern", "--budget", "inf"], "--budget: budget must be finite, got inf"),
+    (["govern", "--budget", "-5"], "--budget: budget -5 W below the platform floor"),
 ])
 def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
                                                   capsys):

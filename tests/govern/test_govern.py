@@ -14,9 +14,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.capconfig import CapConfig
+from repro.core.runs import RunSpec, build_run
 from repro.faults.plan import PRESET_NAMES, FaultPlan, FaultSpec, preset_plan
-from repro.govern import run_govern
-from repro.govern.controller import QUARANTINED
+from repro.govern import run_govern, scenario_phases
+from repro.govern.controller import MAX_FAILURES, QUARANTINED
+from repro.obs.stream import BUDGET_TOLERANCE_W
 
 PLATFORM = "24-Intel-2-V100"
 SEED = 3
@@ -56,7 +59,7 @@ def test_every_preset_respects_budget_and_exactly_once(preset):
     assert audit["executed_exactly_once"] is True
     assert audit["decision_replay_mismatches"] == 0
     assert gov.governor.max_total_cap_w <= (
-        gov.summary["budget_w"] + gov.governor.config.budget_tolerance_w
+        gov.summary["budget_w"] + BUDGET_TOLERANCE_W
     )
     assert gov.passed is True
 
@@ -103,7 +106,7 @@ def test_persistent_cap_failures_quarantine_the_device():
     states = {d.name: d.state for d in gov.governor.devices}
     assert states["gpu1"] == QUARANTINED
     moves = gov.summary["governor"]["moves_by_kind"]
-    assert moves.get("cap-fail", 0) >= gov.governor.config.max_failures
+    assert moves.get("cap-fail", 0) >= MAX_FAILURES
     assert moves.get("quarantine", 0) == 1
     # Quarantine is containment, not collapse: no safe mode, run finishes.
     assert gov.summary["governor"]["safe_mode"] is False
@@ -214,3 +217,18 @@ def test_cli_govern_exit_code_and_summary(tmp_path, capsys):
 def test_cli_govern_stream_requires_outdir(capsys):
     assert main(["govern", "--stream"]) == 2
     assert "--stream requires --outdir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -5.0])
+def test_run_govern_rejects_unusable_budget(budget):
+    with pytest.raises(ValueError, match="budget"):
+        _govern("none", budget_w=budget)
+
+
+def test_governor_rejects_non_finite_budget():
+    (phase,) = scenario_phases(PLATFORM, "gemm", "double", "tiny", "steady")
+    spec = RunSpec(PLATFORM, phase.spec, CapConfig("HH"), phase.states,
+                   plan=FaultPlan(name="none"), governor="efficiency",
+                   budget_w=float("nan"))
+    with pytest.raises(ValueError, match="budget must be finite"):
+        build_run(spec)

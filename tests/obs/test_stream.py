@@ -237,6 +237,57 @@ def test_anomalies_reach_every_subscriber_via_the_bus():
     assert agg.anomalies and agg.anomalies[0]["rule"] == "backlog-imbalance"
 
 
+def _rounds():
+    """Sixty rounds of three task intervals, one round per 0.1 s.
+
+    ``gpu-w0`` slows 3x from round 40 (throttle-drift); ``gpu-w1`` goes
+    quiet for rounds 20-25 while ``gpu-w3`` fills its slot (idle-gap on
+    its return); ``gpu-w2`` is steady.  Every round starts at one instant
+    and leads with ``gpu-w0``, so per-event and per-round delivery open the
+    watchdogs' cadence gate at the same times with the same drift state.
+    """
+    for r in range(60):
+        t = r / 10
+        slow = 0.03 if r >= 40 else 0.01
+        middle = "gpu-w3" if 20 <= r <= 25 else "gpu-w1"
+        yield [(t, worker, t + dur, f"task{r}", "gemm")
+               for worker, dur in (("gpu-w0", slow), (middle, 0.01),
+                                   ("gpu-w2", 0.01))]
+
+
+def _replay(as_dicts: bool):
+    """Drive an aggregator and watchdogs through a bus either as dict
+    events, one at a time (how ``repro report``/``watch`` replay a file),
+    or as the engine's tuple fast lane, delivered one round per batch."""
+    bus = TelemetryBus(batch=1 if as_dicts else 3)
+    agg = OnlineAggregator()
+    dogs = Watchdogs(agg, bus)
+    bus.subscribe(agg)
+    bus.subscribe(dogs)
+    bus.publish({"t": 0.0, "type": "run_start", "gpu_caps": [300.0] * 4,
+                 "n_tasks": 180})
+    for items in _rounds():
+        for t, worker, end, label, kind in items:
+            if as_dicts:
+                bus.publish({"t": t, "type": "interval", "resource": worker,
+                             "kind": "task", "end": end, "label": label,
+                             "task_kind": kind})
+            else:
+                bus.publish_interval(t, worker, end, label, kind)
+    bus.publish({"t": 6.0, "type": "run_end", "makespan": 6.0})
+    bus.close()
+    return agg.snapshot(), dogs.raised
+
+
+def test_dict_and_tuple_paths_agree():
+    dict_snap, dict_raised = _replay(as_dicts=True)
+    tuple_snap, tuple_raised = _replay(as_dicts=False)
+    assert {a["rule"] for a in dict_raised} == {"idle-gap", "throttle-drift"}
+    assert dict_snap["tasks_done"] == 180
+    assert tuple_snap == dict_snap
+    assert tuple_raised == dict_raised
+
+
 # ------------------------------------------------------------------ identity
 
 

@@ -60,14 +60,6 @@ def test_disabled_tracer_records_nothing():
     assert tr.intervals == [] and tr.points == []
 
 
-def test_gantt_rows_sorted_by_start():
-    tr = Tracer()
-    tr.interval("w", "task", 5.0, 6.0, "late")
-    tr.interval("w", "task", 0.0, 1.0, "early")
-    rows = dict(tr.gantt_rows())
-    assert [iv.label for iv in rows["w"]] == ["early", "late"]
-
-
 def test_to_records_flattens_info():
     tr = Tracer()
     tr.interval("l", "xfer", 0.0, 1.0, "h2d", nbytes=42)
