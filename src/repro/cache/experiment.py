@@ -14,6 +14,15 @@ repo's cacheable call shapes:
 A call of any argument shape it does not recognise is **uncacheable**:
 :meth:`key_for` returns ``None`` and the caller runs it normally.
 
+Grids of runs are memoised in one place,
+:func:`repro.experiments.parallel.parallel_starmap`: it keys every call with
+:meth:`key_for`, resolves them in one :meth:`load_many` pass and writes the
+misses through :meth:`compute_and_store`.  :meth:`load` (the single-key
+lookups of ``sweep_gemm`` and the chaos/govern baselines) and
+:meth:`load_many` resolve each entry through the same code: corrupt
+self-heal, the hit/miss/corrupt counters and the ``cache.lookup`` span
+event.
+
 The object is picklable — counters, the store root and the precomputed
 code fingerprint travel to ``parallel_starmap`` pool workers, which write
 misses back to the shared store themselves (atomically, see
@@ -59,15 +68,6 @@ class ExperimentCache:
         self.misses = 0
         self.corrupt = 0
         self.write_errors = 0
-        #: Optional live-telemetry bus; lookups publish ``cache`` events so
-        #: online watchdogs can spot miss storms.  Never pickled (buses hold
-        #: open file handles), so pool workers see a detached cache.
-        self.bus = None
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["bus"] = None
-        return state
 
     # ------------------------------------------------------------------ keys
 
@@ -128,54 +128,43 @@ class ExperimentCache:
         """``(hit, value)``; counts the lookup and survives corrupt entries."""
         try:
             entry = self.store.read(key)
-        except CorruptEntry:
-            # A torn or rotted entry must never poison a run: drop it, count
-            # it, recompute.  The rewrite is atomic, so this self-heals.
-            self.corrupt += 1
-            self.store.discard(key)
-            entry = None
-        result = "miss" if entry is None else "hit"
-        if self.bus is not None:
-            self.bus.publish({"type": "cache", "result": result, "key": key[:12]})
-        if _spans.ACTIVE is not None:
-            _spans.event("cache.lookup", result=result, key=key[:12])
-        if entry is None:
-            self.misses += 1
-            return False, None
-        self.hits += 1
-        return True, decode_value(*entry)
+        except CorruptEntry as exc:
+            entry = exc
+        return self._resolve(key, entry)
 
     def load_many(self, keys: list[str]) -> dict[str, tuple[bool, Any]]:
         """Resolve N keys in one batched pass: ``{key: (hit, value)}``.
 
         One store traversal instead of N :meth:`load` calls, with per-key
-        semantics (bus/span events, hit/miss/corrupt counters, corrupt
-        self-heal) identical to calling :meth:`load` on each key in input
-        order — the planner and ``parallel_starmap`` use this to resolve a
-        whole grid's cache hits before any pool work is submitted.
+        semantics identical to calling :meth:`load` on each distinct key in
+        input order; ``parallel_starmap`` and the planner use it to resolve
+        a whole grid before any pool work is submitted.
         """
         entries = self.store.read_many(keys)
         out: dict[str, tuple[bool, Any]] = {}
         for key in keys:
-            if key in out:
-                continue
-            entry = entries[key]
-            if isinstance(entry, CorruptEntry):
-                self.corrupt += 1
-                self.store.discard(key)
-                entry = None
-            result = "miss" if entry is None else "hit"
-            if self.bus is not None:
-                self.bus.publish({"type": "cache", "result": result, "key": key[:12]})
-            if _spans.ACTIVE is not None:
-                _spans.event("cache.lookup", result=result, key=key[:12])
-            if entry is None:
-                self.misses += 1
-                out[key] = (False, None)
-            else:
-                self.hits += 1
-                out[key] = (True, decode_value(*entry))
+            if key not in out:
+                out[key] = self._resolve(key, entries[key])
         return out
+
+    def _resolve(self, key: str, entry: Any) -> tuple[bool, Any]:
+        """One looked-up entry (a store entry, ``None`` or a
+        :class:`CorruptEntry`) -> ``(hit, value)``: counters, the
+        ``cache.lookup`` span event and corrupt self-heal live here only."""
+        if isinstance(entry, CorruptEntry):
+            # A torn or rotted entry must never poison a run: drop it, count
+            # it, recompute.  The rewrite is atomic, so this self-heals.
+            self.corrupt += 1
+            self.store.discard(key)
+            entry = None
+        if _spans.ACTIVE is not None:
+            _spans.event("cache.lookup", result="miss" if entry is None else "hit",
+                         key=key[:12])
+        if entry is None:
+            self.misses += 1
+            return False, None
+        self.hits += 1
+        return True, decode_value(*entry)
 
     def save(self, key: str, value: Any, label: str = "") -> None:
         """Persist a computed value; storage failures degrade, never crash."""
@@ -188,10 +177,14 @@ class ExperimentCache:
         except OSError:
             self.write_errors += 1
 
-    def compute_and_store(self, key: str, fn: Callable, args: tuple) -> Any:
-        """Pool-side trampoline: run the miss, write it through, return it."""
+    def compute_and_store(
+        self, key: Optional[str], fn: Callable, args: tuple
+    ) -> Any:
+        """Pool-side trampoline: run the miss, write it through under
+        ``key`` (an uncacheable ``None`` key just runs), return it."""
         value = fn(*args)
-        self.save(key, value)
+        if key is not None:
+            self.save(key, value)
         return value
 
     # -------------------------------------------------------------- metrics

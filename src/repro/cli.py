@@ -675,8 +675,9 @@ def _cap_config(platform: str, letters: Optional[str]):
 
 
 def _check_args(args) -> None:
-    """Reject an unknown ``--platform``, ``--model`` or ``--scheduler``, and
-    a ``--power-period`` that is not finite and positive."""
+    """Reject an unknown ``--platform``, ``--model`` or ``--scheduler``, a
+    count flag below its minimum, and a period or timeout that is not
+    finite and positive."""
     from repro.hardware.catalog import gpu_spec, platform_spec
     from repro.runtime.schedulers import SCHEDULERS
 
@@ -691,9 +692,16 @@ def _check_args(args) -> None:
         raise _UsageError(
             f"unknown scheduler {scheduler!r}; have {sorted(SCHEDULERS)}"
         )
-    period = getattr(args, "power_period", None)
-    if period is not None and not 0.0 < period < math.inf:
-        raise _UsageError(f"--power-period must be finite and > 0, got {period}")
+    for attr, least in (("jobs", 0), ("shards", 1), ("max_queue", 1)):
+        count = getattr(args, attr, None)
+        if count is not None and count < least:
+            flag = "--" + attr.replace("_", "-")
+            raise _UsageError(f"{flag} must be >= {least}, got {count}")
+    for attr in ("power_period", "request_timeout", "drain_timeout"):
+        seconds = getattr(args, attr, None)
+        if seconds is not None and not 0.0 < seconds < math.inf:
+            flag = "--" + attr.replace("_", "-")
+            raise _UsageError(f"{flag} must be finite and > 0, got {seconds}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from repro.core.capconfig import CapConfig, CapStates
 from repro.core.efficiency import ConfigMetrics
-from repro.core.tradeoff import OperationSpec, run_operation
+from repro.core.tradeoff import OperationSpec, run_config_set
 
 #: The paper's CPU cap: package 1 at 48 % of the Xeon's 125 W TDP.
 PAPER_CPU_CAP = {1: 60.0}
@@ -45,19 +45,16 @@ def compare_cpu_capping(
     cpu_caps: Optional[dict[int, float]] = None,
     scheduler: str = "dmdas",
     seed: int = 0,
+    jobs: int = 1,
     cache: Optional["ExperimentCache"] = None,
 ) -> list[CPUCapComparison]:
     """Fig. 6: for each GPU cap config, run with and without the CPU cap."""
     caps = dict(PAPER_CPU_CAP if cpu_caps is None else cpu_caps)
-    out = []
-    for config in configs:
-        base = run_operation(
-            platform, spec, config, states,
-            scheduler=scheduler, seed=seed, cache=cache,
-        )
-        capped = run_operation(
-            platform, spec, config, states,
-            scheduler=scheduler, seed=seed, cpu_caps=caps, cache=cache,
-        )
-        out.append(CPUCapComparison(config.letters, base, capped))
-    return out
+    base = run_config_set(platform, spec, configs, states, scheduler=scheduler,
+                          seed=seed, jobs=jobs, cache=cache)
+    capped = run_config_set(platform, spec, configs, states, scheduler=scheduler,
+                            seed=seed, cpu_caps=caps, jobs=jobs, cache=cache)
+    return [
+        CPUCapComparison(c.letters, base[c.letters], capped[c.letters])
+        for c in configs
+    ]

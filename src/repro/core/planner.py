@@ -417,10 +417,11 @@ def plan_configs(
     the platform is no catalog platform, so no analytic model exists — every
     configuration is simulated.
 
-    Cache hits are resolved up front in one batched :meth:`load_many` pass
-    and count as exact incumbents immediately; misses are simulated
-    most-promising-first in chunks of ``chunk_size`` (default: ``jobs``,
-    at least 2) through ``parallel_starmap``.
+    Every configuration is looked up exactly once, in one batched
+    :meth:`load_many` pass; hits count as exact incumbents immediately.
+    Misses are simulated most-promising-first in chunks of ``chunk_size``
+    (default: ``jobs``, at least 2) through ``parallel_starmap`` and
+    written through under their already-resolved keys.
     """
     from repro.experiments.parallel import parallel_starmap
 
@@ -434,27 +435,19 @@ def plan_configs(
     grid_index = {lt: i for i, lt in enumerate(letters)}
     evaluated: dict[str, ConfigMetrics] = {}
 
-    # ---- batched cache pre-resolution (exact incumbents for free)
-    n_cache_hits = 0
+    def run_args(c: CapConfig) -> tuple:
+        return (platform, spec, c, states, scheduler, seed, cpu_caps)
+
+    # ---- one batched cache resolution (exact incumbents for free)
+    keys: dict[str, Optional[str]] = {}
     if cache is not None:
-        keys = {}
-        for c in configs:
-            key = cache.key_for(
-                "run_operation",
-                (platform, spec, c, states, scheduler, seed, cpu_caps),
-            )
-            if key is not None:
-                keys[c.letters] = key
-        if keys:
-            if hasattr(cache, "load_many"):
-                loaded = cache.load_many(list(keys.values()))
-            else:
-                loaded = {key: cache.load(key) for key in keys.values()}
-            for config_letters, key in keys.items():
-                hit, value = loaded[key]
-                if hit:
-                    evaluated[config_letters] = value
-        n_cache_hits = len(evaluated)
+        keys = {c.letters: cache.key_for(run_operation, run_args(c)) for c in configs}
+        wanted = [key for key in keys.values() if key is not None]
+        loaded = cache.load_many(wanted) if wanted else {}
+        for config_letters, key in keys.items():
+            if key is not None and loaded[key][0]:
+                evaluated[config_letters] = loaded[key][1]
+    n_cache_hits = len(evaluated)
 
     # ---- analytic estimates and optimistic score bounds
     estimates: dict[str, tuple[float, float]] = {}
@@ -505,15 +498,18 @@ def plan_configs(
             if not remaining:
                 break
         batch, remaining = remaining[:chunk], remaining[chunk:]
-        results = parallel_starmap(
-            run_operation,
-            [
-                (platform, spec, c, states, scheduler, seed, cpu_caps)
-                for c in batch
-            ],
-            jobs=jobs,
-            cache=cache,
-        )
+        if cache is None:
+            results = parallel_starmap(
+                run_operation, [run_args(c) for c in batch], jobs=jobs
+            )
+        else:
+            # Each miss is written through under the key resolved above,
+            # never looked up again; an unkeyed configuration just runs.
+            results = parallel_starmap(
+                cache.compute_and_store,
+                [(keys[c.letters], run_operation, run_args(c)) for c in batch],
+                jobs=jobs,
+            )
         for c, metrics in zip(batch, results):
             evaluated[c.letters] = metrics
             n_simulated += 1
@@ -557,6 +553,8 @@ def audit_plan(
     ``beaten_by`` names the offender — and (b) land inside the slack bounds
     around the analytic estimate (``bounds_sound``).
     """
+    from repro.experiments.parallel import parallel_starmap
+
     obj = get_objective(result.report.objective)
     pruned = list(result.report.pruned)
     rng = random.Random(rng_seed)
@@ -565,11 +563,13 @@ def audit_plan(
     bounds_sound = True
     beaten_by: list[str] = []
     checked: list[dict] = []
-    for config_letters in sampled:
-        metrics = run_operation(
-            platform, spec, CapConfig(config_letters), states,
-            scheduler=scheduler, seed=seed, cpu_caps=cpu_caps, cache=cache,
-        )
+    replayed = parallel_starmap(
+        run_operation,
+        [(platform, spec, CapConfig(config_letters), states, scheduler, seed,
+          cpu_caps) for config_letters in sampled],
+        cache=cache,
+    )
+    for config_letters, metrics in zip(sampled, replayed):
         t_est, e_est = result.report.estimates[config_letters]
         t_ok = t_est / MAKESPAN_SLACK <= metrics.makespan_s <= t_est * MAKESPAN_SLACK
         e_ok = e_est / ENERGY_SLACK <= metrics.energy_j <= e_est * ENERGY_SLACK

@@ -85,28 +85,13 @@ def run_operation(
     scheduler: str = "dmdas",
     seed: int = 0,
     cpu_caps: Optional[Mapping[int, float]] = None,
-    cache: Optional["ExperimentCache"] = None,
 ) -> ConfigMetrics:
     """Execute one operation under one cap configuration; return metrics.
 
     The run is a pure function of its arguments (own Simulator, own seeded
-    RNG pool), so with ``cache`` set the result is memoised under the full
-    run identity.
+    RNG pool), so :func:`run_config_set` and ``parallel_starmap`` memoise
+    it under the full run identity.
     """
-    if cache is not None:
-        key = cache.key_for(
-            "run_operation",
-            (platform, spec, config, states, scheduler, seed, cpu_caps),
-        )
-        if key is not None:
-            hit, value = cache.load(key)
-            if hit:
-                return value
-            value = run_operation(
-                platform, spec, config, states, scheduler, seed, cpu_caps
-            )
-            cache.save(key, value, label=f"{platform}/{spec.op}/{config.letters}")
-            return value
     with _spans.span(
         "run_operation",
         platform=platform,

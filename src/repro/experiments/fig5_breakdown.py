@@ -14,7 +14,7 @@ from repro.experiments.runner import ExperimentResult, check_scale
 PLATFORM = "24-Intel-2-V100"
 
 
-def run(scale: str = "small", seed: int = 0, cache=None) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0, jobs: int = 1, cache=None) -> ExperimentResult:
     check_scale(scale)
     result = ExperimentResult(
         name="fig5",
@@ -29,7 +29,8 @@ def run(scale: str = "small", seed: int = 0, cache=None) -> ExperimentResult:
         spec = operation_spec(PLATFORM, op, "double", scale)
         states = cap_states(PLATFORM, op, "double", scale, cache=cache)
         metrics = run_config_set(
-            PLATFORM, spec, config_list(PLATFORM), states, seed=seed, cache=cache
+            PLATFORM, spec, config_list(PLATFORM), states, seed=seed, jobs=jobs,
+            cache=cache,
         )
         for config, m in metrics.items():
             total = m.energy_j

@@ -14,7 +14,7 @@ from repro.experiments.runner import ExperimentResult, check_scale
 PLATFORM = "24-Intel-2-V100"
 
 
-def run(scale: str = "small", seed: int = 0, cache=None) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0, jobs: int = 1, cache=None) -> ExperimentResult:
     check_scale(scale)
     result = ExperimentResult(
         name="fig6",
@@ -32,7 +32,8 @@ def run(scale: str = "small", seed: int = 0, cache=None) -> ExperimentResult:
             spec = operation_spec(PLATFORM, op, precision, scale)
             states = cap_states(PLATFORM, op, precision, scale, cache=cache)
             comparisons = compare_cpu_capping(
-                PLATFORM, spec, config_list(PLATFORM), states, seed=seed, cache=cache
+                PLATFORM, spec, config_list(PLATFORM), states, seed=seed, jobs=jobs,
+                cache=cache,
             )
             for c in comparisons:
                 result.rows.append(

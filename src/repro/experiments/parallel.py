@@ -7,10 +7,12 @@ other call.  That makes them embarrassingly parallel — and, crucially,
 *bit-identical* under parallel execution: the result of a run depends only
 on its arguments, never on which process executed it or in which order.
 
-:func:`parallel_starmap` is the one primitive everything uses.  It preserves
-input order, falls back to a plain serial loop for ``jobs <= 1`` (or when
-there is nothing to parallelise), and submits each call with ``chunksize=1``
-so long-tailed runs balance across workers.
+:func:`parallel_starmap` is the one primitive everything uses, and the one
+place a run is memoised: with a cache it keys every call, resolves the keys
+in one batched lookup, computes only the misses and writes them through.
+It preserves input order, runs the misses in a plain serial loop for
+``jobs <= 1`` (or when fewer than two remain), and otherwise submits each
+with ``chunksize=1`` so long-tailed runs balance across workers.
 
 This module deliberately imports nothing from :mod:`repro` so that core
 modules can import it lazily without creating an import cycle
@@ -62,12 +64,6 @@ def _tracing() -> Any:
     return None
 
 
-def _traced_payloads(spans: Any, payloads: list) -> list:
-    """Attach the coordinator's trace context to every pool payload."""
-    ctx = spans.ACTIVE.context()
-    return [(fn, args, ctx) for fn, args in payloads]
-
-
 def _collect(spans: Any, value: Any) -> Any:
     """Coordinator-side unwrap: adopt child spans, return the real result."""
     if isinstance(value, spans.ChildSpans):
@@ -82,85 +78,55 @@ def parallel_starmap(
     jobs: Optional[int] = 1,
     cache: Optional[Any] = None,
 ) -> list[Any]:
-    """``[fn(*args) for args in argtuples]``, optionally across processes.
+    """``[fn(*args) for args in argtuples]``, memoised and optionally across
+    processes.
 
-    ``jobs <= 1`` (the default) runs the exact serial loop in-process —
-    zero overhead, no pool.  ``jobs=None`` uses one worker per core.  The
-    returned list is always in input order, and because each call is a pure
-    function of its arguments the parallel result is bit-identical to the
-    serial one.
+    This is the one lookup-compute-store loop of the repository.  With a
+    ``cache`` (duck-typed so this module stays import-free: an
+    :class:`repro.cache.ExperimentCache` or a subclass) every call is keyed
+    and all keys are resolved **in this process** in one ``load_many``
+    pass; a call whose key is ``None`` is uncacheable and simply runs.
+    Without a cache no call has a key.  Only the misses are computed: a
+    keyed miss runs through ``cache.compute_and_store``, so the executing
+    process writes it through (atomically, concurrent writers are safe)
+    and a warm sweep never pays pool start-up.
 
-    ``cache`` (duck-typed so this module stays import-free; in practice a
-    :class:`repro.cache.ExperimentCache`) switches on the cache-aware path:
-    every call is keyed and looked up **in this process first**, and only
-    the misses are submitted to the pool — a warm sweep never pays pool
-    start-up.  Miss results are written through by the executing process
-    (atomically, so concurrent writers are safe) and the merged result list
-    keeps input order, bit-identical to the uncached path.
+    Misses run in-process when ``jobs <= 1`` (the default) or when fewer
+    than two remain, and otherwise over a process pool (``jobs=None``: one
+    worker per core) with ``chunksize=1`` so long-tailed runs balance.  The
+    returned list is in input order, and because each call is a pure
+    function of its arguments the result is bit-identical whichever way
+    it ran.
 
     ``fn`` and every argument must be picklable (module-level function,
     plain data arguments).  Exceptions raised by a call propagate to the
     caller, as in the serial loop.
     """
-    calls = [(fn, tuple(args)) for args in argtuples]
-    if cache is not None:
-        return _cached_starmap(calls, jobs, cache)
-    n_jobs = default_jobs() if jobs is None else int(jobs)
-    if n_jobs <= 1 or len(calls) < 2:
-        return [f(*args) for f, args in calls]
-    n_jobs = min(n_jobs, len(calls))
-    spans = _tracing()
-    payloads = _traced_payloads(spans, calls) if spans is not None else calls
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        results = list(pool.map(_invoke, payloads, chunksize=1))
-    if spans is not None:
-        results = [_collect(spans, value) for value in results]
-    return results
-
-
-def _cached_starmap(
-    calls: list[tuple[Callable[..., Any], tuple]],
-    jobs: Optional[int],
-    cache: Any,
-) -> list[Any]:
-    """Resolve hits in-process, fan only the misses out, merge in order.
-
-    Key resolution is batched: all keys are computed first and looked up in
-    one ``load_many`` pass (when the cache provides it — duck-typed, same
-    no-repro-imports rule), cutting per-key store overhead on warm sweeps.
-    """
+    calls = [tuple(args) for args in argtuples]
+    keys = ([cache.key_for(fn, args) for args in calls] if cache is not None
+            else [None] * len(calls))
+    wanted = [key for key in keys if key is not None]
+    loaded = cache.load_many(wanted) if wanted else {}
     results: list[Any] = [None] * len(calls)
-    keys: list[Optional[str]] = [cache.key_for(f, args) for f, args in calls]
-    load_many = getattr(cache, "load_many", None)
-    if load_many is not None:
-        wanted = [key for key in keys if key is not None]
-        loaded = load_many(wanted) if wanted else {}
-    else:
-        loaded = {
-            key: cache.load(key) for key in keys if key is not None
-        }
-    pending: list[tuple[int, tuple[Callable[..., Any], tuple]]] = []
-    for i, (f, args) in enumerate(calls):
-        key = keys[i]
+    pending: list[tuple[int, Callable[..., Any], tuple]] = []
+    for i, (key, args) in enumerate(zip(keys, calls)):
         if key is None:
-            pending.append((i, (f, args)))
+            pending.append((i, fn, args))
             continue
         hit, value = loaded[key]
         if hit:
             results[i] = value
         else:
-            pending.append((i, (cache.compute_and_store, (key, f, args))))
-    n_jobs = default_jobs() if jobs is None else int(jobs)
-    if n_jobs <= 1 or len(pending) < 2:
-        for i, (f, args) in pending:
+            pending.append((i, cache.compute_and_store, (key, fn, args)))
+    n_jobs = min(default_jobs() if jobs is None else int(jobs), len(pending))
+    if n_jobs <= 1:
+        for i, f, args in pending:
             results[i] = f(*args)
         return results
-    n_jobs = min(n_jobs, len(pending))
     spans = _tracing()
-    payloads = [payload for _, payload in pending]
-    if spans is not None:
-        payloads = _traced_payloads(spans, payloads)
+    ctx = (spans.ACTIVE.context(),) if spans is not None else ()
+    payloads = [(f, args) + ctx for _, f, args in pending]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        for (i, _), value in zip(pending, pool.map(_invoke, payloads, chunksize=1)):
+        for (i, _, _), value in zip(pending, pool.map(_invoke, payloads, chunksize=1)):
             results[i] = _collect(spans, value) if spans is not None else value
     return results

@@ -155,10 +155,6 @@ class FaultPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.faults
-
     def __len__(self) -> int:
         return len(self.faults)
 

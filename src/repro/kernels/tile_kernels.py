@@ -190,6 +190,3 @@ class TileOp:
         duration = self.flops / (gflops * 1e9) + CPU_TASK_OVERHEAD_S
         cpu.kernel_time_cache[self.key] = duration
         return duration
-
-    def gpu_activity(self, gpu: GPUDevice) -> float:
-        return self.activity(gpu.spec)

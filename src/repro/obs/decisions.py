@@ -50,10 +50,6 @@ class CandidateClass:
     def transfer_s(self) -> float:
         return self.terms[1] if len(self.terms) > 1 else 0.0
 
-    @property
-    def energy_term_s(self) -> float:
-        return self.terms[2] if len(self.terms) > 2 else 0.0
-
     def cost_of(self, member: int) -> float:
         """One member's placement cost: logged verbatim, or re-folded."""
         if self.costs:

@@ -391,12 +391,6 @@ class RunReport:
                 f"[stream] last power sample: total {snap['total_power_w']:.0f}W"
                 f"  ({devices})\n"
             )
-        if snap["cache_lookups"]:
-            rate = snap["cache_hit_rate"]
-            parts.append(
-                f"[stream] cache: {snap['cache_lookups']} lookups, "
-                f"hit rate {rate:.0%} (rolling window)\n"
-            )
         if snap["n_faults"]:
             parts.append(f"[stream] faults observed: {snap['n_faults']}\n")
         parts.append("\n")

@@ -5,18 +5,19 @@ appear when the run finishes.  This module makes the same signals available
 *while the run executes*:
 
 * :class:`TelemetryBus` — a tiny synchronous pub/sub hub.  Producers
-  (runtime engine, decision log, power sampler, fault injector, experiment
-  cache) publish plain-dict events; subscribers see them in publish order.
-  Publishing from inside a subscriber (a watchdog raising an anomaly) is
-  safe: events queue and drain in order, so an anomaly reaches every
-  subscriber after the event that triggered it and before run completion.
+  (runtime engine, decision log, power sampler, fault injector, recovery
+  manager, governor) publish plain-dict events; subscribers see them in
+  publish order.  Publishing from inside a subscriber (a watchdog raising
+  an anomaly) is safe: events queue and drain in order, so an anomaly
+  reaches every subscriber after the event that triggered it and before
+  run completion.
 * :class:`StreamWriter` — an append-only ``events.jsonl`` writer that
   flushes *during* the run.  A SIGKILL mid-run leaves a readable prefix
   (at most one torn final line, which the readers skip).
 * :class:`OnlineAggregator` — windowed rolling state: sim-time p50/p99
-  task durations, per-device power, per-worker backlog, cache hit-rate.
+  task durations, per-device power, per-worker backlog.
 * :class:`Watchdogs` — online anomaly rules (idle-gap, throttle-drift,
-  cache-miss-storm, backlog-imbalance) evaluated on a sim-clock cadence,
+  backlog-imbalance, budget-violation) evaluated on a sim-clock cadence,
   emitting structured ``anomaly`` events back into the bus mid-run.
 
 The discipline is the same as the rest of the package: stdlib-only, opt-in,
@@ -370,10 +371,6 @@ class OnlineAggregator:
         self.n_tasks_expected: Optional[int] = None
         # latest backlog snapshot from the decision stream
         self.backlog: dict[str, int] = {}
-        # cache lookup outcomes, 1 = hit
-        self.cache_window: deque = deque(maxlen=256)
-        self.cache_hits = 0
-        self.cache_lookups = 0
         self.anomalies: list[dict] = []
         self.faults: list[dict] = []
         # governor state (from budget-move events): latest per-device caps,
@@ -404,11 +401,6 @@ class OnlineAggregator:
                     self.power_w[key] = val
                     total += val
             self.total_power_w = event.get("total_w", total)
-        elif etype == "cache":
-            hit = 1 if event.get("result") == "hit" else 0
-            self.cache_window.append(hit)
-            self.cache_hits += hit
-            self.cache_lookups += 1
         elif etype == "fault":
             self.faults.append(event)
         elif etype == "anomaly":
@@ -483,12 +475,6 @@ class OnlineAggregator:
             "p99": _quantile(durs, 0.99),
         }
 
-    def cache_hit_rate(self) -> Optional[float]:
-        """Hit rate over the rolling window (``None`` before any lookup)."""
-        if not self.cache_window:
-            return None
-        return sum(self.cache_window) / len(self.cache_window)
-
     def snapshot(self) -> dict:
         """One dashboard frame; everything ``repro watch`` renders."""
         quant = self.duration_quantiles()
@@ -506,8 +492,6 @@ class OnlineAggregator:
             "power_w": dict(self.power_w),
             "total_power_w": self.total_power_w,
             "backlog": dict(self.backlog),
-            "cache_hit_rate": self.cache_hit_rate(),
-            "cache_lookups": self.cache_lookups,
             "n_anomalies": len(self.anomalies),
             "n_faults": len(self.faults),
             "budget_w": self.budget_w,
@@ -525,8 +509,6 @@ class WatchdogConfig:
         "idle_gap_s",
         "drift_ratio",
         "drift_min_samples",
-        "cache_min_lookups",
-        "cache_max_miss_rate",
         "imbalance_ratio",
         "imbalance_min_s",
     )
@@ -538,8 +520,6 @@ class WatchdogConfig:
         idle_gap_s: float = 0.25,
         drift_ratio: float = 1.25,
         drift_min_samples: int = 6,
-        cache_min_lookups: int = 10,
-        cache_max_miss_rate: float = 0.5,
         imbalance_ratio: float = 4.0,
         imbalance_min_s: float = 0.05,
     ) -> None:
@@ -548,8 +528,6 @@ class WatchdogConfig:
         self.idle_gap_s = idle_gap_s
         self.drift_ratio = drift_ratio
         self.drift_min_samples = drift_min_samples
-        self.cache_min_lookups = cache_min_lookups
-        self.cache_max_miss_rate = cache_max_miss_rate
         self.imbalance_ratio = imbalance_ratio
         self.imbalance_min_s = imbalance_min_s
 
@@ -614,7 +592,7 @@ class Watchdogs:
         self._evaluate(items[-1][0])
 
     def _evaluate(self, t: float) -> None:
-        """The four cadence-gated rules, at most once per ``eval_period_s``
+        """The three cadence-gated rules, at most once per ``eval_period_s``
         and never after the run ended."""
         if t - self._last_eval < self._eval_period_s:
             return
@@ -622,7 +600,6 @@ class Watchdogs:
         if self.agg.run_done:
             return
         self._check_throttle_drift(t)
-        self._check_cache_miss_storm(t)
         self._check_backlog_imbalance(t)
         self._check_budget_violation(t)
 
@@ -691,20 +668,6 @@ class Watchdogs:
                     ratio=round(ratio, 4),
                     baseline_s=round(base_mean, 6),
                 )
-
-    def _check_cache_miss_storm(self, t: float) -> None:
-        window = self.agg.cache_window
-        if len(window) < self.config.cache_min_lookups:
-            return
-        miss_rate = 1.0 - sum(window) / len(window)
-        if miss_rate > self.config.cache_max_miss_rate:
-            self._fire(
-                t,
-                "cache-miss-storm",
-                "cache",
-                f"cache miss rate {miss_rate:.0%} over last {len(window)} lookups",
-                miss_rate=round(miss_rate, 4),
-            )
 
     def _check_budget_violation(self, t: float) -> None:
         """The governor's tracked caps sum past the global watt budget —

@@ -11,8 +11,8 @@ dashboard:
   killed run).
 - :func:`render_dashboard` — one text frame from an
   :class:`~repro.obs.stream.OnlineAggregator` snapshot: run identity,
-  progress, per-GPU power vs cap bars, per-worker backlog bars, the cache
-  hit-rate and the anomaly feed.
+  progress, per-GPU power vs cap bars, per-worker backlog bars and the
+  anomaly feed.
 - :func:`watch_command` — the CLI loop: poll, feed the aggregator, redraw.
   ``follow=False`` renders a single frame of whatever the stream holds so
   far (works on completed and killed runs alike); ``follow=True`` keeps
@@ -165,12 +165,6 @@ def render_dashboard(
         if n_idle:
             lines.append(f"  ({n_idle} worker(s) with empty backlog)")
 
-    rate = snapshot.get("cache_hit_rate")
-    if rate is not None:
-        lines.append(
-            f"cache: {snapshot.get('cache_lookups', 0)} lookups,"
-            f" hit rate {rate:.0%} (rolling)"
-        )
     if snapshot.get("n_faults"):
         lines.append(f"faults observed: {snapshot['n_faults']}")
 

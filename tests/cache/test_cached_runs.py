@@ -18,11 +18,17 @@ CONFIG = CapConfig("HB")
 ARGS = (PLATFORM, SPEC, CONFIG, STATES)
 
 
+def cached_run(cache, *args):
+    """One ``run_operation(*args)`` through the memo path."""
+    [value] = parallel_starmap(run_operation, [args], cache=cache)
+    return value
+
+
 def test_run_operation_warm_equals_cold(tmp_path):
     cache = ExperimentCache(tmp_path)
-    cold = run_operation(*ARGS, cache=cache)
+    cold = cached_run(cache, *ARGS)
     assert (cache.hits, cache.misses) == (0, 1)
-    warm = run_operation(*ARGS, cache=cache)
+    warm = cached_run(cache, *ARGS)
     assert (cache.hits, cache.misses) == (1, 1)
     assert warm == cold  # decoded value identical in every field
     assert warm == run_operation(*ARGS)  # and identical to an uncached run
@@ -30,48 +36,50 @@ def test_run_operation_warm_equals_cold(tmp_path):
 
 def test_key_covers_every_identity_field(tmp_path):
     cache = ExperimentCache(tmp_path)
-    run_operation(*ARGS, cache=cache)
-    # Any identity change must miss: seed, scheduler, states, cpu caps.
-    run_operation(*ARGS, seed=1, cache=cache)
-    run_operation(*ARGS, scheduler="eager", cache=cache)
-    run_operation(PLATFORM, SPEC, CONFIG,
-                  CapStates(h_w=250.0, b_w=140.0, l_w=100.0), cache=cache)
-    run_operation(*ARGS, cpu_caps={1: 60.0}, cache=cache)
+    calls = [
+        ARGS,
+        # Any identity change must miss: seed, scheduler, states, cpu caps.
+        ARGS + ("dmdas", 1),
+        ARGS + ("eager",),
+        (PLATFORM, SPEC, CONFIG, CapStates(h_w=250.0, b_w=140.0, l_w=100.0)),
+        ARGS + ("dmdas", 0, {1: 60.0}),
+    ]
+    parallel_starmap(run_operation, calls, cache=cache)
     assert cache.hits == 0 and cache.misses == 5
+    assert len(list(cache.store.iter_entries())) == 5
 
 
 def test_fingerprint_mismatch_forces_recompute(tmp_path):
     old = ExperimentCache(tmp_path, fingerprint="code-v1")
-    run_operation(*ARGS, cache=old)
+    cached_run(old, *ARGS)
     edited = ExperimentCache(tmp_path, fingerprint="code-v2")
-    run_operation(*ARGS, cache=edited)
+    cached_run(edited, *ARGS)
     assert (edited.hits, edited.misses) == (0, 1)
     same = ExperimentCache(tmp_path, fingerprint="code-v1")
-    run_operation(*ARGS, cache=same)
+    cached_run(same, *ARGS)
     assert (same.hits, same.misses) == (1, 0)
 
 
 def test_corrupt_entry_recomputes_and_heals(tmp_path):
     cache = ExperimentCache(tmp_path)
-    cold = run_operation(*ARGS, cache=cache)
+    cold = cached_run(cache, *ARGS)
     [info] = list(cache.store.iter_entries())
     info.path.write_text('{"half a write')
-    healed = run_operation(*ARGS, cache=cache)
+    healed = cached_run(cache, *ARGS)
     assert healed == cold
     assert cache.corrupt == 1 and cache.misses == 2
     with open(info.path) as fh:  # the rewrite replaced the torn entry
         assert json.load(fh)["key"] == info.key
     again = ExperimentCache(tmp_path)
-    assert run_operation(*ARGS, cache=again) == cold
+    assert cached_run(again, *ARGS) == cold
     assert again.hits == 1
 
 
 def test_parallel_starmap_cache_path_preserves_order(tmp_path):
     cache = ExperimentCache(tmp_path)
     calls = [ARGS + ("dmdas", seed) for seed in range(4)]
-    run_operation(*calls[1])  # no cache: reference value
     # Pre-populate one entry so the pool sees a hit/miss mixture.
-    run_operation(*calls[2], cache=cache)
+    cached_run(cache, *calls[2])
     cold = parallel_starmap(run_operation, calls, jobs=2, cache=cache)
     assert cache.hits == 1 and cache.misses == 1 + 3  # workers wrote through
     serial = parallel_starmap(run_operation, calls, jobs=1)

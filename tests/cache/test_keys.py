@@ -96,3 +96,32 @@ def test_code_fingerprint_tracks_source_edits(tmp_path):
 def test_default_fingerprint_is_memoised_and_stable():
     assert code_fingerprint() == code_fingerprint()
     assert len(code_fingerprint()) == 64
+
+
+def test_cache_keys_are_pinned():
+    """Literal keys for each cacheable call shape under a fixed fingerprint.
+
+    A change here invalidates every existing ``.repro-cache`` store: keep
+    the call documents (and so these bytes) stable across refactors.
+    """
+    from repro.cache import ExperimentCache
+    from repro.cache.experiment import operation_call
+    from repro.core.capconfig import CapConfig, CapStates
+    from repro.core.tradeoff import OperationSpec
+
+    cache = ExperimentCache(".", fingerprint="0" * 64)
+    platform = "24-Intel-2-V100"
+    spec = OperationSpec(op="gemm", n=1920 * 4, nb=1920, precision="double")
+    states = CapStates(h_w=250.0, b_w=150.0, l_w=100.0)
+    run7 = (platform, spec, CapConfig("HB"), states, "dmdas", 3, {1: 60.0})
+    assert cache.key_for("run_operation", run7) == (
+        "02a6c645db3504fbeceef67296c1556c0936300fd17d517dba380230164fcc0d")
+    assert cache.key_for("sweep_gemm", ("V100-PCIE-32GB", 1024, "double", 2.0)) == (
+        "a6bea5693bfd59b193db084f4c13ed77d8b1df80a798d7cea99e5e131de6fedc")
+    sweep6 = ("A100-SXM4-40GB", 5120, "single", 5.0, 4096, 2048)
+    assert cache.key_for("sweep_gemm", sweep6) == (
+        "08c26bfd680247aa4a3635be6bfe102bd4569ed0d9d2a4242b1299cb0238023c")
+    chaos = operation_call("chaos_baseline", platform, spec, CapConfig("HL"),
+                           states, "dmdas", 0, None)
+    assert cache.key_for_call(chaos) == (
+        "bceab08b233cfb8417723ebfbbe28f9e85ce6dfe668e096030148e24ae9b866d")

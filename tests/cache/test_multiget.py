@@ -130,32 +130,6 @@ def test_parallel_starmap_partial_warm(tmp_path):
     assert cache.hits == 2 and cache.misses == 2
 
 
-def test_parallel_starmap_works_without_load_many(tmp_path):
-    """A duck-typed cache lacking load_many falls back to per-key load."""
-
-    class MinimalCache:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def key_for(self, f, args):
-            return self.inner.key_for(f, args)
-
-        def load(self, key):
-            return self.inner.load(key)
-
-        def save(self, key, value, label=""):
-            self.inner.save(key, value, label)
-
-        def compute_and_store(self, key, f, args):
-            return self.inner.compute_and_store(key, f, args)
-
-    inner = ExperimentCache(tmp_path, fingerprint="f")
-    out = parallel_starmap(sweep_gemm, _SWEEPS, jobs=1, cache=MinimalCache(inner))
-    assert out == [sweep_gemm(*args) for args in _SWEEPS]
-    warm = parallel_starmap(sweep_gemm, _SWEEPS, jobs=1, cache=MinimalCache(inner))
-    assert warm == out
-
-
 # ---------------------------------------------------------------- ProbeCache
 
 

@@ -256,6 +256,24 @@ def test_plan_resolves_cache_hits_without_simulating(tmp_path):
     assert (plan.winner, plan.metrics) == (winner, metrics)
 
 
+def test_plan_looks_each_config_up_once(tmp_path):
+    from repro.cache import ExperimentCache
+
+    spec = operation_spec(_PLATFORM, "potrf", "double", "tiny")
+    states = cap_states(_PLATFORM, "potrf", "double", "tiny")
+    configs = config_list(_PLATFORM)
+    cold = ExperimentCache(tmp_path, fingerprint="t")
+    plan = plan_configs(_PLATFORM, spec, configs, states, cache=cold)
+    # One lookup per configuration; nothing on this grid is pruned.
+    assert cold.misses == len(configs) == plan.report.n_simulated
+    assert cold.hits == 0
+    warm = ExperimentCache(tmp_path, fingerprint="t")
+    replan = plan_configs(_PLATFORM, spec, configs, states, cache=warm)
+    assert (warm.hits, warm.misses) == (len(configs), 0)
+    assert replan.report.n_simulated == 0
+    assert (replan.winner, replan.metrics) == (plan.winner, plan.metrics)
+
+
 # -------------------------------------------------------------- bound checks
 
 

@@ -111,6 +111,19 @@ def bad_plans(tmp_path):
     (["govern", "--budget", "nan"], "--budget: budget must be finite, got nan"),
     (["govern", "--budget", "inf"], "--budget: budget must be finite, got inf"),
     (["govern", "--budget", "-5"], "--budget: budget -5 W below the platform floor"),
+    (["serve", "--shards", "0"], "--shards must be >= 1, got 0"),
+    (["serve", "--max-queue", "0"], "--max-queue must be >= 1, got 0"),
+    (["serve", "--jobs", "-1"], "--jobs must be >= 0, got -1"),
+    (["serve", "--request-timeout", "-1"],
+     "--request-timeout must be finite and > 0, got -1.0"),
+    (["serve", "--request-timeout", "inf"],
+     "--request-timeout must be finite and > 0, got inf"),
+    (["serve", "--drain-timeout", "0"],
+     "--drain-timeout must be finite and > 0, got 0.0"),
+    (["serve", "--drain-timeout", "nan"],
+     "--drain-timeout must be finite and > 0, got nan"),
+    (["fig5", "--jobs", "-2"], "--jobs must be >= 0, got -2"),
+    (["tradeoff", "--jobs", "-1"], "--jobs must be >= 0, got -1"),
 ])
 def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
                                                   capsys):

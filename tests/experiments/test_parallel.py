@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.capconfig import CapConfig
 from repro.core.tradeoff import run_config_set, run_repeated
+from repro.experiments import fig5_breakdown, fig6_cpucap
 from repro.experiments.figs34 import _baseline
 from repro.experiments.parallel import default_jobs, parallel_starmap
 from repro.experiments.platforms import cap_states, config_list, operation_spec
@@ -66,6 +67,15 @@ def test_run_repeated_jobs_bit_identical():
     serial = run_repeated(_PLATFORM, spec, configs[0], states, repeats=3, jobs=1)
     pooled = run_repeated(_PLATFORM, spec, configs[0], states, repeats=3, jobs=3)
     assert serial == pooled
+
+
+@pytest.mark.parametrize("driver", [fig5_breakdown, fig6_cpucap])
+def test_fig5_fig6_take_jobs_bit_identically(driver):
+    # `repro fig5/fig6 --jobs N` reaches the pool only if the driver takes
+    # ``jobs``; the CLI drops the flag for drivers that do not.
+    serial = driver.run(scale="tiny", jobs=1)
+    pooled = driver.run(scale="tiny", jobs=2)
+    assert pooled.rows == serial.rows
 
 
 def test_missing_baseline_is_a_named_error():

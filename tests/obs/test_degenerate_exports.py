@@ -101,4 +101,4 @@ def test_stream_writer_with_zero_events_leaves_empty_file(tmp_path):
     events, n_torn = read_events_jsonl_tolerant(str(path))
     assert events == [] and n_torn == 0
     snap = OnlineAggregator().snapshot()
-    assert snap["tasks_done"] == 0 and snap["cache_hit_rate"] is None
+    assert snap["tasks_done"] == 0 and snap["makespan"] is None

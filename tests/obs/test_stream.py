@@ -123,7 +123,7 @@ def _interval(t, end, worker, **extra):
             "kind": "task", **extra}
 
 
-def test_aggregator_tracks_tasks_power_cache_and_run_state():
+def test_aggregator_tracks_tasks_power_and_run_state():
     agg = OnlineAggregator()
     agg({"t": 0.0, "type": "run_info", "platform": PLATFORM, "config": "HL"})
     agg({"t": 0.0, "type": "run_start", "gpu_caps": [250.0, 100.0],
@@ -132,8 +132,6 @@ def test_aggregator_tracks_tasks_power_cache_and_run_state():
     agg(_interval(0.0, 3.0, "gpu-w1"))
     agg({"t": 1.0, "type": "power", "total_w": 300.0,
          "gpu0": 200.0, "gpu1": 100.0})
-    agg({"t": 1.0, "type": "cache", "result": "hit", "key": "ab"})
-    agg({"t": 1.0, "type": "cache", "result": "miss", "key": "cd"})
     agg({"t": 2.0, "type": "decision", "backlog": {"gpu-w0": 0.5}})
     snap = agg.snapshot()
     assert snap["tasks_done"] == 2
@@ -141,7 +139,6 @@ def test_aggregator_tracks_tasks_power_cache_and_run_state():
     assert snap["gpu_caps"] == [250.0, 100.0]
     assert snap["power_w"] == {"gpu0": 200.0, "gpu1": 100.0}
     assert snap["total_power_w"] == 300.0
-    assert snap["cache_hit_rate"] == 0.5
     assert snap["backlog"] == {"gpu-w0": 0.5}
     assert snap["task_p50_s"] == 1.0 and snap["task_p99_s"] == 3.0
     assert snap["run_done"] is False
@@ -203,14 +200,6 @@ def test_throttle_drift_fires_on_slowdown():
     drift = [a for a in dogs.raised if a["rule"] == "throttle-drift"]
     assert drift and drift[0]["target"] == "gpu-w1"
     assert drift[0]["ratio"] >= 1.25
-
-
-def test_cache_miss_storm_fires():
-    cfg = WatchdogConfig(cache_min_lookups=10, eval_period_s=0.0)
-    bus, agg, dogs = _wired(cfg)
-    for i in range(12):
-        bus.publish({"t": float(i), "type": "cache", "result": "miss"})
-    assert any(a["rule"] == "cache-miss-storm" for a in dogs.raised)
 
 
 def test_backlog_imbalance_fires_and_rearms():

@@ -81,8 +81,6 @@ def _snapshot(**over):
         "power_w": {"gpu0": 200.0, "gpu1": 100.0, "cpu0": 60.0},
         "total_power_w": 360.0,
         "backlog": {"gpu-w0": 0.5, "gpu-w1": 0.1, "cpu-w0": 0.0},
-        "cache_hit_rate": 0.75,
-        "cache_lookups": 8,
         "n_anomalies": 1,
         "n_faults": 0,
         "anomalies": [{"t": 1.0, "rule": "idle-gap", "target": "gpu-w1",
@@ -100,7 +98,6 @@ def test_dashboard_renders_all_sections():
     assert "gpu1" in text and "100W cap" in text
     assert "backlog" in text and "gpu-w0" in text
     assert "empty backlog" in text  # cpu-w0 suppressed from the bars
-    assert "hit rate 75%" in text
     assert "idle-gap" in text and "gpu-w1 idle" in text
 
 
