@@ -30,7 +30,7 @@ def _run_one(mode: str):
     assign_priorities(graph)
     gov = None
     if mode == "dynamic":
-        gov = RuntimeCapGovernor(node, rt, period_s=0.4, step_w=25.0)
+        gov = RuntimeCapGovernor(node, rt, step_w=25.0)
         gov.start()
     res = rt.run(graph)
     final_caps = [f"{c:.0f}" for c in node.gpu_caps()]

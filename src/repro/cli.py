@@ -692,12 +692,12 @@ def _check_args(args) -> None:
         raise _UsageError(
             f"unknown scheduler {scheduler!r}; have {sorted(SCHEDULERS)}"
         )
-    for attr, least in (("jobs", 0), ("shards", 1), ("max_queue", 1)):
+    for attr, least in (("jobs", 0), ("shards", 1), ("max_queue", 1), ("max_gaps", 0)):
         count = getattr(args, attr, None)
         if count is not None and count < least:
             flag = "--" + attr.replace("_", "-")
             raise _UsageError(f"{flag} must be >= {least}, got {count}")
-    for attr in ("power_period", "request_timeout", "drain_timeout"):
+    for attr in ("power_period", "request_timeout", "drain_timeout", "interval", "timeout"):
         seconds = getattr(args, attr, None)
         if seconds is not None and not 0.0 < seconds < math.inf:
             flag = "--" + attr.replace("_", "-")

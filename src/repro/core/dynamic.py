@@ -13,10 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import nvml
+from repro.core.sweep import measure_point
 from repro.hardware.gpu import GPUDevice
 from repro.kernels.gemm import GemmKernel
 from repro.sim import Simulator
+
+#: Relative efficiency loss below the best seen that stops a walk
+#: (hysteresis): a smaller loss, or a gain, keeps the walk moving.
+IMPROVEMENT_THRESHOLD = 0.002
+#: Safety bound on tuning epochs.
+MAX_EPOCHS = 200
 
 
 @dataclass(frozen=True)
@@ -32,34 +38,19 @@ class GovernorStep:
 class DynamicCapGovernor:
     """Online hill-climbing cap tuner for one GPU.
 
+    Each epoch runs one kernel instance through the sweep's
+    :func:`~repro.core.sweep.measure_point` and reads its Gflop/s/W.
+
     Parameters
     ----------
     step_w:
         Cap adjustment per epoch (W).
-    improvement_threshold:
-        Relative efficiency gain required to keep moving (hysteresis).
-    max_epochs:
-        Safety bound on tuning epochs.
     """
 
     gpu: GPUDevice
     sim: Simulator
     step_w: float = 10.0
-    improvement_threshold: float = 0.002
-    max_epochs: int = 200
     history: list[GovernorStep] = field(default_factory=list)
-
-    def _measure_epoch(self, kernel: GemmKernel) -> float:
-        """Run one kernel instance; return measured Gflop/s/W via NVML."""
-        handle = nvml.nvmlDeviceGetHandleByIndex(self.gpu.index)
-        e0 = nvml.nvmlDeviceGetTotalEnergyConsumption(handle)
-        t0 = self.sim.now
-        self.gpu.begin_kernel(kernel.precision, kernel.activity(self.gpu.spec), "gov")
-        self.sim.schedule(kernel.time_on_gpu(self.gpu), self.gpu.end_kernel)
-        self.sim.run()
-        elapsed = self.sim.now - t0
-        joules = (nvml.nvmlDeviceGetTotalEnergyConsumption(handle) - e0) / 1000.0
-        return (kernel.flops / elapsed / 1e9) / (joules / elapsed)
 
     def tune(self, kernel: GemmKernel) -> float:
         """Converge to the best cap for ``kernel``; returns the final cap.
@@ -73,10 +64,10 @@ class DynamicCapGovernor:
         cap = self.gpu.power_limit_w
         direction = -1.0  # start by lowering power (the common win)
         reversals = 0
-        best_eff = self._measure_epoch(kernel)
+        best_eff = measure_point(self.gpu, self.sim, kernel).efficiency
         best_cap = cap
         self.history.append(GovernorStep(cap, best_eff, "hold"))
-        for _ in range(self.max_epochs):
+        for _ in range(MAX_EPOCHS):
             candidate = min(spec.cap_max_w, max(spec.cap_min_w, cap + direction * self.step_w))
             if candidate == cap:  # hit a hardware bound
                 if reversals >= 1:
@@ -84,8 +75,8 @@ class DynamicCapGovernor:
                 direction, reversals = -direction, reversals + 1
                 continue
             self.gpu.set_power_limit(candidate)
-            eff = self._measure_epoch(kernel)
-            if eff >= best_eff * (1.0 - self.improvement_threshold):
+            eff = measure_point(self.gpu, self.sim, kernel).efficiency
+            if eff >= best_eff * (1.0 - IMPROVEMENT_THRESHOLD):
                 # Improved or flat: keep walking.
                 cap = candidate
                 if eff > best_eff:

@@ -24,6 +24,14 @@ from repro.runtime.worker import GPUWorker
 from repro.sim import Simulator
 from repro.sim.engine import EventHandle
 
+#: Governor tick period (simulated seconds).
+PERIOD_S = 0.4
+#: Relative efficiency loss below the best seen that sends a GPU back to
+#: its best cap and reverses its walk.
+DEGRADE_TOLERANCE = 0.03
+#: EWMA weight of the newest efficiency sample.
+SMOOTHING = 0.5
+
 
 class PeriodicController:
     """Sim-clock tick loop shared by the online cap governors.
@@ -96,16 +104,11 @@ class RuntimeCapGovernor(PeriodicController):
         self,
         node: Node,
         runtime: RuntimeSystem,
-        period_s: float = 0.4,
         step_w: float = 20.0,
-        degrade_tolerance: float = 0.03,
-        smoothing: float = 0.5,
     ) -> None:
-        super().__init__(runtime, period_s)
+        super().__init__(runtime, PERIOD_S)
         self.node = node
         self.step_w = step_w
-        self.degrade_tolerance = degrade_tolerance
-        self.smoothing = smoothing
         self.history: list[tuple[float, list[float]]] = []
         self._sim: Simulator = runtime.sim
         self._gpu_workers = {
@@ -138,14 +141,14 @@ class RuntimeCapGovernor(PeriodicController):
                 raw = d_flops / d_energy
                 eff = (
                     raw if state.smooth_eff is None
-                    else (1 - self.smoothing) * state.smooth_eff + self.smoothing * raw
+                    else (1 - SMOOTHING) * state.smooth_eff + SMOOTHING * raw
                 )
                 state.smooth_eff = eff
                 if eff > state.best_eff:
                     state.best_eff = eff
                     state.best_cap = gpu.power_limit_w
                 spec = gpu.spec
-                if eff < state.best_eff * (1.0 - self.degrade_tolerance):
+                if eff < state.best_eff * (1.0 - DEGRADE_TOLERANCE):
                     # Fell clearly below the best seen: jump back there and
                     # probe the other direction next.
                     state.direction = -state.direction

@@ -68,8 +68,12 @@ def cap_grid(spec: GPUSpec, step_pct: float = 2.0) -> list[float]:
     return caps
 
 
-def _measure_point(gpu: GPUDevice, sim: Simulator, kernel: GemmKernel) -> SweepPoint:
-    """Execute the kernel once on the device and read energy via NVML."""
+def measure_point(gpu: GPUDevice, sim: Simulator, kernel: GemmKernel) -> SweepPoint:
+    """Execute the kernel once on the device and read energy via NVML.
+
+    The one kernel-measurement loop: the simulated sweep and the dynamic
+    cap governor both measure through it.
+    """
     handle = nvml.nvmlDeviceGetHandleByIndex(gpu.index)
     e0_mj = nvml.nvmlDeviceGetTotalEnergyConsumption(handle)
     t0 = sim.now
@@ -152,7 +156,7 @@ def simulated_sweep_gemm(
     try:
         for cap in cap_grid(spec, step_pct):
             gpu.set_power_limit(cap)
-            points.append(_measure_point(gpu, sim, kernel))
+            points.append(measure_point(gpu, sim, kernel))
     finally:
         nvml.nvmlShutdown()
     return points

@@ -1,13 +1,13 @@
 """Per-tile kernel models for the task-based operations.
 
-Chameleon's routines decompose into tile kernels; the four of the paper's
-operations (GEMM, POTRF) plus the LU and QR kernels of the wider library.
-Relative rates encode the well-known asymmetry the paper's scheduling story
-depends on: GPUs are superb at GEMM-shaped updates (gemm/syrk/tsmqr),
-acceptable at triangular solves/applications, and poor at the small,
-divergent panel factorisations (potrf/getrf/geqrt/tsqrt) — which, like in
-Chameleon, ship as CPU-only codelets and pin the factorisation critical
-paths to the CPUs (paper Sec. III-C).
+Chameleon's routines decompose into tile kernels; these are the kernels of
+the paper's two operations (GEMM, POTRF) plus the 5-point stencil of the
+memory-bound extension.  Relative rates encode the well-known asymmetry the
+paper's scheduling story depends on: GPUs are superb at GEMM-shaped updates
+(gemm/syrk), acceptable at triangular solves, and poor at the small,
+divergent panel factorisation (potrf) — which, like in Chameleon, ships as a
+CPU-only codelet and pins the Cholesky critical path to the CPUs (paper
+Sec. III-C).
 """
 
 from __future__ import annotations
@@ -24,38 +24,28 @@ from repro.kernels.roofline import roofline_time
 #: efficiency factors relative to the device's GEMM rate.
 TILE_KINDS = (
     "gemm", "syrk", "trsm", "potrf",      # Cholesky / matrix multiply
-    "getrf",                               # LU (no pivoting) panel
-    "geqrt", "ormqr", "tsqrt", "tsmqr",   # tile QR
     "stencil",                             # 5-point Jacobi tile update
 )
 
 _GPU_FACTOR = {
     "gemm": 1.00, "syrk": 0.88, "trsm": 0.45, "potrf": 0.03,
-    "getrf": 0.04,
-    "geqrt": 0.03, "ormqr": 0.60, "tsqrt": 0.03, "tsmqr": 0.75,
     "stencil": 0.90,
 }
 _CPU_FACTOR = {
     "gemm": 1.00, "syrk": 0.92, "trsm": 0.85, "potrf": 0.70,
-    "getrf": 0.75,
-    "geqrt": 0.55, "ormqr": 0.80, "tsqrt": 0.55, "tsmqr": 0.80,
     # One core is DRAM-starved on a 5-point sweep: a few GB/s of the
     # socket's bandwidth, i.e. a tiny fraction of its GEMM flop rate.
     "stencil": 0.04,
 }
 _ACTIVITY = {
     "gemm": 1.00, "syrk": 0.95, "trsm": 0.80, "potrf": 0.45,
-    "getrf": 0.50,
-    "geqrt": 0.45, "ormqr": 0.85, "tsqrt": 0.45, "tsmqr": 0.90,
     "stencil": 0.30,
 }
 
-#: Kinds with a CUDA codelet.  Panel factorisations are CPU-only, as in
+#: Kinds with a CUDA codelet.  The POTRF panel is CPU-only, as in
 #: Chameleon's default codelets.
 GPU_SUPPORTED = {
     "gemm": True, "syrk": True, "trsm": True, "potrf": False,
-    "getrf": False,
-    "geqrt": False, "ormqr": True, "tsqrt": False, "tsmqr": True,
     "stencil": True,
 }
 
@@ -67,11 +57,6 @@ _CUBIC_FLOPS = {
     "gemm": 2.0,
     "trsm": 1.0,
     "potrf": 1.0 / 3.0,
-    "getrf": 2.0 / 3.0,
-    "geqrt": 4.0 / 3.0,
-    "ormqr": 2.0,
-    "tsqrt": 10.0 / 3.0,
-    "tsmqr": 4.0,  # dominant QR update: total ~ (4/3) N^3
 }
 
 
@@ -124,7 +109,6 @@ class TileOp:
         """Tiles read/written (for traffic estimates)."""
         return {
             "gemm": 3, "syrk": 2, "trsm": 2, "potrf": 1,
-            "getrf": 1, "geqrt": 1, "ormqr": 2, "tsqrt": 2, "tsmqr": 3,
             "stencil": 6,  # centre + 4 halo reads + 1 write
         }[self.kind]
 

@@ -56,62 +56,12 @@ def apply_task(task: Task) -> None:
         apanel = _view(payload["A"])
         c = _view(payload["C"])
         c -= apanel @ apanel.T
-    elif kind == "getrf":
-        a = _view(payload["A"])
-        _lu_nopiv_inplace(a)
-    elif kind == "trsm_lu_left":
-        lu = _view(payload["LU"])
-        a = _view(payload["A"])
-        # A <- L^{-1} A with L unit-lower from the packed LU tile.
-        a[:] = scipy.linalg.solve_triangular(lu, a, lower=True, unit_diagonal=True)
-    elif kind == "trsm_lu_right":
-        lu = _view(payload["LU"])
-        a = _view(payload["A"])
-        # A <- A U^{-1} with U upper from the packed LU tile.
-        a[:] = scipy.linalg.solve_triangular(lu, a.T, lower=False, trans="T").T
-    elif kind == "geqrt":
-        a = _view(payload["A"])
-        q, r = np.linalg.qr(a)
-        payload["qstore"][payload["key"]] = q
-        a[:] = r
-    elif kind == "ormqr":
-        a = _view(payload["A"])
-        q = payload["qstore"][payload["key"]]
-        a[:] = q.T @ a
-    elif kind == "tsqrt":
-        r = _view(payload["R"])
-        a = _view(payload["A"])
-        stacked = np.vstack([r, a])
-        q, r2 = np.linalg.qr(stacked, mode="complete")
-        payload["qstore"][payload["key"]] = q
-        nb = r.shape[0]
-        r[:] = r2[:nb]
-        a[:] = 0.0  # reflectors live in the side store in numeric mode
-    elif kind == "tsmqr":
-        top = _view(payload["Top"])
-        bot = _view(payload["Bot"])
-        q = payload["qstore"][payload["key"]]
-        stacked = q.T @ np.vstack([top, bot])
-        nb = top.shape[0]
-        top[:] = stacked[:nb]
-        bot[:] = stacked[nb:]
     elif kind == "stencil":
         from repro.apps.stencil import apply_stencil_task
 
         apply_stencil_task(payload)
     else:
         raise NumericError(f"unknown numeric kind {kind!r}")
-
-
-def _lu_nopiv_inplace(a: np.ndarray) -> None:
-    """Unpivoted in-place LU (Doolittle): L unit-lower, U upper, packed."""
-    n = a.shape[0]
-    for k in range(n):
-        pivot = a[k, k]
-        if pivot == 0.0:
-            raise NumericError("zero pivot in unpivoted LU")
-        a[k + 1 :, k] /= pivot
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
 
 
 def execute_numeric(graph: TaskGraph) -> None:
@@ -159,39 +109,6 @@ def verify_potrf(a: TileMatrix, original: np.ndarray, rtol: float = 1e-5) -> flo
     if err > rtol:
         raise NumericError(f"POTRF reconstruction error {err:.2e} > {rtol:.2e}")
     return err
-
-
-def verify_getrf(a: TileMatrix, original: np.ndarray, rtol: float = 1e-5) -> float:
-    """Relative error ``||L U - A0|| / ||A0||`` from the packed LU tiles."""
-    if a.array is None:
-        raise NumericError("matrix not materialised")
-    lower = np.tril(a.array, k=-1) + np.eye(a.n)
-    upper = np.triu(a.array)
-    err = float(np.linalg.norm(lower @ upper - original) / np.linalg.norm(original))
-    if err > rtol:
-        raise NumericError(f"GETRF reconstruction error {err:.2e} > {rtol:.2e}")
-    return err
-
-
-def verify_geqrf(a: TileMatrix, original: np.ndarray, rtol: float = 1e-5) -> float:
-    """QR check without materialising Q: ``R^T R == A0^T A0``."""
-    if a.array is None:
-        raise NumericError("matrix not materialised")
-    r = np.triu(a.array)
-    lhs = r.T @ r
-    rhs = original.T @ original
-    err = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-    if err > rtol:
-        raise NumericError(f"GEQRF gram-matrix error {err:.2e} > {rtol:.2e}")
-    return err
-
-
-def dominant_matrix(n: int, rng=None) -> np.ndarray:
-    """Diagonally dominant matrix: safe for unpivoted LU."""
-    gen = rng if rng is not None else np.random.default_rng(0)
-    a = gen.standard_normal((n, n))
-    a += np.eye(n) * (np.abs(a).sum(axis=1).max() + 1.0)
-    return a
 
 
 def verify_gemm(

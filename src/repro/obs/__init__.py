@@ -18,7 +18,6 @@ from repro.obs.stream import (
     OnlineAggregator,
     StreamWriter,
     TelemetryBus,
-    WatchdogConfig,
     Watchdogs,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "OnlineAggregator",
     "StreamWriter",
     "TelemetryBus",
-    "WatchdogConfig",
     "Watchdogs",
 ]

@@ -10,7 +10,9 @@ terms with the same left-to-right float fold and first-wins tie-break the
 scheduler uses, so a log can prove why every task went where it went.
 
 The log is attached through ``Scheduler.decision_log`` (``None`` by
-default); schedulers pay nothing when it is disabled.
+default); schedulers pay nothing when it is disabled.  With a telemetry bus
+attached, the log also streams a sampled, compact ``decision`` event at the
+watchdogs' evaluation cadence (:data:`repro.obs.stream.EVAL_PERIOD_S`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Any, Optional
+
+from repro.obs.stream import EVAL_PERIOD_S
 
 
 @dataclass(frozen=True)
@@ -156,10 +160,10 @@ class DecisionLog:
     #: serialized per task, ~19 µs measured) were the single largest
     #: line in the streaming overhead budget.  Every decision is still
     #: recorded in full post-hoc in ``decisions.jsonl``.  Matches the
-    #: watchdogs' evaluation cadence (``WatchdogConfig.eval_period_s``) —
-    #: the only cadenced consumer of the backlog track — so sampling
+    #: watchdogs' evaluation cadence (:data:`repro.obs.stream.EVAL_PERIOD_S`)
+    #: — the only cadenced consumer of the backlog track — so sampling
     #: faster would add cost without adding information.
-    STREAM_PERIOD_S = 0.02
+    STREAM_PERIOD_S = EVAL_PERIOD_S
 
     def __init__(self) -> None:
         self.records: list[DecisionRecord] = []

@@ -42,6 +42,25 @@ EVENTS_STREAM_FILENAME = "events.jsonl"
 #: the governor's own check and by the budget-violation watchdog alike.
 BUDGET_TOLERANCE_W = 0.5
 
+# Watchdog thresholds (simulated seconds unless noted).
+#: The cadence-gated rules run at most once per this much simulated time.
+EVAL_PERIOD_S = 0.02
+#: A (rule, target) pair fires again only after this long.
+REARM_S = 0.5
+#: An idle stretch longer than this, while peers ran, is an idle-gap.
+IDLE_GAP_S = 0.25
+#: Throttle-drift: recent mean task duration over the long-run mean ...
+DRIFT_RATIO = 1.25
+#: ... once at least this many recent tasks are in the window (a count).
+DRIFT_MIN_SAMPLES = 6
+#: Backlog-imbalance: deepest queue over shallowest (a ratio) ...
+IMBALANCE_RATIO = 4.0
+#: ... and the deepest queue and the gap both at least this long.
+IMBALANCE_MIN_S = 0.05
+
+#: Stream-writer batch: buffered lines are written every this many events.
+FLUSH_EVERY = 64
+
 #: Event types worth pushing to disk immediately (rare; operators wait on
 #: them).  Bulk types (``interval``, ``decision``, ``power``) batch instead.
 FLUSH_NOW_TYPES = frozenset(
@@ -253,8 +272,8 @@ def _interval_event(item: tuple) -> dict:
 class StreamWriter:
     """Append-only JSONL subscriber, crash-tolerant by construction.
 
-    Events batch in memory and hit the file every ``flush_every`` events —
-    except the first event and the rare operator-facing types in
+    Events batch in memory and hit the file every :data:`FLUSH_EVERY`
+    events — except the first event and the rare operator-facing types in
     :data:`FLUSH_NOW_TYPES`, which flush immediately so ``repro watch``
     sees the run header, faults and anomalies without delay.  Only whole
     lines are written, so a kill leaves valid JSONL plus at most one torn
@@ -262,11 +281,10 @@ class StreamWriter:
     :func:`repro.obs.exporters.read_events_jsonl_tolerant` skips.
     """
 
-    def __init__(self, path: str, flush_every: int = 64) -> None:
+    def __init__(self, path: str) -> None:
         self.path = str(path)
         self._fh = open(self.path, "w")
         self._buf: list[str] = []
-        self._flush_every = int(flush_every)
         self.n_written = 0
         self._closed = False
 
@@ -275,7 +293,7 @@ class StreamWriter:
         buf.append(jsonline(event))
         self.n_written += 1
         if (
-            len(buf) >= self._flush_every
+            len(buf) >= FLUSH_EVERY
             or self.n_written == 1
             or event["type"] in FLUSH_NOW_TYPES
         ):
@@ -314,7 +332,7 @@ class StreamWriter:
             for item in items:
                 buf.append(jsonline(_interval_event(item)))
         self.n_written += len(items)
-        if first or len(buf) >= self._flush_every:
+        if first or len(buf) >= FLUSH_EVERY:
             self.flush()
 
     def flush(self) -> None:
@@ -500,60 +518,23 @@ class OnlineAggregator:
         }
 
 
-class WatchdogConfig:
-    """Thresholds for the online anomaly rules (sim-time units)."""
-
-    __slots__ = (
-        "eval_period_s",
-        "rearm_s",
-        "idle_gap_s",
-        "drift_ratio",
-        "drift_min_samples",
-        "imbalance_ratio",
-        "imbalance_min_s",
-    )
-
-    def __init__(
-        self,
-        eval_period_s: float = 0.02,
-        rearm_s: float = 0.5,
-        idle_gap_s: float = 0.25,
-        drift_ratio: float = 1.25,
-        drift_min_samples: int = 6,
-        imbalance_ratio: float = 4.0,
-        imbalance_min_s: float = 0.05,
-    ) -> None:
-        self.eval_period_s = eval_period_s
-        self.rearm_s = rearm_s
-        self.idle_gap_s = idle_gap_s
-        self.drift_ratio = drift_ratio
-        self.drift_min_samples = drift_min_samples
-        self.imbalance_ratio = imbalance_ratio
-        self.imbalance_min_s = imbalance_min_s
-
-
 class Watchdogs:
     """Online anomaly detection over an :class:`OnlineAggregator`.
 
     Subscribed to the same bus as the aggregator (after it, so state is
     current when rules run).  Rules are evaluated at most once per
-    ``eval_period_s`` of simulated time; each (rule, target) pair re-arms
-    only after ``rearm_s``, so a persistent condition raises one anomaly
-    per window instead of one per event.  Anomalies publish back into the
-    bus — the re-entrant queue delivers them to every subscriber (writer
-    included) immediately after the triggering event, which is what makes
-    them visible in the live stream *before* run completion.
+    :data:`EVAL_PERIOD_S` of simulated time; each (rule, target) pair
+    re-arms only after :data:`REARM_S`, so a persistent condition raises
+    one anomaly per window instead of one per event.  Anomalies publish
+    back into the bus — the re-entrant queue delivers them to every
+    subscriber (writer included) immediately after the triggering event,
+    which is what makes them visible in the live stream *before* run
+    completion.
     """
 
-    def __init__(
-        self,
-        aggregator: OnlineAggregator,
-        bus: TelemetryBus,
-        config: Optional[WatchdogConfig] = None,
-    ) -> None:
+    def __init__(self, aggregator: OnlineAggregator, bus: TelemetryBus) -> None:
         self.agg = aggregator
         self.bus = bus
-        self.config = config or WatchdogConfig()
         self.raised: list[dict] = []
         self._last_eval = -math.inf
         self._last_fire: dict[tuple, float] = {}
@@ -561,10 +542,10 @@ class Watchdogs:
         # bus, so its worker_last_end already includes the current event —
         # the idle-gap rule needs the end of the worker's *previous* task.
         self._prev_end: dict[str, float] = {}
-        # Hot-path threshold copies: one attribute load per event instead
-        # of a config-object chain (the attached-overhead budget is ~µs).
-        self._eval_period_s = self.config.eval_period_s
-        self._idle_gap_s = self.config.idle_gap_s
+        # Instance copies of the thresholds the per-event path reads (the
+        # attached-overhead budget is ~µs).
+        self._eval_period_s = EVAL_PERIOD_S
+        self._idle_gap_s = IDLE_GAP_S
 
     def __call__(self, event: dict) -> None:
         etype = event["type"]
@@ -592,8 +573,8 @@ class Watchdogs:
         self._evaluate(items[-1][0])
 
     def _evaluate(self, t: float) -> None:
-        """The three cadence-gated rules, at most once per ``eval_period_s``
-        and never after the run ended."""
+        """The three cadence-gated rules, at most once per
+        :data:`EVAL_PERIOD_S` and never after the run ended."""
         if t - self._last_eval < self._eval_period_s:
             return
         self._last_eval = t
@@ -608,7 +589,7 @@ class Watchdogs:
     def _fire(self, t: float, rule: str, target: str, detail: str, **data) -> None:
         key = (rule, target)
         last = self._last_fire.get(key)
-        if last is not None and t - last < self.config.rearm_s:
+        if last is not None and t - last < REARM_S:
             return
         self._last_fire[key] = t
         anomaly = {
@@ -647,11 +628,10 @@ class Watchdogs:
     def _check_throttle_drift(self, t: float) -> None:
         """Recent task durations on one worker drifting above its own
         long-run mean — the online signature of an unreported throttle."""
-        cfg = self.config
         for worker, st in self.agg.workers.items():
             count, dur_sum, recent, _ = st
             n_recent = len(recent)
-            if n_recent < cfg.drift_min_samples or count < 2 * n_recent:
+            if n_recent < DRIFT_MIN_SAMPLES or count < 2 * n_recent:
                 continue
             recent_sum = sum(recent)
             base_n = count - n_recent
@@ -659,7 +639,7 @@ class Watchdogs:
             if base_mean <= 0.0:
                 continue
             ratio = (recent_sum / n_recent) / base_mean
-            if ratio >= cfg.drift_ratio:
+            if ratio >= DRIFT_RATIO:
                 self._fire(
                     t,
                     "throttle-drift",
@@ -691,17 +671,16 @@ class Watchdogs:
     def _check_backlog_imbalance(self, t: float) -> None:
         """One worker's queued seconds of work dwarfing another's — the
         signature of capped-GPU pile-up the paper's dmdas avoids."""
-        cfg = self.config
         backlog = self.agg.backlog
         if len(backlog) < 2:
             return
         depths = backlog.values()
         deepest = max(depths)
         shallowest = min(depths)
-        if deepest < cfg.imbalance_min_s or deepest - shallowest < cfg.imbalance_min_s:
+        if deepest < IMBALANCE_MIN_S or deepest - shallowest < IMBALANCE_MIN_S:
             return
         ratio = deepest / shallowest if shallowest > 0.0 else math.inf
-        if ratio >= cfg.imbalance_ratio:
+        if ratio >= IMBALANCE_RATIO:
             worker = max(backlog, key=lambda w: backlog[w])
             self._fire(
                 t,

@@ -184,7 +184,6 @@ class RuntimeSystem:
         graph: TaskGraph,
         calibrate: bool = True,
         reset_energy: bool = True,
-        flush_results: bool = True,
         update_models: bool = True,
     ) -> RunResult:
         """Execute the graph to completion and report time/energy metrics.
@@ -195,14 +194,12 @@ class RuntimeSystem:
         additionally freezes the history model during the run (StarPU keeps
         refining it online; the ablation isolates the calibration signal).
 
-        ``flush_results`` writes dirty tiles back to the host after the last
-        task, as Chameleon does when handing the matrix back to the user.
+        Every run writes dirty tiles back to the host after the last task,
+        as Chameleon does when handing the matrix back to the user.
         """
         bus = self.bus
         if bus is None and _spans.ACTIVE is None:
-            return self._run(
-                graph, calibrate, reset_energy, flush_results, update_models
-            )
+            return self._run(graph, calibrate, reset_energy, update_models)
         with _spans.span(
             "runtime.run",
             scheduler=self.scheduler_name,
@@ -217,9 +214,7 @@ class RuntimeSystem:
                     "n_workers": len(self.workers),
                     "gpu_caps": self.node.gpu_caps(),
                 })
-            result = self._run(
-                graph, calibrate, reset_energy, flush_results, update_models
-            )
+            result = self._run(graph, calibrate, reset_energy, update_models)
             if bus is not None:
                 bus.publish({
                     "t": self.sim.now,
@@ -235,7 +230,6 @@ class RuntimeSystem:
         graph: TaskGraph,
         calibrate: bool = True,
         reset_energy: bool = True,
-        flush_results: bool = True,
         update_models: bool = True,
     ) -> RunResult:
         graph.validate()
@@ -278,16 +272,15 @@ class RuntimeSystem:
                 f"deadlock: {self._remaining} tasks never ran "
                 f"(scheduler pending={self._scheduler.has_pending()})"
             )
-        if flush_results:
-            self.data.flush_to_host(graph.handles)
-            # Account the tail transfers in the makespan.
-            tail = max(
-                (link.busy_until("d2h") for link in self.node.links),
-                default=self.sim.now,
-            )
-            if tail > self.sim.now:
-                self.sim.schedule_at(tail, lambda: None)
-                self.sim.run()
+        self.data.flush_to_host(graph.handles)
+        # Account the tail transfers in the makespan.
+        tail = max(
+            (link.busy_until("d2h") for link in self.node.links),
+            default=self.sim.now,
+        )
+        if tail > self.sim.now:
+            self.sim.schedule_at(tail, lambda: None)
+            self.sim.run()
         self._set_spinning(False)
         makespan = self.sim.now - t0
         result = RunResult(

@@ -9,13 +9,13 @@ from repro.runtime import RuntimeSystem
 from repro.sim import Simulator
 
 
-def _run_with_governor(nt=12, period=0.4, step=25.0):
+def _run_with_governor(nt=12, step=25.0):
     sim = Simulator()
     node = build_platform("32-AMD-4-A100", sim)
     rt = RuntimeSystem(node, scheduler="dmdas", seed=1, ewma_alpha=0.3)
     graph, *_ = gemm_graph(5760 * nt, 5760, "double")
     assign_priorities(graph)
-    gov = RuntimeCapGovernor(node, rt, period_s=period, step_w=step)
+    gov = RuntimeCapGovernor(node, rt, step_w=step)
     gov.start()
     res = rt.run(graph)
     return res, gov

@@ -124,6 +124,16 @@ def bad_plans(tmp_path):
      "--drain-timeout must be finite and > 0, got nan"),
     (["fig5", "--jobs", "-2"], "--jobs must be >= 0, got -2"),
     (["tradeoff", "--jobs", "-1"], "--jobs must be >= 0, got -1"),
+    (["watch", "{out}", "--follow", "--interval", "-1"],
+     "--interval must be finite and > 0, got -1.0"),
+    (["watch", "{out}", "--interval", "0"], "--interval must be finite and > 0"),
+    (["watch", "{out}", "--follow", "--timeout", "nan"],
+     "--timeout must be finite and > 0, got nan"),
+    (["report", "{out}", "--follow", "--timeout", "nan"],
+     "--timeout must be finite and > 0, got nan"),
+    (["report", "{out}", "--follow", "--timeout", "-1"],
+     "--timeout must be finite and > 0, got -1.0"),
+    (["report", "{out}", "--max-gaps", "-2"], "--max-gaps must be >= 0, got -2"),
 ])
 def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
                                                   capsys):

@@ -22,7 +22,6 @@ EXPECT = {
     "cholesky_tradeoff.py": "pick",
     "dynamic_governor.py": "offline optimum",
     "custom_platform.py": "efficiency",
-    "lu_qr_factorizations.py": "capping helps",
     "heat_stencil.py": "nearly free",
 }
 

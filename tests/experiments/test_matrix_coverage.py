@@ -9,13 +9,7 @@ import pytest
 
 from repro.apps import stencil_graph
 from repro.hardware.catalog import build_platform, platform_names
-from repro.linalg import (
-    assign_priorities,
-    gemm_graph,
-    geqrf_graph,
-    getrf_graph,
-    potrf_graph,
-)
+from repro.linalg import assign_priorities, gemm_graph, potrf_graph
 from repro.runtime import RuntimeSystem
 from repro.runtime.graph import TaskState
 from repro.sim import Simulator
@@ -28,14 +22,10 @@ def _graph(op: str):
         return gemm_graph(NB * 4, NB, "double")[0]
     if op == "potrf":
         return potrf_graph(NB * 6, NB, "double")[0]
-    if op == "getrf":
-        return getrf_graph(NB * 5, NB, "double")[0]
-    if op == "geqrf":
-        return geqrf_graph(NB * 4, NB, "double")[0]
     return stencil_graph(NB * 3, NB, iterations=3)[0]
 
 
-OPS = ("gemm", "potrf", "getrf", "geqrf", "stencil")
+OPS = ("gemm", "potrf", "stencil")
 
 
 @pytest.mark.parametrize("platform", platform_names())

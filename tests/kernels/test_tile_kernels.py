@@ -5,7 +5,7 @@ import pytest
 from repro.hardware.catalog import XEON_GOLD_6126, gpu_spec
 from repro.hardware.cpu import CPUPackage
 from repro.hardware.gpu import GPUDevice
-from repro.kernels import TILE_KINDS, TileOp
+from repro.kernels import TILE_KINDS, TileOp, tile_kernels
 from repro.sim import Simulator
 
 
@@ -37,6 +37,17 @@ def test_flop_counts():
     assert TileOp("syrk", nb, "double").flops == pytest.approx(nb**2 * (nb + 1))
 
 
+@pytest.mark.parametrize(
+    "table", ["_GPU_FACTOR", "_CPU_FACTOR", "_ACTIVITY", "GPU_SUPPORTED"]
+)
+def test_per_kind_tables_cover_exactly_the_kinds(table):
+    assert set(getattr(tile_kernels, table)) == set(TILE_KINDS)
+
+
+def test_cubic_flops_cover_every_non_special_kind():
+    assert set(tile_kernels._CUBIC_FLOPS) == set(TILE_KINDS) - {"syrk", "stencil"}
+
+
 def test_tile_bytes():
     assert TileOp("gemm", 64, "double").tile_bytes == 64 * 64 * 8
     assert TileOp("gemm", 64, "single").tile_bytes == 64 * 64 * 4
@@ -44,7 +55,9 @@ def test_tile_bytes():
 
 @pytest.mark.parametrize("kind", TILE_KINDS)
 def test_gpu_time_positive(gpu, kind):
-    assert TileOp(kind, 1024, "double").time_on_gpu(gpu) > 0
+    op = TileOp(kind, 1024, "double")
+    assert op.n_tiles_touched >= 1
+    assert op.time_on_gpu(gpu) > 0
 
 
 @pytest.mark.parametrize("kind", TILE_KINDS)

@@ -11,11 +11,14 @@ from repro.faults.plan import preset_plan
 from repro.obs.capture import run_traced
 from repro.obs.exporters import read_events_jsonl_tolerant
 from repro.obs.stream import (
+    DRIFT_RATIO,
+    FLUSH_EVERY,
     FLUSH_NOW_TYPES,
+    IDLE_GAP_S,
+    REARM_S,
     OnlineAggregator,
     StreamWriter,
     TelemetryBus,
-    WatchdogConfig,
     Watchdogs,
     jsonline,
     publish_run_info,
@@ -83,7 +86,7 @@ def test_bus_reentrant_publish_preserves_causal_order():
 
 def test_writer_flushes_first_event_then_batches(tmp_path):
     path = tmp_path / "events.jsonl"
-    w = StreamWriter(str(path), flush_every=64)
+    w = StreamWriter(str(path))
     w({"type": "run_info", "t": 0.0})
     assert len(path.read_text().splitlines()) == 1  # immediate flush
     for i in range(10):
@@ -91,8 +94,13 @@ def test_writer_flushes_first_event_then_batches(tmp_path):
     assert len(path.read_text().splitlines()) == 1  # still buffered
     w({"type": "anomaly", "t": 99.0})  # FLUSH_NOW type drains the buffer
     assert len(path.read_text().splitlines()) == 12
+    for i in range(FLUSH_EVERY - 1):
+        w({"type": "interval", "t": float(i)})
+    assert len(path.read_text().splitlines()) == 12  # one short of a batch
+    w({"type": "interval", "t": 100.0})  # a full batch hits the file
+    assert len(path.read_text().splitlines()) == 12 + FLUSH_EVERY
     w.close()
-    assert w.n_written == 12
+    assert w.n_written == 12 + FLUSH_EVERY
 
 
 def test_flush_now_types_cover_operator_facing_events():
@@ -103,7 +111,7 @@ def test_flush_now_types_cover_operator_facing_events():
 
 def test_torn_tail_is_skipped_by_tolerant_reader(tmp_path):
     path = tmp_path / "events.jsonl"
-    w = StreamWriter(str(path), flush_every=1)
+    w = StreamWriter(str(path))
     w({"type": "interval", "t": 0.0, "end": 1.0, "resource": "gpu-w0"})
     w({"type": "interval", "t": 1.0, "end": 2.0, "resource": "gpu-w0"})
     w.close()
@@ -157,20 +165,21 @@ def test_aggregator_windowed_quantiles_respect_sim_time():
 # ----------------------------------------------------------------- watchdogs
 
 
-def _wired(config=None):
+def _wired():
     bus = TelemetryBus()
     agg = OnlineAggregator()
-    dogs = Watchdogs(agg, bus, config)
+    dogs = Watchdogs(agg, bus)
     bus.subscribe(agg)
     bus.subscribe(dogs)
     return bus, agg, dogs
 
 
 def test_idle_gap_fires_only_when_peers_progressed():
-    bus, agg, dogs = _wired(WatchdogConfig(idle_gap_s=0.25))
+    bus, agg, dogs = _wired()
     bus.publish(_interval(0.0, 0.1, "gpu-w0"))
     bus.publish(_interval(0.0, 0.1, "gpu-w1"))
     # gpu-w1 keeps working; gpu-w0 goes quiet then resumes at 1.0.
+    assert 1.0 - 0.1 > IDLE_GAP_S
     bus.publish(_interval(0.1, 0.9, "gpu-w1"))
     bus.publish(_interval(1.0, 1.1, "gpu-w0"))
     assert [a["rule"] for a in dogs.raised] == ["idle-gap"]
@@ -178,7 +187,7 @@ def test_idle_gap_fires_only_when_peers_progressed():
 
 
 def test_idle_gap_silent_when_everyone_stalled():
-    bus, agg, dogs = _wired(WatchdogConfig(idle_gap_s=0.25))
+    bus, agg, dogs = _wired()
     bus.publish(_interval(0.0, 0.1, "gpu-w0"))
     bus.publish(_interval(0.0, 0.1, "gpu-w1"))
     # A global dependency stall: nobody ran until 1.0.
@@ -187,9 +196,7 @@ def test_idle_gap_silent_when_everyone_stalled():
 
 
 def test_throttle_drift_fires_on_slowdown():
-    cfg = WatchdogConfig(drift_ratio=1.25, drift_min_samples=6,
-                         eval_period_s=0.0, rearm_s=1e9)
-    bus, agg, dogs = _wired(cfg)
+    bus, agg, dogs = _wired()
     t = 0.0
     for _ in range(32):  # baseline: 10 ms tasks
         bus.publish(_interval(t, t + 0.01, "gpu-w1"))
@@ -199,13 +206,12 @@ def test_throttle_drift_fires_on_slowdown():
         t += 0.02
     drift = [a for a in dogs.raised if a["rule"] == "throttle-drift"]
     assert drift and drift[0]["target"] == "gpu-w1"
-    assert drift[0]["ratio"] >= 1.25
+    assert drift[0]["ratio"] >= DRIFT_RATIO
 
 
 def test_backlog_imbalance_fires_and_rearms():
-    cfg = WatchdogConfig(eval_period_s=0.0, rearm_s=0.5,
-                         imbalance_ratio=4.0, imbalance_min_s=0.05)
-    bus, agg, dogs = _wired(cfg)
+    bus, agg, dogs = _wired()
+    assert 0.1 < REARM_S < 0.8
     bus.publish({"t": 0.0, "type": "decision",
                  "backlog": {"gpu-w0": 0.4, "gpu-w1": 0.0}})
     bus.publish({"t": 0.1, "type": "decision",
@@ -218,7 +224,7 @@ def test_backlog_imbalance_fires_and_rearms():
 
 def test_anomalies_reach_every_subscriber_via_the_bus():
     seen = []
-    bus, agg, dogs = _wired(WatchdogConfig(eval_period_s=0.0))
+    bus, agg, dogs = _wired()
     bus.subscribe(lambda e: seen.append(e["type"]))
     bus.publish({"t": 0.0, "type": "decision",
                  "backlog": {"a": 0.4, "b": 0.0}})
