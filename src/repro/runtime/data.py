@@ -10,6 +10,13 @@ MSI protocol StarPU implements:
 - a read on a node without a valid replica fetches from the owner (or the
   host), over the links, which is where transfer time comes from.
 
+Replica state is flat: ``DataHandle.valid`` is an int bitmask (bit ``n`` =
+node ``n`` holds a valid copy) and ``DataHandle.dirty`` marks the single
+valid replica as MODIFIED.  Only :meth:`DataManager.release` sets ``dirty``,
+and always together with ``valid = 1 << target``; every path that adds a bit
+clears it.  Coherence questions are mask tests, and the per-access invariant
+check is a two-op tripwire on the mask.
+
 GPU memory is finite: each device node has an LRU :class:`MemoryManager`.
 Evicting a clean replica is free (drop); evicting the owner's dirty replica
 requires a write-back transfer to the host.
@@ -19,12 +26,14 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.hardware.node import MEM_HOST, Node
+
+if TYPE_CHECKING:
+    from repro.runtime.graph import Task
 
 
 class AccessMode(Enum):
@@ -50,33 +59,63 @@ class CoherenceError(RuntimeError):
 
 _handle_ids = itertools.count()
 
+#: Mask bit of the host memory node.
+_HOST_BIT = 1 << MEM_HOST
+
+
+def _pick_source(valid: int) -> int:
+    """Node a read of a handle with replica mask ``valid`` copies from.
+
+    The owner, else the host, else the lowest valid node.  A dirty replica
+    is the only valid one and never the host's, so the owner is the lowest
+    set bit whenever the host bit is clear.
+    """
+    if valid & _HOST_BIT:
+        return MEM_HOST
+    return (valid & -valid).bit_length() - 1
+
 
 @dataclass(eq=False)
 class DataHandle:
-    """One logical data block registered with the runtime."""
+    """One logical data block registered with the runtime.
+
+    ``valid`` is the replica bitmask (bit ``n`` set = node ``n`` holds a
+    valid copy) and ``dirty`` marks the single valid replica as MODIFIED.
+    The handle hashes by identity.
+    """
 
     nbytes: int
     label: str = ""
     home_node: int = MEM_HOST
     hid: int = field(default_factory=lambda: next(_handle_ids))
-    valid_nodes: set[int] = field(default_factory=set)
-    owner: Optional[int] = None  # node holding the sole dirty replica
+    valid: int = field(default=0, init=False)
+    dirty: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         if self.nbytes <= 0:
             raise ValueError("handle size must be positive")
-        if not self.valid_nodes:
-            self.valid_nodes = {self.home_node}
+        if self.home_node < 0:
+            raise ValueError(f"home_node must be >= 0, got {self.home_node}")
+        self.valid = 1 << self.home_node
 
-    def __hash__(self) -> int:
-        return self.hid
+    @property
+    def valid_nodes(self) -> set[int]:
+        """Memory nodes holding a valid replica."""
+        v = self.valid
+        return {n for n in range(v.bit_length()) if v >> n & 1}
+
+    @property
+    def owner(self) -> Optional[int]:
+        """Node holding the sole dirty (MODIFIED) replica, else ``None``."""
+        return self.valid.bit_length() - 1 if self.dirty else None
 
     def check_invariants(self) -> None:
-        if not self.valid_nodes:
+        v = self.valid
+        if not v:
             raise CoherenceError(f"{self}: no valid replica anywhere")
-        if self.owner is not None and self.valid_nodes != {self.owner}:
+        if self.dirty and v & (v - 1):
             raise CoherenceError(
-                f"{self}: dirty on node {self.owner} but valid on {self.valid_nodes}"
+                f"{self}: dirty but valid on {sorted(self.valid_nodes)}"
             )
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -131,12 +170,10 @@ class MemoryManager:
         updating coherence state.  The returned list is shared when nothing
         was evicted — callers only iterate it.
         """
-        try:
+        if handle in self._resident:
             # Fast path: already resident — just refresh its LRU position.
             self._resident.move_to_end(handle)
             return _NO_EVICTIONS
-        except KeyError:
-            pass
         if handle.nbytes > self.capacity_bytes:
             raise CoherenceError(
                 f"handle of {handle.nbytes} B exceeds node {self.node_id} "
@@ -185,44 +222,27 @@ class DataManager:
             )
             for i, gpu in enumerate(node.gpus)
         }
-        # Link by device memory node, for estimate hot paths (node 1+i is
-        # GPU i's memory, served by links[i]).
-        self._links = {
-            node.mem_node_of_gpu(i): node.link_of_mem_node(node.mem_node_of_gpu(i))
-            for i in range(len(node.gpus))
-        }
+        # Link by memory node, for the hot paths: node 1+i is GPU i's
+        # memory, served by node.links[i]; the host (node 0) has none.
+        self._links: list = [None]
+        for i in range(len(node.gpus)):
+            self._links.append(node.link_of_mem_node(node.mem_node_of_gpu(i)))
+        # Uncontended transfer time of each node's link (0.0 for the
+        # host), by handle size; tiles come in a handful of sizes.
+        self._transfer_times: dict[int, list[float]] = {}
+        # Bitmask of each target tuple transfer_estimates is asked for.
+        self._target_masks: dict[tuple[int, ...], int] = {}
+        # The memory nodes whose bits a mask sets, for every mask.
+        n_nodes = len(self._links)
+        self._nodes_of = [
+            tuple(n for n in range(n_nodes) if mask >> n & 1) for mask in range(1 << n_nodes)
+        ]
         self.bytes_transferred = 0
         self.n_transfers = 0
-        # Estimate-memo traffic, exported by the observability layer.
-        self.n_memo_hits = 0
-        self.n_memo_misses = 0
         # Arrival times of in-flight replicas: (handle id, node) -> abs time.
         self._arrival: dict[tuple[int, int], float] = {}
-        # Scoped memo for transfer_estimate; active only inside
-        # estimate_cache() windows (one scheduling decision).
-        self._estimate_memo: Optional[dict] = None
 
     # ------------------------------------------------------------- estimates
-
-    @contextmanager
-    def estimate_cache(self):
-        """Memoize :meth:`transfer_estimate` for the duration of one
-        scheduling decision.
-
-        Coherence state and link backlogs cannot change while a scheduler
-        is scoring candidates, so repeated queries for the same (handles,
-        target) pair — e.g. two CPU packages sharing the host memory node —
-        are pure recomputation.  The memo dies when the ``with`` block
-        exits; nested use reuses the outer memo.
-        """
-        if self._estimate_memo is not None:
-            yield
-            return
-        self._estimate_memo = {}
-        try:
-            yield
-        finally:
-            self._estimate_memo = None
 
     def transfer_estimate(self, handles: Sequence[tuple[DataHandle, AccessMode]], target: int) -> float:
         """Predicted transfer delay to make all reads valid at ``target``.
@@ -230,97 +250,73 @@ class DataManager:
         Mirrors dmda's transfer-penalty term: static link time plus current
         queue backlog, no reservation.
         """
-        memo = self._estimate_memo
-        if memo is not None:
-            # id() is safe here: the memo only lives within one decision,
-            # during which the accesses list object cannot be recycled.
-            key = (id(handles), target)
-            cached = memo.get(key)
-            if cached is not None:
-                self.n_memo_hits += 1
-                return cached
-            self.n_memo_misses += 1
-        total = 0.0
-        for handle, mode in handles:
-            if not mode.reads or target in handle.valid_nodes:
-                continue
-            source = self._pick_source(handle)
-            total += self._path_estimate(source, target, handle.nbytes)
-        if memo is not None:
-            memo[key] = total
-        return total
+        return self.transfer_estimates(handles, (target,))[target]
 
     def transfer_estimates(
         self,
         handles: Sequence[tuple[DataHandle, AccessMode]],
-        targets: Sequence[int],
+        targets: tuple[int, ...],
     ) -> dict[int, float]:
-        """:meth:`transfer_estimate` for several targets in one pass.
+        """:meth:`transfer_estimate` for several distinct targets in one pass.
 
         One scheduling decision scores every placement class, and the
         classes differ only in their memory node — so the walk over the
         task's handles (and each handle's d2h queueing component, which
-        does not depend on the target) is shared across all targets.  Each
-        per-target total accumulates the exact same addends in the exact
-        same order as a :meth:`transfer_estimate` call would, so the sums
-        are bit-identical.
+        does not depend on the target) is shared across all targets.  A
+        missing read costs the source's d2h leg (queueing delay plus
+        uncontended transfer time; zero when the host holds a copy) plus
+        the target's h2d leg, summed per target in handle order.
         """
         totals = dict.fromkeys(targets, 0.0)
+        target_mask = self._target_masks.get(targets)
+        if target_mask is None:
+            target_mask = 0
+            for t in targets:
+                target_mask |= 1 << t
+            self._target_masks[targets] = target_mask
         now = self.node.clock.now
         links = self._links
+        nodes_of = self._nodes_of
+        # The h2d addend of a target depends only on the handle size, so it
+        # is priced once per size per call, indexed by node; the host's is
+        # 0.0, and ``d2h + 0.0 == d2h`` for the non-negative d2h.
+        h2d_size = 0
         for handle, mode in handles:
             if not mode.reads:
                 continue
-            valid = handle.valid_nodes
-            missing = [t for t in targets if t not in valid]
+            valid = handle.valid
+            missing = target_mask & ~valid
             if not missing:
                 continue
             nbytes = handle.nbytes
-            source = self._pick_source(handle)
-            if source != MEM_HOST:
-                link = links[source]
-                avail = link._avail_at["d2h"]
-                d2h = (avail - now if avail > now else 0.0) + link._transfer_time(nbytes)
-            else:
+            if nbytes != h2d_size:
+                h2d_size = nbytes
+                times = self._transfer_times_of(nbytes)
+                h2d = [0.0] * len(links)
+                for t in targets:
+                    if t != MEM_HOST:
+                        avail = links[t]._avail_at["h2d"]
+                        h2d[t] = (avail - now if avail > now else 0.0) + times[t]
+            if valid & _HOST_BIT:
                 d2h = 0.0
-            for t in missing:
-                if t != MEM_HOST:
-                    link = links[t]
-                    avail = link._avail_at["h2d"]
-                    totals[t] += d2h + (
-                        (avail - now if avail > now else 0.0)
-                        + link._transfer_time(nbytes)
-                    )
-                else:
-                    totals[t] += d2h
+            else:
+                # _pick_source inlined: the owner is the lowest set bit.
+                source = (valid & -valid).bit_length() - 1
+                avail = links[source]._avail_at["d2h"]
+                d2h = (avail - now if avail > now else 0.0) + times[source]
+            for t in nodes_of[missing]:
+                totals[t] += d2h + h2d[t]
         return totals
 
-    def _path_estimate(self, source: int, target: int, nbytes: int) -> float:
-        # Inlined Link.estimate (queueing delay + uncontended transfer
-        # time): this runs once per missing handle per placement class for
-        # every scheduling decision.  ``max(now, avail) - now`` is exactly
-        # ``avail - now`` when the link is backed up and ``0.0`` otherwise,
-        # so the folds below are bit-identical to the Link.estimate path.
-        est = 0.0
-        now = self.node.clock.now
-        if source != MEM_HOST:
-            link = self._links[source]
-            avail = link._avail_at["d2h"]
-            est += (avail - now if avail > now else 0.0) + link._transfer_time(nbytes)
-        if target != MEM_HOST:
-            link = self._links[target]
-            avail = link._avail_at["h2d"]
-            est += (avail - now if avail > now else 0.0) + link._transfer_time(nbytes)
-        return est
+    def _transfer_times_of(self, nbytes: int) -> list[float]:
+        times = self._transfer_times.get(nbytes)
+        if times is None:
+            times = self._transfer_times[nbytes] = [0.0] + [
+                link._transfer_time(nbytes) for link in self._links[1:]
+            ]
+        return times
 
     # ------------------------------------------------------------ operations
-
-    def _pick_source(self, handle: DataHandle) -> int:
-        if handle.owner is not None:
-            return handle.owner
-        if MEM_HOST in handle.valid_nodes:
-            return MEM_HOST
-        return min(handle.valid_nodes)
 
     def acquire(
         self,
@@ -332,94 +328,110 @@ class DataManager:
         """Stage all data for a task on ``target``; returns the absolute time
         at which every required replica is valid there (>= ``now``)."""
         ready = now
-        mgr = self.managers[target] if target != MEM_HOST else None
+        target_bit = 1 << target
+        if target != MEM_HOST:
+            mgr = self.managers[target]
+            resident = mgr._resident
+            pinned = mgr._pinned
+        else:
+            mgr = None
         arrivals = self._arrival
         for handle, mode in handles:
-            handle.check_invariants()
+            valid = handle.valid
+            # Invariant tripwire: no replica, or dirty with two or more.
+            if not valid or (handle.dirty and valid & (valid - 1)):
+                handle.check_invariants()  # raises CoherenceError
             if mgr is not None:
-                for victim in mgr.add(handle):
-                    self._evict(victim, target, label)
-                mgr.pin(handle)
-            if mode.reads and target not in handle.valid_nodes:
-                fetched = self._fetch(handle, target, label, now)
-                if fetched > ready:
-                    ready = fetched
-            elif target in handle.valid_nodes:
+                # Refresh the LRU position (or admit, evicting), then pin.
+                if handle in resident:
+                    resident.move_to_end(handle)
+                else:
+                    for victim in mgr.add(handle):
+                        self._evict(victim, target, label)
+                count = pinned.get(handle, 0)
+                if not count:
+                    mgr.pinned_bytes += handle.nbytes
+                pinned[handle] = count + 1
+            if valid & target_bit:
                 # Possibly still in flight from a prefetch.
-                arrival = arrivals.get((handle.hid, target))
+                key = (handle.hid, target)
+                arrival = arrivals.get(key)
                 if arrival is not None:
                     if arrival > now:
                         if arrival > ready:
                             ready = arrival
                     else:
-                        del arrivals[(handle.hid, target)]
-                if mgr is not None:
-                    mgr.touch(handle)
-            if mode == AccessMode.W and target not in handle.valid_nodes:
-                # Write-only: no fetch, the replica materialises on write.
-                pass
+                        del arrivals[key]
+            elif mode.reads:
+                fetched = self._fetch(handle, target, label, now)
+                if fetched > ready:
+                    ready = fetched
+            # Write-only and not valid here: no fetch, the replica
+            # materialises on write.
         return ready
 
-    def prefetch(
-        self,
-        handles: Iterable[tuple[DataHandle, AccessMode]],
-        target: int,
-        label: str = "",
-    ) -> None:
-        """Start staging read data for a queued task without pinning it.
+    def prefetch(self, tasks: Iterable[Task], target: int) -> None:
+        """Start staging the read data of queued ``tasks`` without pinning it.
 
         Mirrors StarPU's prefetch: transfers overlap with the execution of
         the task currently occupying the worker.  The prefetched replica may
         still be evicted before use, in which case :meth:`acquire` simply
         fetches again.
         """
-        for handle, mode in handles:
-            if not mode.reads or target in handle.valid_nodes:
-                continue
-            if target != MEM_HOST:
-                mgr = self.managers[target]
-                if handle.nbytes > mgr.capacity_bytes - mgr.pinned_bytes:
-                    continue  # do not evict pinned working-set for a prefetch
-                for victim in mgr.add(handle):
-                    self._evict(victim, target, label)
-            self._fetch(handle, target, f"pf:{label}")
+        target_bit = 1 << target
+        mgr = self.managers[target] if target != MEM_HOST else None
+        for task in tasks:
+            label = task.label
+            for handle, mode in task.accesses:
+                if not mode.reads or handle.valid & target_bit:
+                    continue
+                if mgr is not None:
+                    if handle.nbytes > mgr.capacity_bytes - mgr.pinned_bytes:
+                        continue  # do not evict pinned working-set for a prefetch
+                    for victim in mgr.add(handle):
+                        self._evict(victim, target, label)
+                self._fetch(handle, target, f"pf:{label}")
 
     def _fetch(self, handle: DataHandle, target: int, label: str, now: float = 0.0) -> float:
-        source = self._pick_source(handle)
+        # Afterwards the host and ``target`` are valid and nothing is
+        # dirty: a dirty replica is relayed through the host first (no
+        # direct GPU-GPU path is modelled).
+        valid = handle.valid
+        nbytes = handle.nbytes
         end = 0.0
-        if source != MEM_HOST and MEM_HOST not in handle.valid_nodes:
-            # Relay through the host (no direct GPU-GPU path modelled).
-            link = self.node.link_of_mem_node(source)
-            _, end = link.reserve(handle.nbytes, "d2h", label or handle.label, not_before=now)
-            handle.valid_nodes.add(MEM_HOST)
-            handle.owner = None
-            self._account(handle.nbytes)
+        source = _pick_source(valid)
+        if source != MEM_HOST:
+            link = self._links[source]
+            _, end = link.reserve(nbytes, "d2h", label or handle.label, not_before=now)
+            self._account(nbytes)
         if target != MEM_HOST:
-            link = self.node.link_of_mem_node(target)
+            link = self._links[target]
             _, end2 = link.reserve(
-                handle.nbytes, "h2d", label or handle.label, not_before=max(now, end)
+                nbytes, "h2d", label or handle.label, not_before=now if now >= end else end
             )
-            end = max(end, end2)
-            self._account(handle.nbytes)
-        handle.valid_nodes.add(target)
+            if end2 > end:
+                end = end2
+            self._account(nbytes)
+        handle.valid = valid | _HOST_BIT | 1 << target
+        handle.dirty = False
         if end > 0.0:
             self._arrival[(handle.hid, target)] = end
-        if handle.owner is not None and handle.owner != target:
-            handle.owner = None  # replica shared now; no longer exclusively dirty
         return end
 
     def _evict(self, victim: DataHandle, node_id: int, label: str) -> None:
-        if victim.owner == node_id:
+        node_bit = 1 << node_id
+        if victim.dirty and victim.valid == node_bit:
             # Dirty owner: write back to host before dropping.
-            link = self.node.link_of_mem_node(node_id)
+            link = self._links[node_id]
             link.reserve(victim.nbytes, "d2h", f"wb:{victim.label or label}")
             self._account(victim.nbytes)
-            victim.owner = None
-            victim.valid_nodes = {MEM_HOST}
+            victim.valid = _HOST_BIT
+            victim.dirty = False
         else:
-            victim.valid_nodes.discard(node_id)
-            if not victim.valid_nodes:
+            valid = victim.valid & ~node_bit
+            if not valid:
                 raise CoherenceError(f"evicted sole replica of {victim}")
+            victim.valid = valid
 
     def release(
         self,
@@ -427,20 +439,40 @@ class DataManager:
         target: int,
     ) -> None:
         """Apply write effects after the task ran on ``target`` and unpin."""
-        mgr = self.managers[target] if target != MEM_HOST else None
+        target_bit = 1 << target
+        on_device = target != MEM_HOST
+        if on_device:
+            mgr = self.managers[target]
+            pinned = mgr._pinned
+        else:
+            pinned = None
+        arrivals = self._arrival
         for handle, mode in handles:
             if mode.writes:
-                # Invalidate all other replicas; target becomes owner.
-                valid = handle.valid_nodes
-                if len(valid) != 1 or target not in valid:
-                    for other in list(valid):
-                        if other != target and other != MEM_HOST:
-                            self.managers[other].remove(handle)
-                    handle.valid_nodes = {target}
-                handle.owner = target if target != MEM_HOST else None
-            if mgr is not None:
-                mgr.unpin(handle)
-            handle.check_invariants()
+                valid = handle.valid
+                if valid != target_bit:
+                    # Invalidate all other device replicas; a prefetch
+                    # arrival recorded for an earlier replica here is dead.
+                    others = valid & ~(target_bit | _HOST_BIT)
+                    while others:
+                        low = others & -others
+                        self.managers[low.bit_length() - 1].remove(handle)
+                        others ^= low
+                    handle.valid = valid = target_bit
+                    arrivals.pop((handle.hid, target), None)
+                handle.dirty = on_device
+            else:
+                valid = handle.valid
+            if pinned is not None:
+                # Inlined MemoryManager.unpin.
+                count = pinned.get(handle)
+                if count == 1:
+                    del pinned[handle]
+                    mgr.pinned_bytes -= handle.nbytes
+                elif count:
+                    pinned[handle] = count - 1
+            if not valid or (handle.dirty and valid & (valid - 1)):
+                handle.check_invariants()  # raises CoherenceError
 
     def abandon(
         self,
@@ -462,13 +494,12 @@ class DataManager:
     def flush_to_host(self, handles: Iterable[DataHandle]) -> None:
         """Write all dirty replicas back to the host (end-of-operation)."""
         for handle in handles:
-            if handle.owner is not None:
-                node_id = handle.owner
-                link = self.node.link_of_mem_node(node_id)
+            if handle.dirty:
+                link = self._links[handle.owner]
                 link.reserve(handle.nbytes, "d2h", f"flush:{handle.label}")
                 self._account(handle.nbytes)
-                handle.owner = None
-                handle.valid_nodes.add(MEM_HOST)
+                handle.dirty = False
+                handle.valid |= _HOST_BIT
 
     def _account(self, nbytes: int) -> None:
         self.bytes_transferred += nbytes

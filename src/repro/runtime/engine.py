@@ -416,12 +416,12 @@ class RuntimeSystem:
                   "Individual link reservations.", data.n_transfers)
         set_total("repro_evictions_total", "LRU device-memory evictions.",
                   sum(mgr.n_evictions for mgr in data.managers.values()))
-        set_total("repro_transfer_memo_total",
-                  "Scoped transfer-estimate memo lookups.",
-                  data.n_memo_hits, labels={"result": "hit"})
-        set_total("repro_transfer_memo_total",
-                  "Scoped transfer-estimate memo lookups.",
-                  data.n_memo_misses, labels={"result": "miss"})
+        # Always zero: nothing memoises transfer estimates.  The two samples
+        # keep the metrics.prom layout that the sha256 goldens pin.
+        for outcome in ("hit", "miss"):
+            set_total("repro_transfer_memo_total",
+                      "Scoped transfer-estimate memo lookups.",
+                      0, labels={"result": outcome})
         perf = self.perf
         set_total("repro_perfmodel_cache_total",
                   "Resolved-estimate cache lookups.",
@@ -546,8 +546,9 @@ class RuntimeSystem:
             handle = self.sim.schedule(duration, self._finish, task, worker, duration)
             self.faults.on_task_running(task, worker, handle, duration)
         # Overlap upcoming queued tasks' transfers with this execution.
-        for nxt in self._scheduler.peek_many(worker, PREFETCH_DEPTH):
-            self.data.prefetch(nxt.accesses, worker.mem_node, nxt.label)
+        self.data.prefetch(
+            self._scheduler.peek_many(worker, PREFETCH_DEPTH), worker.mem_node
+        )
 
     def _finish(self, task: Task, worker: WorkerType, duration: float) -> None:
         now = self.sim.now

@@ -147,14 +147,6 @@ class DMScheduler(Scheduler):
         inline = self._inline_terms
         candidates = [] if log is not None else None
         n_evals = 0
-        # Scoped transfer-estimate memo for this decision (same effect as
-        # data.estimate_cache(), without the contextmanager overhead).
-        # Policies that batch their data estimates (dmda) precompute them in
-        # _prepare_decision instead, making the memo a no-op.
-        data = self.data
-        fresh_memo = data._estimate_memo is None
-        if fresh_memo:
-            data._estimate_memo = {}
         self._prepare_decision(task, now)
         xfer = self._xfer_by_node
         try:
@@ -224,8 +216,6 @@ class DMScheduler(Scheduler):
         finally:
             self.n_placement_evals += n_evals
             self._finish_decision()
-            if fresh_memo:
-                data._estimate_memo = None
         if best is None:
             raise RuntimeError(f"no worker can run {task.op.kind!r}")
         if log is not None:

@@ -21,8 +21,9 @@ class DMDARScheduler(DMDAScheduler):
 
     def _resident_bytes(self, task: Task, mem_node: int) -> int:
         total = 0
+        node_bit = 1 << mem_node
         for handle, mode in task.accesses:
-            if mode.reads and mem_node in handle.valid_nodes:
+            if mode.reads and handle.valid & node_bit:
                 total += handle.nbytes
         return total
 

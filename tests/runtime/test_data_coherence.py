@@ -1,5 +1,7 @@
 """Unit tests for data handles, MSI coherence and LRU memory."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.hardware.catalog import build_platform
@@ -43,12 +45,31 @@ def test_handle_rejects_nonpositive_size():
         DataHandle(0)
 
 
+def test_handle_rejects_negative_home_node():
+    with pytest.raises(ValueError, match="home_node"):
+        DataHandle(100, home_node=-1)
+
+
 def test_invariant_dirty_must_be_sole_replica():
     h = DataHandle(100)
-    h.owner = 2
-    h.valid_nodes = {0, 2}
+    h.valid = 0b101  # nodes 0 and 2
+    h.dirty = True
     with pytest.raises(CoherenceError):
         h.check_invariants()
+
+
+def test_acquire_and_release_trip_on_corrupted_handle(dm):
+    """The per-access tripwire: a handle marked dirty while two nodes hold
+    it must make both acquire and release raise."""
+    for stage in (
+        lambda h: dm.acquire([(h, AccessMode.R)], target=1, now=0.0),
+        lambda h: dm.release([(h, AccessMode.R)], target=1),
+    ):
+        h = DataHandle(10 * MB)
+        h.valid = 0b11  # host and GPU node 1
+        h.dirty = True
+        with pytest.raises(CoherenceError, match="dirty"):
+            stage(h)
 
 
 def test_read_fetch_populates_target(dm):
@@ -129,14 +150,35 @@ def test_flush_to_host_writes_back_dirty(dm):
     assert h.owner is None and 0 in h.valid_nodes
 
 
+def _queued(*accesses):
+    """A queued task as prefetch sees it: its accesses and its label."""
+    return SimpleNamespace(accesses=list(accesses), label="next")
+
+
 def test_prefetch_then_acquire_waits_for_arrival(dm):
     h = DataHandle(100 * MB)
-    dm.prefetch([(h, AccessMode.R)], target=1)
+    dm.prefetch([_queued((h, AccessMode.R))], target=1)
     ready = dm.acquire([(h, AccessMode.R)], target=1, now=0.0)
     assert ready > 0.0  # still in flight
     # Well after arrival the data is just there.
     ready2 = dm.acquire([(h, AccessMode.R)], target=1, now=ready + 1.0)
     assert ready2 == ready + 1.0
+
+
+def test_write_only_replica_does_not_inherit_evicted_prefetch_arrival(dm):
+    """A prefetched replica is evicted before it arrives; a write-only task
+    then makes GPU node 1 the sole replica.  Reading it there is free: the
+    dead prefetch's arrival time must not apply."""
+    dm.managers[1] = MemoryManager(1, capacity_bytes=25 * MB)
+    h, other = DataHandle(20 * MB, "h"), DataHandle(20 * MB, "other")
+    dm.prefetch([_queued((h, AccessMode.R))], target=1)
+    dm.acquire([(other, AccessMode.R)], target=1, now=0.0)  # evicts h
+    dm.release([(other, AccessMode.R)], target=1)
+    assert h.valid_nodes == {0}
+    dm.acquire([(h, AccessMode.W)], target=1, now=0.0)
+    dm.release([(h, AccessMode.W)], target=1)
+    assert h.valid_nodes == {1} and h.owner == 1
+    assert dm.acquire([(h, AccessMode.R)], target=1, now=0.0) == 0.0
 
 
 # ------------------------------------------------------------ MemoryManager
@@ -207,3 +249,21 @@ def test_eviction_of_dirty_tile_writes_back(node):
     assert dm.n_transfers == before + 1  # h1 written back
     assert h1.owner is None and h1.valid_nodes == {0}
     assert dm.managers[1].n_evictions == 1
+
+
+def test_evicting_abandoned_write_residue_keeps_dirty_replica_elsewhere(node):
+    """An aborted write-only task leaves the handle resident, but not valid,
+    on its node.  Evicting that residue drops it without a write-back: the
+    dirty replica on the other GPU stays the owner."""
+    dm = DataManager(node)
+    dm.managers[1] = MemoryManager(1, capacity_bytes=25 * MB)
+    h, other = DataHandle(20 * MB, "h"), DataHandle(20 * MB, "other")
+    dm.acquire([(h, AccessMode.RW)], target=2, now=0.0)
+    dm.release([(h, AccessMode.RW)], target=2)
+    dm.acquire([(h, AccessMode.W)], target=1, now=0.0)
+    dm.abandon([(h, AccessMode.W)], target=1)
+    before = dm.n_transfers
+    dm.acquire([(other, AccessMode.R)], target=1, now=0.0)  # evicts h
+    assert not dm.managers[1].resident(h)
+    assert h.valid_nodes == {2} and h.owner == 2
+    assert dm.n_transfers == before + 1  # other's h2d only
