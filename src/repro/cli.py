@@ -676,8 +676,8 @@ def _cap_config(platform: str, letters: Optional[str]):
 
 def _check_args(args) -> None:
     """Reject an unknown ``--platform``, ``--model`` or ``--scheduler``, a
-    count flag below its minimum, and a period or timeout that is not
-    finite and positive."""
+    count flag below its minimum, a ``--port`` outside 0..65535, and a
+    period or timeout that is not finite and positive."""
     from repro.hardware.catalog import gpu_spec, platform_spec
     from repro.runtime.schedulers import SCHEDULERS
 
@@ -697,6 +697,9 @@ def _check_args(args) -> None:
         if count is not None and count < least:
             flag = "--" + attr.replace("_", "-")
             raise _UsageError(f"{flag} must be >= {least}, got {count}")
+    port = getattr(args, "port", None)
+    if port is not None and not 0 <= port <= 65535:
+        raise _UsageError(f"--port must be in 0..65535, got {port}")
     for attr in ("power_period", "request_timeout", "drain_timeout", "interval", "timeout"):
         seconds = getattr(args, attr, None)
         if seconds is not None and not 0.0 < seconds < math.inf:

@@ -159,14 +159,36 @@ class CPUPackage:
             raise CoreAccountingError(
                 f"{self.name}: all {self.spec.n_cores} cores already busy"
             )
-        self._n_busy += 1
-        self._recompute_power()
+        # _recompute_power, inlined: this runs twice per simulated task.
+        now = self._clock.now
+        last = self._last_t
+        if now < last:
+            raise RuntimeError("clock moved backwards")
+        self._energy_j += self._power_w * (now - last)
+        self._last_t = now
+        n_busy = self._n_busy = self._n_busy + 1
+        dyn = self._dyn_w
+        spinning = self._n_spinning - n_busy
+        if spinning < 0:
+            spinning = 0
+        self._power_w = self.spec.idle_w + n_busy * dyn + spinning * SPIN_FACTOR * dyn
 
     def end_core(self) -> None:
         if self._n_busy <= 0:
             raise CoreAccountingError(f"{self.name}: no busy core to release")
-        self._n_busy -= 1
-        self._recompute_power()
+        # _recompute_power, inlined (see begin_core).
+        now = self._clock.now
+        last = self._last_t
+        if now < last:
+            raise RuntimeError("clock moved backwards")
+        self._energy_j += self._power_w * (now - last)
+        self._last_t = now
+        n_busy = self._n_busy = self._n_busy - 1
+        dyn = self._dyn_w
+        spinning = self._n_spinning - n_busy
+        if spinning < 0:
+            spinning = 0
+        self._power_w = self.spec.idle_w + n_busy * dyn + spinning * SPIN_FACTOR * dyn
 
     def core_gflops(self, precision: str) -> float:
         """Per-core effective GEMM rate under the current cap (Gflop/s)."""

@@ -86,10 +86,6 @@ class GPUDevice:
         self._energy_j += self._power_w * (now - self._last_t)
         self._last_t = now
 
-    def _set_power(self, watts: float) -> None:
-        self._advance()
-        self._power_w = watts
-
     def energy_j(self) -> float:
         """Total energy consumed since construction (Joules)."""
         self._advance()
@@ -218,16 +214,35 @@ class GPUDevice:
             raise DeviceBusyError(f"{self.name} already running {self._kernel_label!r}")
         self._busy = True
         self._kernel_label = label
-        f, power = self._operating_point(precision, activity)
-        self._set_power(power)
-        return f
+        # _operating_point's cache hit and the energy step (_advance, then
+        # the new draw), inlined: this runs once per GPU task.
+        point = self._op_point_cache.get((precision, activity))
+        if point is None:
+            point = self._operating_point(precision, activity)
+        else:
+            self.n_op_cache_hits += 1
+        now = self._clock.now
+        last = self._last_t
+        if now < last:
+            raise RuntimeError("clock moved backwards")
+        self._energy_j += self._power_w * (now - last)
+        self._last_t = now
+        self._power_w = point[1]
+        return point[0]
 
     def end_kernel(self) -> None:
         if not self._busy:
             raise RuntimeError(f"{self.name} not running a kernel")
         self._busy = False
         self._kernel_label = ""
-        self._set_power(self.spec.idle_w)
+        # The energy step, inlined (see begin_kernel).
+        now = self._clock.now
+        last = self._last_t
+        if now < last:
+            raise RuntimeError("clock moved backwards")
+        self._energy_j += self._power_w * (now - last)
+        self._last_t = now
+        self._power_w = self.spec.idle_w
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

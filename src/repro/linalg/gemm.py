@@ -28,16 +28,24 @@ def build_gemm(
         raise ValueError("A, B, C must share precision")
     nt = a.nt
     op = TileOp("gemm", a.nb, a.precision)
+    R, RW = AccessMode.R, AccessMode.RW
+    # Local handle rows, filled at the tasks that first touch each tile, so
+    # handles are created in the same order as one lookup per access:
+    # row i of A during j == 0, column j of B during i == 0.
+    b_cols: list[list] = [[] for _ in range(nt)]
     for i in range(nt):
+        a_row: list = []
         for j in range(nt):
+            cij = c.handle(i, j)
+            b_col = b_cols[j]
             for k in range(nt):
+                if j == 0:
+                    a_row.append(a.handle(i, k))
+                if i == 0:
+                    b_col.append(b.handle(k, j))
                 graph.add_task(
                     op,
-                    [
-                        (c.handle(i, j), AccessMode.RW),
-                        (a.handle(i, k), AccessMode.R),
-                        (b.handle(k, j), AccessMode.R),
-                    ],
+                    [(cij, RW), (a_row[k], R), (b_col[k], R)],
                     priority=priority,
                     label=f"gemm[{i},{j},{k}]",
                     payload={

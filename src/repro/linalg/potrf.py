@@ -27,35 +27,45 @@ def build_potrf(graph: TaskGraph, a: TileMatrix) -> TaskGraph:
     op_trsm = TileOp("trsm", nb, prec)
     op_syrk = TileOp("syrk", nb, prec)
     op_gemm = TileOp("gemm", nb, prec)
+    R, RW = AccessMode.R, AccessMode.RW
+    # cols[j][i - j] is tile (i, j) of the lower triangle.  A column is
+    # fetched whole at its first touch (column 0 at the first POTRF, column
+    # n at the first SYRK on it), which creates its handles in exactly the
+    # order the tasks below would first touch them one by one.
+    cols: list = [None] * nt
     for k in range(nt):
+        ck = cols[k]
+        if ck is None:
+            ck = cols[k] = [a.handle(i, k) for i in range(k, nt)]
+        akk = ck[0]
         graph.add_task(
             op_potrf,
-            [(a.handle(k, k), AccessMode.RW)],
+            [(akk, RW)],
             label=f"potrf[{k}]",
             payload={"kind": "potrf", "A": (a, k, k)},
         )
         for m in range(k + 1, nt):
             graph.add_task(
                 op_trsm,
-                [(a.handle(k, k), AccessMode.R), (a.handle(m, k), AccessMode.RW)],
+                [(akk, R), (ck[m - k], RW)],
                 label=f"trsm[{m},{k}]",
                 payload={"kind": "trsm", "L": (a, k, k), "A": (a, m, k)},
             )
         for n in range(k + 1, nt):
+            cn = cols[n]
+            if cn is None:
+                cn = cols[n] = [a.handle(i, n) for i in range(n, nt)]
+            ank = ck[n - k]
             graph.add_task(
                 op_syrk,
-                [(a.handle(n, k), AccessMode.R), (a.handle(n, n), AccessMode.RW)],
+                [(ank, R), (cn[0], RW)],
                 label=f"syrk[{n},{k}]",
                 payload={"kind": "syrk", "A": (a, n, k), "C": (a, n, n)},
             )
             for m in range(n + 1, nt):
                 graph.add_task(
                     op_gemm,
-                    [
-                        (a.handle(m, n), AccessMode.RW),
-                        (a.handle(m, k), AccessMode.R),
-                        (a.handle(n, k), AccessMode.R),
-                    ],
+                    [(cn[m - n], RW), (ck[m - k], R), (ank, R)],
                     label=f"gemm[{m},{n},{k}]",
                     payload={
                         "kind": "gemm",

@@ -48,6 +48,13 @@ CALIBRATION_SAMPLES = 4
 #: Upcoming queued tasks whose input transfers overlap a running kernel.
 PREFETCH_DEPTH = 3
 
+# Task states as module constants for the per-task handlers: attribute
+# access on an Enum class costs about 100 ns, several times per task.
+_CREATED = TaskState.CREATED
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_DONE = TaskState.DONE
+
 
 class RuntimeError_(RuntimeError):
     """Engine-level failure (deadlock, misuse)."""
@@ -138,7 +145,7 @@ class RuntimeSystem:
         # Generator are bit-identical to the same number of scalar draws,
         # and the buffer survives across run() calls, so consumption order
         # matches the unbuffered engine draw-for-draw.
-        self._noise_buf = None
+        self._noise_buf: list[float] = []
         self._noise_i = 0
         self._noise_sigma = exec_noise
         # Fault recovery (off by default: None keeps hot paths clean; a
@@ -474,37 +481,38 @@ class RuntimeSystem:
             m.publish_to(self.bus)
 
     def _try_start(self, worker: WorkerType) -> None:
-        task = self._scheduler.pop(worker, self.sim.now)
+        # The clock cannot move inside an event handler: read it once.
+        now = self.sim.now
+        task = self._scheduler.pop(worker, now)
         if task is None:
             return
-        if not worker.can_run(task.op):
+        # Worker.can_run, inlined: a GPU worker runs only GPU kernels.
+        if worker.is_gpu and not task.op.runs_on_gpu:
             raise RuntimeError_(
                 f"scheduler gave {task.op.kind!r} to {worker.name}, which has "
                 "no implementation for it"
             )
         worker.busy = True
-        task.state = TaskState.RUNNING
+        task.state = _RUNNING
         task.worker_name = worker.name
-        self._scheduler.task_started(task, worker, self.sim.now)
+        self._scheduler.task_started(task, worker, now)
         metrics = self.metrics
         if metrics is not None:
             metrics.histogram(
                 "repro_queue_wait_seconds",
                 "Simulated time from task-ready to worker pop.",
                 labels={"arch": worker.arch},
-            ).observe(self.sim.now - self._ready_at.pop(task.tid, self.sim.now))
-        target = worker.mem_node
-        ready = self.data.acquire(task.accesses, target, self.sim.now, task.label)
+            ).observe(now - self._ready_at.pop(task.tid, now))
+        ready = self.data.acquire(task.accesses, worker.mem_node, now, task.label)
         if metrics is not None:
             metrics.histogram(
                 "repro_stage_wait_seconds",
                 "Simulated transfer delay staging a task's inputs.",
                 labels={"arch": worker.arch},
-            ).observe(max(0.0, ready - self.sim.now))
+            ).observe(max(0.0, ready - now))
         if worker.is_gpu:
             # The driver core busy-waits through staging and execution.
             worker.driver_package.begin_core()
-        now = self.sim.now
         start = ready if ready > now else now
         if self._no_faults:
             self.sim.post_at(start, self._start_exec, task, worker)
@@ -513,13 +521,16 @@ class RuntimeSystem:
             self.faults.on_task_staging(task, worker, handle)
 
     def _next_noise(self) -> float:
-        """Next pre-drawn lognormal execution-noise sample (refill by block)."""
+        """Next pre-drawn lognormal execution-noise sample (refill by block).
+
+        :meth:`_start_exec` takes samples inline while the buffer holds
+        them; this is the refill path."""
         i = self._noise_i
         buf = self._noise_buf
-        if buf is None or i >= len(buf) or self._noise_sigma != self.exec_noise:
+        if i >= len(buf) or self._noise_sigma != self.exec_noise:
             buf = self._noise_buf = self._exec_rng.lognormal(
                 0.0, self.exec_noise, size=1024
-            )
+            ).tolist()
             self._noise_sigma = self.exec_noise
             i = 0
         self._noise_i = i + 1
@@ -528,7 +539,13 @@ class RuntimeSystem:
     def _start_exec(self, task: Task, worker: WorkerType) -> None:
         now = self.sim.now
         task.start_time = now
-        noise = float(self._next_noise())
+        i = self._noise_i
+        buf = self._noise_buf
+        if i < len(buf) and self._noise_sigma == self.exec_noise:
+            self._noise_i = i + 1
+            noise = buf[i]
+        else:
+            noise = self._next_noise()
         op = task.op
         if worker.is_gpu:
             worker.gpu.begin_kernel(op.precision, op.activity(worker.gpu.spec), task.label)
@@ -558,7 +575,7 @@ class RuntimeSystem:
         else:
             worker.package.end_core()
         self.data.release(task.accesses, worker.mem_node)
-        task.state = TaskState.DONE
+        task.state = _DONE
         task.end_time = now
         worker.busy = False
         worker.n_tasks += 1
@@ -600,25 +617,33 @@ class RuntimeSystem:
             # can need a start here are the one this completion freed and
             # the ones that just received pushes — examined in worker-index
             # order, exactly as the full scan would.
-            targets = {worker.index: worker}
+            # The dict and its sort are built only once a successor lands
+            # on another worker; most completions feed only their own.
+            targets = None
             for succ in task.successors:
                 succ.deps_remaining -= 1
-                if succ.deps_remaining == 0 and succ.state is TaskState.CREATED:
-                    succ.state = TaskState.READY
+                if succ.deps_remaining == 0 and succ.state is _CREATED:
+                    succ.state = _READY
                     if metrics is not None:
                         self._ready_at[succ.tid] = now
                     placed = scheduler.push_ready(succ, now)
-                    if placed is not None:
+                    if placed is not None and placed is not worker:
+                        if targets is None:
+                            targets = {worker.index: worker}
                         targets[placed.index] = placed
-            for index in sorted(targets):
-                w = targets[index]
-                if not w.busy and w.available and scheduler.has_work_for(w):
-                    self._try_start(w)
+            if targets is None:
+                if not worker.busy and worker.available and scheduler.has_work_for(worker):
+                    self._try_start(worker)
+            else:
+                for index in sorted(targets):
+                    w = targets[index]
+                    if not w.busy and w.available and scheduler.has_work_for(w):
+                        self._try_start(w)
         else:
             for succ in task.successors:
                 succ.deps_remaining -= 1
-                if succ.deps_remaining == 0 and succ.state is TaskState.CREATED:
-                    succ.state = TaskState.READY
+                if succ.deps_remaining == 0 and succ.state is _CREATED:
+                    succ.state = _READY
                     if metrics is not None:
                         self._ready_at[succ.tid] = now
                     scheduler.push_ready(succ, now)

@@ -99,28 +99,39 @@ class TaskGraph:
     ) -> Task:
         """Submit a task; dependencies are inferred from data hazards."""
         task = Task(next(self._tid), op, accesses, priority, label, payload)
-        deps: dict[int, Task] = {}
+        handles = self._handles
+        last_writer = self._last_writer
+        readers_since_write = self._readers_since_write
+        # Distinct predecessors in first-seen order (tasks hash by identity).
+        deps: dict[Task, None] = {}
         for handle, mode in task.accesses:
-            self._handles[handle.hid] = handle
-            writer = self._last_writer.get(handle)
-            readers = self._readers_since_write.get(handle, ())
+            handles[handle.hid] = handle
+            readers = readers_since_write.get(handle)
             if mode.writes and readers:
                 # WAR edges; RAW/WAW edges to the last writer are implied
                 # transitively through these readers.
                 for reader in readers:
-                    deps[reader.tid] = reader
-            elif writer is not None:
-                deps[writer.tid] = writer  # RAW and/or WAW
-        for dep in deps.values():
+                    deps[reader] = None
+            else:
+                writer = last_writer.get(handle)
+                if writer is not None:
+                    deps[writer] = None  # RAW and/or WAW
+        for dep in deps:
             dep.successors.append(task)
-            task.deps_remaining += 1
-            self.n_edges += 1
+        task.deps_remaining = len(deps)
+        self.n_edges += len(deps)
+        # A second pass: the hazards above must see the state from before
+        # this task, even when it accesses one handle twice.
         for handle, mode in task.accesses:
             if mode.writes:
-                self._last_writer[handle] = task
-                self._readers_since_write[handle] = []
+                last_writer[handle] = task
+                readers_since_write[handle] = []
             elif mode.reads:
-                self._readers_since_write.setdefault(handle, []).append(task)
+                readers = readers_since_write.get(handle)
+                if readers is None:
+                    readers_since_write[handle] = [task]
+                else:
+                    readers.append(task)
         self.tasks.append(task)
         return task
 
@@ -197,6 +208,13 @@ class TaskGraph:
         """
         depth: dict[int, int] = {}
         for t in reversed(self.tasks):
-            depth[t.tid] = 1 + max((depth[s.tid] for s in t.successors), default=0)
+            # A plain loop: max() over a generator costs more than the
+            # one to three successors a tile task has.
+            d = 0
+            for s in t.successors:
+                ds = depth[s.tid]
+                if ds > d:
+                    d = ds
+            depth[t.tid] = d + 1
         for t in self.tasks:
             t.priority = depth[t.tid]

@@ -73,11 +73,20 @@ class Scheduler(ABC):
         """Human-readable name of a worker's placement class (decision log)."""
         return f"{worker.arch}@m{getattr(worker, 'mem_node', '?')}"
 
-    def _build_placement_classes(self) -> list[list[tuple[int, WorkerType]]]:
-        """Group workers by :meth:`placement_class_key`, preserving worker
-        order both across and within classes.  Each entry keeps the worker's
-        index in ``self.workers`` so tie-breaks match a brute-force scan.
-        Excluded (quarantined) workers are left out entirely."""
+    def _rebuild_placement_classes(self) -> None:
+        """Group workers by :meth:`placement_class_key` into one flat record
+        per class, in worker order both across and within classes.
+
+        Each record is ``(w0, is_gpu, arch, mem_node, index, members, view,
+        buf)``: the class's first worker and the three fields placement
+        reads from it; ``index``, the first worker's position in
+        ``self.workers`` (tie-breaks match a brute-force scan); ``members``,
+        the ``(index, worker)`` pairs; ``view``, the class's segment of any
+        worker-position-indexed array (e.g. the dm backlog array); and
+        ``buf``, a reusable output array for the vectorized cost fold
+        (``None`` for a singleton class).  Excluded (quarantined) workers
+        are left out entirely.
+        """
         classes: dict = {}
         for index, worker in enumerate(self.workers):
             if worker.name in self._excluded:
@@ -85,39 +94,30 @@ class Scheduler(ABC):
             classes.setdefault(self.placement_class_key(worker), []).append(
                 (index, worker)
             )
-        return list(classes.values())
-
-    def _rebuild_placement_classes(self) -> None:
-        """Refresh both views of the placement classes.
-
-        ``_placement_classes`` is the member list; ``_placement_classes_np``
-        pairs each class with a numpy index array into the policy's
-        worker-position-indexed state (e.g. the dm backlog array), so member
-        costs can be computed as one vectorized expression."""
-        self._placement_classes = self._build_placement_classes()
-        self._placement_classes_np = []
-        for members in self._placement_classes:
-            indices = np.fromiter((i for i, _ in members), dtype=np.intp)
+        records = []
+        for members in classes.values():
+            index, w0 = members[0]
+            n = len(members)
             # Workers of one class are consecutive in the worker list for
             # every cataloged platform (GPU workers first, then each CPU
-            # package's cores in order), so the class's backlog segment is
-            # usually a zero-copy slice of the backlog array; exclusions can
-            # punch holes, in which case fancy indexing (a copy) is used.
-            first = int(indices[0])
-            contiguous = slice(first, first + len(members))
-            if len(members) > 1 and int(indices[-1]) != first + len(members) - 1:
-                contiguous = None
-            # Reusable output buffer for the vectorized cost fold (avoids a
-            # fresh allocation per class per decision).
-            buf = np.empty(len(members)) if len(members) > 1 else None
-            self._placement_classes_np.append((members, indices, contiguous, buf))
+            # package's cores in order), so the class's segment is usually
+            # a zero-copy slice; exclusions can punch holes, in which case
+            # an index array (fancy indexing, a copy) is used.
+            view = slice(index, index + n)
+            if members[-1][0] != index + n - 1:
+                view = np.fromiter((i for i, _ in members), dtype=np.intp)
+            buf = np.empty(n) if n > 1 else None
+            records.append((
+                w0, w0.is_gpu, w0.arch, getattr(w0, "mem_node", None),
+                index, members, view, buf,
+            ))
+        self._placement_records = records
         #: Distinct memory nodes across the placement classes, in class
         #: order — the targets a data-aware policy must price per decision.
         seen: dict = {}
-        for members in self._placement_classes:
-            mem = getattr(members[0][1], "mem_node", None)
-            if mem is not None:
-                seen[mem] = True
+        for record in records:
+            if record[3] is not None:
+                seen[record[3]] = True
         self._placement_mem_nodes = tuple(seen)
 
     # -------------------------------------------------------- fault recovery
@@ -141,21 +141,6 @@ class Scheduler(ABC):
     def _drain_queue(self, worker: WorkerType) -> list[Task]:
         """Empty the worker's private queue; default for shared queues."""
         return []
-
-    # ---------------------------------------------------------- decision hooks
-
-    def _prepare_decision(self, task: Task, now: float) -> None:
-        """Hook: called once per placement decision, before the class scan.
-
-        Data-aware policies use it to batch-compute per-memory-node state
-        shared by every placement class (e.g. dmda's transfer estimates),
-        instead of recomputing it class by class inside
-        :meth:`~repro.runtime.schedulers.dm.DMScheduler.placement_terms`.
-        """
-
-    def _finish_decision(self) -> None:
-        """Hook: called after the class scan (even on error); drop any
-        per-decision state installed by :meth:`_prepare_decision`."""
 
     @abstractmethod
     def push_ready(self, task: Task, now: float) -> Optional[WorkerType]:

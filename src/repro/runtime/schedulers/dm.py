@@ -46,16 +46,18 @@ class DMScheduler(Scheduler):
     binds_tasks = True
 
     #: Whether the class scan may compute the placement terms inline: the
-    #: duration estimate, then the transfer term when
-    #: :meth:`_prepare_decision` priced one into :attr:`_xfer_by_node`.
-    #: Cleared automatically for a subclass that overrides
-    #: :meth:`placement_terms` or :meth:`estimate` without re-declaring it,
-    #: so such a subclass's terms always go through its override.
+    #: duration estimate, then the transfer term when the policy is
+    #: :attr:`data_aware`.  Cleared automatically for a subclass that
+    #: overrides :meth:`placement_terms` or :meth:`estimate` without
+    #: re-declaring it, so such a subclass's terms always go through its
+    #: override.
     _inline_terms = True
 
-    #: Per-decision transfer estimates keyed by memory node, installed by a
-    #: data-aware policy's :meth:`_prepare_decision`; ``None`` otherwise.
-    _xfer_by_node = None
+    #: Whether placement adds a transfer term (the dmda family).  The class
+    #: scan then prices every candidate memory node in one
+    #: ``DataManager.transfer_estimates`` walk per decision and hands the
+    #: table to :meth:`placement_terms`.
+    data_aware = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -83,7 +85,9 @@ class DMScheduler(Scheduler):
 
     # --------------------------------------------------------------- scoring
 
-    def placement_terms(self, task: Task, worker: WorkerType, now: float) -> tuple[float, ...]:
+    def placement_terms(
+        self, task: Task, worker: WorkerType, now: float, xfer: Optional[dict] = None
+    ) -> tuple[float, ...]:
         """Cost addends beyond the worker's backlog, in fold order.
 
         ``cost(w) = ((backlog(w) + terms[0]) + terms[1]) + ...`` with
@@ -91,8 +95,10 @@ class DMScheduler(Scheduler):
         Every term must depend on the worker only through its placement
         class (:meth:`Scheduler.placement_class_key`), and ``terms[0]``
         must be the duration estimate (it feeds the backlog accounting).
-        Subclasses overriding :meth:`placement_cost` must keep this method
-        consistent or set :attr:`brute_force_placement`.
+        ``xfer`` is the class scan's per-decision transfer table (memory
+        node -> seconds) for a :attr:`data_aware` policy, ``None`` outside
+        the scan.  Subclasses overriding :meth:`placement_cost` must keep
+        this method consistent or set :attr:`brute_force_placement`.
         """
         return (self.estimate(task, worker),)
 
@@ -136,86 +142,84 @@ class DMScheduler(Scheduler):
                     ),
                 ))
             return best, self.estimate(task, best)
+        op = task.op
+        runs_on_gpu = op.runs_on_gpu
+        estimate = self.perf.estimate
+        backlog = self._backlog
+        inline = self._inline_terms
+        # One walk over the task's handles prices every candidate memory
+        # node at once (the d2h leg of each miss is shared across targets),
+        # instead of one walk per placement class.
+        xfer = (
+            self.data.transfer_estimates(task.accesses, self._placement_mem_nodes)
+            if self.data_aware else None
+        )
+        candidates = [] if log is not None else None
         best: Optional[WorkerType] = None
         best_cost = math.inf
         best_index = -1
         best_est = 0.0
-        backlog = self._backlog
-        op = task.op
-        runs_on_gpu = op.runs_on_gpu
-        estimate = self.perf.estimate
-        inline = self._inline_terms
-        candidates = [] if log is not None else None
         n_evals = 0
-        self._prepare_decision(task, now)
-        xfer = self._xfer_by_node
-        try:
-            for members, indices, view, buf in self._placement_classes_np:
-                w0 = members[0][1]
-                if w0.is_gpu and not runs_on_gpu:
-                    continue
-                n_evals += 1
-                # The class's terms: the duration estimate first, then the
-                # rest in fold order.  Stock policies compute them inline
-                # (no method call, no tuple); overrides go through
-                # placement_terms.
-                if inline:
-                    est = estimate(op, w0.arch)
-                    rest = () if xfer is None else (xfer[w0.mem_node],)
-                else:
-                    terms = self.placement_terms(task, w0, now)
-                    est = terms[0]
-                    rest = terms[1:]
-                if buf is None:
-                    # Singleton class (each GPU is its own arch): a scalar
-                    # fold in Python floats (IEEE doubles, as numpy's).
-                    index = members[0][0]
-                    seg_backlog = backlog.item(index)
-                    cost = seg_backlog + est
-                    for term in rest:
-                        cost += term
-                    if cost < best_cost or (cost == best_cost and index < best_index):
-                        best, best_cost, best_index, best_est = w0, cost, index, est
-                    if candidates is not None:
-                        costs_list = [cost]
-                        class_backlogs = (seg_backlog,)
-                else:
-                    # Vectorized fold: element-wise IEEE adds in the same
-                    # left-to-right order as the scalar loop, so every cost
-                    # is bit-identical to a per-worker scan.  ``view`` is a
-                    # zero-copy slice of the backlog array when the class's
-                    # workers are consecutive (always, on the cataloged
-                    # platforms); ``buf`` is the class's reusable output
-                    # array.
-                    seg = backlog[view] if view is not None else backlog[indices]
-                    np.add(seg, est, out=buf)
-                    for term in rest:
-                        np.add(buf, term, out=buf)
-                    # argmin returns the FIRST minimum; members are in
-                    # worker-index order, so this is the lowest-index winner
-                    # — the same tie-break as the scalar scan.
-                    i = int(buf.argmin())
-                    cost = buf.item(i)
-                    index = members[i][0]
-                    if cost < best_cost or (cost == best_cost and index < best_index):
-                        best, best_cost, best_index, best_est = (
-                            members[i][1], cost, index, est,
-                        )
-                    if candidates is not None:
-                        costs_list = buf.tolist()
-                        class_backlogs = tuple(seg.tolist())
+        for w0, is_gpu, arch, mem_node, index, members, view, buf in self._placement_records:
+            if is_gpu and not runs_on_gpu:
+                continue
+            n_evals += 1
+            # The class's terms: the duration estimate first, then the rest
+            # in fold order.  Stock policies compute them inline (no method
+            # call); overrides go through placement_terms.
+            if inline:
+                est = estimate(op, arch)
+                rest = () if xfer is None else (xfer[mem_node],)
+            else:
+                terms = self.placement_terms(task, w0, now, xfer)
+                est = terms[0]
+                rest = terms[1:]
+            if buf is None:
+                # Singleton class (each GPU is its own arch): a scalar fold
+                # in Python floats (IEEE doubles, as numpy's).
+                seg_backlog = backlog.item(index)
+                cost = seg_backlog + est
+                for term in rest:
+                    cost += term
+                if cost < best_cost or (cost == best_cost and index < best_index):
+                    best, best_cost, best_index, best_est = w0, cost, index, est
                 if candidates is not None:
-                    candidates.append(CandidateClass(
-                        class_key=self.placement_class_label(w0),
-                        workers=tuple(w.name for _, w in members),
-                        indices=tuple(i for i, _ in members),
-                        backlogs=class_backlogs,
-                        terms=(est, *rest),
-                        costs=tuple(costs_list),
-                    ))
-        finally:
-            self.n_placement_evals += n_evals
-            self._finish_decision()
+                    costs_list = [cost]
+                    class_backlogs = (seg_backlog,)
+            else:
+                # Vectorized fold: element-wise IEEE adds in the same
+                # left-to-right order as the scalar loop, so every cost is
+                # bit-identical to a per-worker scan.  ``view`` is a
+                # zero-copy slice of the backlog array when the class's
+                # workers are consecutive (always, on the cataloged
+                # platforms); ``buf`` is the class's reusable output array.
+                seg = backlog[view]
+                np.add(seg, est, out=buf)
+                for term in rest:
+                    np.add(buf, term, out=buf)
+                # argmin returns the FIRST minimum; members are in
+                # worker-index order, so this is the lowest-index winner —
+                # the same tie-break as the scalar scan.
+                i = int(buf.argmin())
+                cost = buf.item(i)
+                member_index = members[i][0]
+                if cost < best_cost or (cost == best_cost and member_index < best_index):
+                    best, best_cost, best_index, best_est = (
+                        members[i][1], cost, member_index, est,
+                    )
+                if candidates is not None:
+                    costs_list = buf.tolist()
+                    class_backlogs = tuple(seg.tolist())
+            if candidates is not None:
+                candidates.append(CandidateClass(
+                    class_key=self.placement_class_label(w0),
+                    workers=tuple(w.name for _, w in members),
+                    indices=tuple(i for i, _ in members),
+                    backlogs=class_backlogs,
+                    terms=(est, *rest),
+                    costs=tuple(costs_list),
+                ))
+        self.n_placement_evals += n_evals
         if best is None:
             raise RuntimeError(f"no worker can run {task.op.kind!r}")
         if log is not None:
@@ -282,7 +286,11 @@ class DMScheduler(Scheduler):
     def task_finished(self, task: Task, worker: WorkerType, now: float) -> None:
         est = self._task_est.pop(task.tid, 0.0)
         pos = self._pos[worker.name]
-        self._backlog[pos] = max(0.0, self._backlog[pos] - est)
+        backlog = self._backlog
+        # Python floats, not numpy scalars: the same IEEE subtraction and
+        # the same clamp as max(0.0, ...), without the scalar boxing.
+        left = backlog.item(pos) - est
+        backlog[pos] = left if left > 0.0 else 0.0
 
     def _drain_queue(self, worker: WorkerType) -> list[Task]:
         queue = self._queues[worker.name]

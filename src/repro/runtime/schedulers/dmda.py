@@ -7,6 +7,8 @@ so tasks gravitate to devices that already hold their data.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.runtime.graph import Task
 from repro.runtime.schedulers.dm import DMScheduler
 from repro.runtime.worker import WorkerType
@@ -15,27 +17,19 @@ from repro.runtime.worker import WorkerType
 class DMDAScheduler(DMScheduler):
     name = "dmda"
 
+    data_aware = True
+
     #: :meth:`placement_terms` below is exactly what the class scan
-    #: computes inline (estimate, then ``_xfer_by_node[mem_node]``).
+    #: computes inline (estimate, then the table's ``xfer[mem_node]``).
     _inline_terms = True
 
-    def _prepare_decision(self, task: Task, now: float) -> None:
-        # One pass over the task's handles prices every candidate memory
-        # node at once (the d2h leg of each miss is shared across targets),
-        # instead of one full walk per placement class.  Outside a decision
-        # (e.g. the brute-force path calling placement_terms directly) the
-        # table is None and the singular transfer_estimate runs instead.
-        self._xfer_by_node = self.data.transfer_estimates(
-            task.accesses, self._placement_mem_nodes
-        )
-
-    def _finish_decision(self) -> None:
-        self._xfer_by_node = None
-
-    def placement_terms(self, task: Task, worker: WorkerType, now: float) -> tuple[float, ...]:
-        # Flattened (no super() chain): this runs once per placement class
-        # for every pushed task.  terms[0] must stay the duration estimate.
-        xfer = self._xfer_by_node
+    def placement_terms(
+        self, task: Task, worker: WorkerType, now: float, xfer: Optional[dict] = None
+    ) -> tuple[float, ...]:
+        # Flattened (no super() chain): terms[0] must stay the duration
+        # estimate.  Outside the class scan (the brute-force path, or
+        # placement_cost called directly) there is no table and the
+        # singular transfer_estimate runs instead.
         return (
             self.perf.estimate(task.op, worker.arch),
             xfer[worker.mem_node] if xfer is not None

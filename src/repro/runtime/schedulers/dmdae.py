@@ -13,6 +13,8 @@ larger values trade makespan for energy.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.runtime.graph import Task
 from repro.runtime.schedulers.dmdas import DMDASScheduler
 from repro.runtime.worker import GPUWorker, WorkerType
@@ -38,8 +40,10 @@ class DMDAEScheduler(DMDASScheduler):
             power = pkg.spec.per_core_w * pkg.freq_scale**3
         return duration * power
 
-    def placement_terms(self, task: Task, worker: WorkerType, now: float) -> tuple[float, ...]:
+    def placement_terms(
+        self, task: Task, worker: WorkerType, now: float, xfer: Optional[dict] = None
+    ) -> tuple[float, ...]:
         energy = self.task_energy_estimate(task, worker)
-        return super().placement_terms(task, worker, now) + (
+        return super().placement_terms(task, worker, now, xfer) + (
             self.energy_weight * energy / REFERENCE_POWER_W,
         )

@@ -115,6 +115,11 @@ class EventHandle:
 class Simulator:
     """A deterministic discrete-event simulator.
 
+    ``now`` — the current simulation time in seconds — is a plain slot
+    attribute, not a property: the engine, the devices and the links read
+    it several times per simulated task.  Only the simulator advances it;
+    callers treat it as read-only.
+
     Example
     -------
     >>> sim = Simulator()
@@ -137,7 +142,7 @@ class Simulator:
         "_spill",
         "_tail_key",
         "_seq",
-        "_now",
+        "now",
         "_running",
         "_n_cancelled",
         "n_processed",
@@ -153,7 +158,7 @@ class Simulator:
         self._spill: list[tuple] = []
         self._tail_key = _NEG_INF  # high-water time admitted to the tail
         self._seq = 0
-        self._now = 0.0
+        self.now = 0.0  # current simulation time (s); only the drain loops move it
         self._running = False
         self._n_cancelled = 0
         self.n_processed = 0
@@ -162,11 +167,6 @@ class Simulator:
         self._flushed_events = 0
         self._flushed_compactions = 0
         self._flushed_cancelled = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     def n_pending(self) -> int:
         """Number of queued entries (cancelled-but-undiscarded included)."""
@@ -179,7 +179,7 @@ class Simulator:
         # One chained comparison: rejects negative, NaN and inf delays.
         if not 0.0 <= delay < _INF:
             raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
-        time = self._now + delay
+        time = self.now + delay
         handle = EventHandle(time, fn, args, self)
         seq = self._seq
         self._seq = seq + 1
@@ -192,9 +192,9 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             raise SimulationError(
-                f"event time must be finite and >= now (t={self._now}), got {time!r}"
+                f"event time must be finite and >= now (t={self.now}), got {time!r}"
             )
         handle = EventHandle(time, fn, args, self)
         seq = self._seq
@@ -216,7 +216,7 @@ class Simulator:
         # One chained comparison: rejects negative, NaN and inf delays.
         if not 0.0 <= delay < _INF:
             raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         if time >= self._tail_key:
@@ -227,9 +227,9 @@ class Simulator:
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fast-path :meth:`schedule_at`: absolute-time, non-cancellable."""
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             raise SimulationError(
-                f"event time must be finite and >= now (t={self._now}), got {time!r}"
+                f"event time must be finite and >= now (t={self.now}), got {time!r}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -321,7 +321,7 @@ class Simulator:
             self._flush_totals()
             return False
         self._pop_front(entry)
-        self._now = entry[_TIME]
+        self.now = entry[_TIME]
         self.n_processed += 1
         self._flush_totals()
         entry[_FN](*entry[_ARGS])
@@ -366,7 +366,7 @@ class Simulator:
                     if handle is not None and handle.cancelled:
                         self._n_cancelled -= 1
                         continue
-                    self._now = time
+                    self.now = time
                     processed += 1
                     fn(*args)
             else:
@@ -380,7 +380,7 @@ class Simulator:
                     if max_events is not None and processed >= max_events:
                         break
                     self._pop_front(entry)
-                    self._now = time
+                    self.now = time
                     processed += 1
                     entry[_FN](*entry[_ARGS])
                     # Batch delivery: every remaining event at this exact
@@ -414,8 +414,8 @@ class Simulator:
             self.n_processed += processed
             self._running = False
             self._flush_totals()
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
 
     def _flush_totals(self) -> None:
         """Push this simulator's work deltas into :data:`ENGINE_TOTALS`."""

@@ -134,6 +134,8 @@ def bad_plans(tmp_path):
     (["report", "{out}", "--follow", "--timeout", "-1"],
      "--timeout must be finite and > 0, got -1.0"),
     (["report", "{out}", "--max-gaps", "-2"], "--max-gaps must be >= 0, got -2"),
+    (["serve", "--port", "70000"], "--port must be in 0..65535, got 70000"),
+    (["serve", "--port", "-1"], "--port must be in 0..65535, got -1"),
 ])
 def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
                                                   capsys):

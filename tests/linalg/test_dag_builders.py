@@ -114,3 +114,38 @@ def test_gemm_graph_handles_three_matrices():
     g, a, b, c = gemm_graph(128 * 2, 128, "double")
     assert a.n_handles == b.n_handles == c.n_handles == 4
     assert len(g.handles) == 12
+
+
+def test_potrf_labels_and_handle_first_touch_order_are_pinned():
+    g, _ = potrf_graph(4 * 64, 64, "double")
+    assert [t.label for t in g.tasks] == (
+        "potrf[0] trsm[1,0] trsm[2,0] trsm[3,0] syrk[1,0] gemm[2,1,0] "
+        "gemm[3,1,0] syrk[2,0] gemm[3,2,0] syrk[3,0] potrf[1] trsm[2,1] "
+        "trsm[3,1] syrk[2,1] gemm[3,2,1] syrk[3,1] potrf[2] trsm[3,2] "
+        "syrk[3,2] potrf[3]"
+    ).split()
+    assert [" ".join(h.label for h, _ in t.accesses) for t in g.tasks] == [
+        "A[0,0]", "A[0,0] A[1,0]", "A[0,0] A[2,0]", "A[0,0] A[3,0]",
+        "A[1,0] A[1,1]", "A[2,1] A[2,0] A[1,0]", "A[3,1] A[3,0] A[1,0]",
+        "A[2,0] A[2,2]", "A[3,2] A[3,0] A[2,0]", "A[3,0] A[3,3]", "A[1,1]",
+        "A[1,1] A[2,1]", "A[1,1] A[3,1]", "A[2,1] A[2,2]",
+        "A[3,2] A[3,1] A[2,1]", "A[3,1] A[3,3]", "A[2,2]", "A[2,2] A[3,2]",
+        "A[3,2] A[3,3]", "A[3,3]",
+    ]
+    # Handles are created (hids drawn) in first-touch order.
+    assert [h.label for h in g.handles] == (
+        "A[0,0] A[1,0] A[2,0] A[3,0] A[1,1] A[2,1] A[3,1] A[2,2] A[3,2] A[3,3]"
+    ).split()
+    assert sorted(g.handles, key=lambda h: h.hid) == g.handles
+
+
+def test_gemm_labels_and_handle_first_touch_order_are_pinned():
+    g, *_ = gemm_graph(2 * 64, 64, "double")
+    assert [t.label for t in g.tasks] == [
+        f"gemm[{i},{j},{k}]" for i in range(2) for j in range(2) for k in range(2)
+    ]
+    assert [h.label for h in g.handles] == (
+        "C[0,0] A[0,0] B[0,0] A[0,1] B[1,0] C[0,1] B[0,1] B[1,1] "
+        "C[1,0] A[1,0] A[1,1] C[1,1]"
+    ).split()
+    assert sorted(g.handles, key=lambda h: h.hid) == g.handles

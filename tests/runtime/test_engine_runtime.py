@@ -162,6 +162,31 @@ def test_run_requires_simulator_clock():
         RuntimeSystem(node)
 
 
+def test_rogue_scheduler_handing_cpu_only_kernel_to_gpu_is_caught(monkeypatch):
+    """The engine re-checks every pop: a policy that gives a CPU-only
+    ``potrf`` tile to a GPU worker fails the run, naming both."""
+    import repro.runtime.engine as engine_mod
+    from repro.runtime.engine import RuntimeError_
+    from repro.runtime.schedulers.eager import EagerScheduler
+
+    class RogueScheduler(EagerScheduler):
+        def pop(self, worker, now):
+            if not self._queue:
+                return None
+            self.n_popped += 1
+            return self._queue.popleft()
+
+    monkeypatch.setattr(
+        engine_mod, "make_scheduler",
+        lambda name, workers, perf, data, rng: RogueScheduler(workers, perf, data, rng),
+    )
+    _, rt = _system()
+    g, _ = potrf_graph(512 * 2, 512, "double")
+    assert not g.tasks[0].op.runs_on_gpu
+    with pytest.raises(RuntimeError_, match=r"gave 'potrf' to gpu-w0, which has no"):
+        rt.run(g)
+
+
 @pytest.mark.parametrize("field", ["exec_noise", "calib_noise"])
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.01])
 def test_bad_noise_sigma_rejected_with_its_name(field, sigma):
