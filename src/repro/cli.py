@@ -351,13 +351,16 @@ def _emit_cache_line(cache) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.core.sweep import best_point, sweep_gemm
+    from repro.core.sweep import best_point, check_step_pct, sweep_gemm
     from repro.experiments.runner import ExperimentResult
+    from repro.hardware.catalog import gpu_spec
 
     if args.n <= 0:
         raise _UsageError(f"--n must be positive, got {args.n}")
-    if not 0.0 < args.step_pct < math.inf:
-        raise _UsageError(f"--step-pct must be finite and > 0, got {args.step_pct}")
+    try:
+        check_step_pct(gpu_spec(args.model), args.step_pct, "--step-pct")
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     cache = _open_cache(args)
     points = sweep_gemm(
         args.model, args.n, args.precision, step_pct=args.step_pct, cache=cache

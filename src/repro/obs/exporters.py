@@ -124,13 +124,22 @@ def backlog_counter_tracks(decisions: DecisionLog) -> list[CounterTrack]:
 
     Sampled at decision times — exactly the values the scheduler folded
     into its costs, so the tracks explain the decisions they sit next to.
+    Read straight off each candidate's ``(workers, backlogs)``: a
+    scheduler's candidates partition its workers, so this is the union
+    :meth:`~repro.obs.decisions.DecisionRecord.backlog_snapshot` takes,
+    without a dict per record.  Times and backlogs are floats already.
     """
     series: dict[str, list[tuple[float, float]]] = {}
     for rec in decisions:
-        for worker, backlog in rec.backlog_snapshot().items():
-            series.setdefault(worker, []).append((rec.time, backlog))
+        t = rec.time
+        for cand in rec.candidates:
+            for worker, backlog in zip(cand.workers, cand.backlogs):
+                points = series.get(worker)
+                if points is None:
+                    points = series[worker] = []
+                points.append((t, backlog))
     return [
-        CounterTrack.from_samples(f"backlog {worker}", points, unit="s")
+        CounterTrack(f"backlog {worker}", tuple(points), unit="s")
         for worker, points in sorted(series.items())
     ]
 

@@ -141,6 +141,10 @@ class RuntimeSystem:
         # Observability (off by default: both None keeps hot paths clean).
         self.metrics = metrics
         self.decision_log = decision_log
+        # Per-task metric objects, resolved once per label set at first use
+        # (see _resolve_wait_metrics) and dropped at each run.
+        self._wait_metrics: dict = {}
+        self._finish_metrics: dict = {}
         # Pre-drawn execution-noise samples.  Block draws from a numpy
         # Generator are bit-identical to the same number of scalar draws,
         # and the buffer survives across run() calls, so consumption order
@@ -248,6 +252,8 @@ class RuntimeSystem:
         if reset_energy:
             self.node.reset_energy()
         t0 = self.sim.now
+        self._wait_metrics = {}
+        self._finish_metrics = {}
         self._scheduler = make_scheduler(
             self.scheduler_name, self.workers, self.perf, self.data,
             self.rng.stream("scheduler"),
@@ -480,6 +486,45 @@ class RuntimeSystem:
         if self.bus is not None:
             m.publish_to(self.bus)
 
+    def _resolve_wait_metrics(self, arch: str) -> tuple:
+        """The queue-wait and stage-wait histograms of one arch.
+
+        Resolved once per arch, at the first task start that observes them
+        (nothing registers a metric in between), so registration order and
+        the ``metrics.prom`` bytes match a per-task lookup."""
+        labels = {"arch": arch}
+        waits = self._wait_metrics[arch] = (
+            self.metrics.histogram(
+                "repro_queue_wait_seconds",
+                "Simulated time from task-ready to worker pop.",
+                labels=labels,
+            ),
+            self.metrics.histogram(
+                "repro_stage_wait_seconds",
+                "Simulated transfer delay staging a task's inputs.",
+                labels=labels,
+            ),
+        )
+        return waits
+
+    def _resolve_finish_metrics(self, kind: str, worker: WorkerType) -> tuple:
+        """The duration histogram and completion counter one ``(kind,
+        worker)`` pair feeds, resolved at its first completion (see
+        :meth:`_resolve_wait_metrics`)."""
+        done = self._finish_metrics[(kind, worker.name)] = (
+            self.metrics.histogram(
+                "repro_task_duration_seconds",
+                "Simulated kernel execution time.",
+                labels={"kind": kind, "arch": worker.arch},
+            ),
+            self.metrics.counter(
+                "repro_tasks_total",
+                "Tasks completed, by executing worker.",
+                labels={"worker": worker.name},
+            ),
+        )
+        return done
+
     def _try_start(self, worker: WorkerType) -> None:
         # The clock cannot move inside an event handler: read it once.
         now = self.sim.now
@@ -498,22 +543,17 @@ class RuntimeSystem:
         self._scheduler.task_started(task, worker, now)
         metrics = self.metrics
         if metrics is not None:
-            metrics.histogram(
-                "repro_queue_wait_seconds",
-                "Simulated time from task-ready to worker pop.",
-                labels={"arch": worker.arch},
-            ).observe(now - self._ready_at.pop(task.tid, now))
+            waits = self._wait_metrics.get(worker.arch)
+            if waits is None:
+                waits = self._resolve_wait_metrics(worker.arch)
+            waits[0].observe(now - self._ready_at.pop(task.tid, now))
         ready = self.data.acquire(task.accesses, worker.mem_node, now, task.label)
+        start = ready if ready > now else now
         if metrics is not None:
-            metrics.histogram(
-                "repro_stage_wait_seconds",
-                "Simulated transfer delay staging a task's inputs.",
-                labels={"arch": worker.arch},
-            ).observe(max(0.0, ready - now))
+            waits[1].observe(start - now)
         if worker.is_gpu:
             # The driver core busy-waits through staging and execution.
             worker.driver_package.begin_core()
-        start = ready if ready > now else now
         if self._no_faults:
             self.sim.post_at(start, self._start_exec, task, worker)
         else:
@@ -587,16 +627,11 @@ class RuntimeSystem:
             self.faults.on_task_finished(task, worker, duration)
         metrics = self.metrics
         if metrics is not None:
-            metrics.histogram(
-                "repro_task_duration_seconds",
-                "Simulated kernel execution time.",
-                labels={"kind": task.op.kind, "arch": worker.arch},
-            ).observe(duration)
-            metrics.counter(
-                "repro_tasks_total",
-                "Tasks completed, by executing worker.",
-                labels={"worker": worker.name},
-            ).inc()
+            done = self._finish_metrics.get((task.op.kind, worker.name))
+            if done is None:
+                done = self._resolve_finish_metrics(task.op.kind, worker)
+            done[0].observe(duration)
+            done[1].inc()
         bus = self.bus
         if bus is not None:
             # Streams the same interval shape the post-hoc exporter emits

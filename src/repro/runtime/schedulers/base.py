@@ -112,6 +112,9 @@ class Scheduler(ABC):
                 index, members, view, buf,
             ))
         self._placement_records = records
+        #: The decision log's side table (see :meth:`_placement_log_table`),
+        #: rebuilt on first use after every change to the classes.
+        self._placement_log: Optional[dict] = None
         #: Distinct memory nodes across the placement classes, in class
         #: order — the targets a data-aware policy must price per decision.
         seen: dict = {}
@@ -119,6 +122,25 @@ class Scheduler(ABC):
             if record[3] is not None:
                 seen[record[3]] = True
         self._placement_mem_nodes = tuple(seen)
+
+    def _placement_log_table(self) -> dict:
+        """The constants every logged decision repeats, per placement class.
+
+        Maps each record's ``index`` to the class label and its members'
+        names and indices.  Only the logging branch of a scan reads it, so
+        it is built at the first logged decision after
+        :meth:`_rebuild_placement_classes`, and a scheduler that logs
+        nothing never pays for it.
+        """
+        table = self._placement_log = {
+            index: (
+                self.placement_class_label(w0),
+                tuple(w.name for _, w in members),
+                tuple(i for i, _ in members),
+            )
+            for w0, _, _, _, index, members, _, _ in self._placement_records
+        }
+        return table
 
     # -------------------------------------------------------- fault recovery
 

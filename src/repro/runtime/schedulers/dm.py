@@ -123,7 +123,7 @@ class DMScheduler(Scheduler):
             best_i = min(range(len(workers)), key=costs.__getitem__)
             best = workers[best_i]
             if log is not None:
-                index_of = {w.name: i for i, w in enumerate(self.workers)}
+                pos = self._pos
                 log.append(self._decision_record(
                     task, now, best.name, costs[best_i],
                     # One pseudo-class per worker: the brute-force path may
@@ -133,8 +133,8 @@ class DMScheduler(Scheduler):
                         CandidateClass(
                             class_key=self.placement_class_label(w),
                             workers=(w.name,),
-                            indices=(index_of[w.name],),
-                            backlogs=(float(self._backlog[index_of[w.name]]),),
+                            indices=(pos[w.name],),
+                            backlogs=(self._backlog.item(pos[w.name]),),
                             terms=(),
                             costs=(cost,),
                         )
@@ -154,7 +154,11 @@ class DMScheduler(Scheduler):
             self.data.transfer_estimates(task.accesses, self._placement_mem_nodes)
             if self.data_aware else None
         )
-        candidates = [] if log is not None else None
+        if log is not None:
+            candidates = []
+            log_consts = self._placement_log or self._placement_log_table()
+        else:
+            candidates = None
         best: Optional[WorkerType] = None
         best_cost = math.inf
         best_index = -1
@@ -211,10 +215,11 @@ class DMScheduler(Scheduler):
                     costs_list = buf.tolist()
                     class_backlogs = tuple(seg.tolist())
             if candidates is not None:
+                class_key, names, indices = log_consts[index]
                 candidates.append(CandidateClass(
-                    class_key=self.placement_class_label(w0),
-                    workers=tuple(w.name for _, w in members),
-                    indices=tuple(i for i, _ in members),
+                    class_key=class_key,
+                    workers=names,
+                    indices=indices,
                     backlogs=class_backlogs,
                     terms=(est, *rest),
                     costs=tuple(costs_list),

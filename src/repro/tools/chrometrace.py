@@ -20,9 +20,14 @@ from typing import Iterator, Optional, Sequence
 
 from repro.sim.tracing import Tracer
 
-#: Events per ``json.dumps`` call in :func:`write_chrome_trace`: enough to
-#: amortise the call, few enough that the writer's memory stays small.
+#: Events per ``json.dumps`` call (or per formatted counter run) in
+#: :func:`write_chrome_trace`: enough to amortise the call, few enough that
+#: the writer's memory stays small.
 WRITE_CHUNK_EVENTS = 256
+
+#: One counter event as ``json.dumps`` spells it, with the track's name and
+#: value key filled in once per track (see :func:`_counter_chunks`).
+_COUNTER_FMT = '{"name": %s, "ph": "C", "ts": %%s, "pid": 0, "args": {%s: %%s}}'
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,49 @@ def counter_series(doc: dict, name: str, time_unit_us: float = 1e6) -> list[tupl
     return out
 
 
+def _counter_chunks(track: CounterTrack) -> Iterator[str]:
+    """One track's counter events as JSON text, :data:`WRITE_CHUNK_EVENTS`
+    events per chunk, each chunk exactly what ``json.dumps`` writes for
+    those events between its list brackets (at the default time unit,
+    1 simulated second = 10^6 µs).
+
+    Counter events make up almost all of a governed run's trace, and only
+    their timestamp and value vary, so they go through a format template
+    instead of one dict and one encoder pass each: the name and value key
+    are encoded once per track with ``json.dumps`` (escaping included), and
+    the numbers with ``float.__repr__``, which is how the encoder spells a
+    finite float.  A chunk holding a value that is not a float (the repr
+    raises ``TypeError``) or a number that is not finite (its repr contains
+    an ``n``: ``nan``, ``inf``) is encoded by ``json.dumps`` instead, which
+    writes ints, ``NaN`` and ``Infinity`` as the in-memory document does.
+    """
+    value_key = track.unit or "value"
+    fmt = _COUNTER_FMT % (
+        json.dumps(track.name).replace("%", "%%"),
+        json.dumps(value_key).replace("%", "%%"),
+    )
+    series = track.series
+    # float.__mul__ returns a float, or NotImplemented, whose repr raises.
+    scale = (1e6).__mul__
+    for lo in range(0, len(series), WRITE_CHUNK_EVENTS):
+        part = series[lo:lo + WRITE_CHUNK_EVENTS]
+        times, values = zip(*part)
+        try:
+            ts = list(map(float.__repr__, map(scale, times)))
+            vs = list(map(float.__repr__, values))
+            plain = "n" not in "".join(ts) and "n" not in "".join(vs)
+        except TypeError:
+            plain = False
+        if plain:
+            yield ", ".join(map(fmt.__mod__, zip(ts, vs)))
+        else:
+            yield json.dumps([
+                {"name": track.name, "ph": "C", "ts": t * 1e6,
+                 "pid": 0, "args": {value_key: v}}
+                for t, v in part
+            ])[1:-1]
+
+
 def write_chrome_trace(
     tracer: Tracer,
     path: str,
@@ -138,12 +186,13 @@ def write_chrome_trace(
 
     The bytes equal ``json.dumps(to_chrome_trace(tracer, counters=...))``,
     but the document is never built: each chunk of
-    :data:`WRITE_CHUNK_EVENTS` events goes through one ``json.dumps`` call
-    with its list brackets stripped.  ``json.dump`` would be simpler and
-    much slower, because only the one-shot ``json.dumps`` path uses
+    :data:`WRITE_CHUNK_EVENTS` timeline events goes through one
+    ``json.dumps`` call with its list brackets stripped, and the counter
+    tracks through :func:`_counter_chunks`.  ``json.dump`` would be simpler
+    and much slower, because only the one-shot ``json.dumps`` path uses
     CPython's C encoder.
     """
-    events = iter_chrome_events(tracer, counters=counters)
+    events = iter_chrome_events(tracer)
     with open(path, "w") as fh:
         fh.write('{"traceEvents": [')
         sep = ""
@@ -151,4 +200,9 @@ def write_chrome_trace(
             fh.write(sep)
             fh.write(json.dumps(batch)[1:-1])
             sep = ", "
+        for track in counters or ():
+            for chunk in _counter_chunks(track):
+                fh.write(sep)
+                fh.write(chunk)
+                sep = ", "
         fh.write('], "displayTimeUnit": "ms"}')

@@ -18,7 +18,13 @@ from repro.core.planner import (
     get_objective,
     plan_configs,
 )
-from repro.core.sweep import best_point, cap_grid, simulated_sweep_gemm, sweep_gemm
+from repro.core.sweep import (
+    MAX_CAP_GRID_POINTS,
+    best_point,
+    cap_grid,
+    simulated_sweep_gemm,
+    sweep_gemm,
+)
 from repro.core.tradeoff import OperationSpec, run_config_set
 from repro.experiments.platforms import (
     PAPER_CPU_CAPS,
@@ -114,6 +120,27 @@ def test_cap_grid_matches_historical_accumulation_for_default_steps():
 def test_cap_grid_rejects_steps_that_never_reach_the_top(step):
     with pytest.raises(ValueError, match="step_pct must be finite and > 0"):
         cap_grid(gpu_spec("V100-PCIE-32GB"), step)
+
+
+@pytest.mark.parametrize("step, message", [
+    (1e-300, "too small to advance"),
+    (5e-324, "too small to advance"),
+    (1e-9, f"more than {MAX_CAP_GRID_POINTS} cap points"),
+])
+def test_cap_grid_rejects_steps_too_fine_to_build(step, message):
+    # Each of these used to loop for ever (or until memory ran out).
+    with pytest.raises(ValueError, match=message):
+        cap_grid(gpu_spec("V100-PCIE-32GB"), step)
+
+
+def test_cap_grid_point_bound_holds_at_its_edge():
+    spec = gpu_spec("A100-SXM4-40GB")
+    span = 100.0 * (spec.cap_max_w - spec.cap_min_w) / spec.tdp_w
+    caps = cap_grid(spec, span / MAX_CAP_GRID_POINTS)
+    assert MAX_CAP_GRID_POINTS <= len(caps) <= MAX_CAP_GRID_POINTS + 1
+    assert caps == sorted(caps) and caps[-1] == spec.cap_max_w
+    with pytest.raises(ValueError, match="cap points"):
+        cap_grid(spec, span / (MAX_CAP_GRID_POINTS + 1))
 
 
 def test_cap_grid_endpoints_and_monotone():

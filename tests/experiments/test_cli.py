@@ -136,6 +136,8 @@ def bad_plans(tmp_path):
     (["report", "{out}", "--max-gaps", "-2"], "--max-gaps must be >= 0, got -2"),
     (["serve", "--port", "70000"], "--port must be in 0..65535, got 70000"),
     (["serve", "--port", "-1"], "--port must be in 0..65535, got -1"),
+    (["sweep", "--step-pct", "1e-300"], "--step-pct 1e-300 is too small to advance"),
+    (["sweep", "--step-pct", "1e-9"], "--step-pct 1e-09 gives more than 1000 cap points"),
 ])
 def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
                                                   capsys):

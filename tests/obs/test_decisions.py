@@ -115,3 +115,58 @@ def test_disabled_log_costs_nothing():
     graph, *_ = gemm_graph(1440 * 3, 1440, "double")
     assign_priorities(graph)
     rt.run(graph)  # no log attached; nothing recorded, nothing raised
+
+
+def _class_members(scheduler, task, excluded):
+    """Expected logged classes, built independently: label -> (names, indices)
+    of the surviving workers that can run ``task``, in worker order."""
+    out: dict = {}
+    for index, worker in enumerate(scheduler.workers):
+        if worker.name in excluded or (worker.is_gpu and not task.op.runs_on_gpu):
+            continue
+        label = scheduler.placement_class_label(worker)
+        names, indices = out.get(label, ((), ()))
+        out[label] = (names + (worker.name,), indices + (index,))
+    return out
+
+
+@pytest.mark.parametrize("scheduler_name", ["dm", "dmdas"])
+def test_logged_classes_follow_exclusion_and_readmission(scheduler_name):
+    """Decisions logged after ``exclude_worker`` name only the survivors,
+    and after ``readmit_worker`` the whole class again."""
+    import numpy as np
+
+    from repro.runtime.schedulers import make_scheduler
+
+    sim = Simulator()
+    node = build_platform("24-Intel-2-V100", sim)
+    rt = RuntimeSystem(node, scheduler=scheduler_name, seed=1)
+    graph, *_ = gemm_graph(1440 * 2, 1440, "double")
+    rt.calibrate(graph)
+    sched = make_scheduler(scheduler_name, rt.workers, rt.perf, rt.data,
+                           np.random.default_rng(0))
+    log = sched.decision_log = DecisionLog()
+    task = graph.tasks[0]
+    assert task.op.runs_on_gpu
+    cpus = [w for w in sched.workers if not w.is_gpu]
+    gpu = next(w for w in sched.workers if w.is_gpu)
+    # A CPU worker from the middle of its class (its index array gets a
+    # hole) and a whole single-GPU class.
+    gone = (cpus[len(cpus) // 2], gpu)
+
+    def logged():
+        sched.push_ready(task, 0.0)
+        rec = log.records[-1]
+        assert rec.replay_choice()[0] == rec.chosen
+        return {c.class_key: (c.workers, c.indices) for c in rec.candidates}
+
+    before = logged()
+    assert before == _class_members(sched, task, set())
+    for worker in gone:
+        sched.exclude_worker(worker)
+    after_exclusion = logged()
+    assert after_exclusion == _class_members(sched, task, {w.name for w in gone})
+    assert after_exclusion != before
+    for worker in gone:
+        sched.readmit_worker(worker)
+    assert logged() == before

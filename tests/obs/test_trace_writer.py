@@ -11,21 +11,32 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core.capconfig import CapConfig
 from repro.experiments.platforms import cap_states, operation_spec
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import preset_plan
+from repro.hardware.catalog import build_platform
+from repro.obs.decisions import DecisionLog
 from repro.obs.exporters import (
     TRACE_FILENAME,
     enriched_chrome_trace,
     write_enriched_chrome_trace,
 )
-from repro.sim import Tracer
-from repro.tools.chrometrace import WRITE_CHUNK_EVENTS
+from repro.runtime import RuntimeSystem
+from repro.runtime.schedulers.dm import DMScheduler
+from repro.sim import Simulator, Tracer
+from repro.tools.chrometrace import (
+    WRITE_CHUNK_EVENTS,
+    CounterTrack,
+    to_chrome_trace,
+    write_chrome_trace,
+)
 from repro.tools.powertrace import PowerSample, PowerSampler
 
 
@@ -80,6 +91,95 @@ def test_non_finite_counter_values(tmp_path):
     assert text == json.dumps(enriched_chrome_trace(tracer, sampler))
 
 
+def _sampler(n_samples: int, devices=("gpu0",), seed: int = 0) -> PowerSampler:
+    """``n_samples`` power samples of full-precision watts per device."""
+    rng = random.Random(seed)
+    return PowerSampler(node=None, runtime=None, samples=[
+        PowerSample(i * 1e-3 + rng.random() * 1e-4,
+                    {d: 100.0 + 200.0 * rng.random() for d in devices})
+        for i in range(n_samples)
+    ])
+
+
+@pytest.mark.parametrize("n_samples", [
+    WRITE_CHUNK_EVENTS - 1, WRITE_CHUNK_EVENTS, WRITE_CHUNK_EVENTS + 1,
+    2 * WRITE_CHUNK_EVENTS + 3,
+])
+def test_counter_track_across_chunk_boundaries(tmp_path, n_samples):
+    # Two tracks: the writer starts a new chunk at the second, while the
+    # document's event list runs on.
+    sampler = _sampler(n_samples, devices=("gpu0", "gpu1"))
+    doc = _assert_identical(tmp_path, _tracer_with_events(3), sampler)
+    assert sum(e["ph"] == "C" for e in doc["traceEvents"]) == 2 * n_samples
+
+
+def test_counter_names_that_need_escaping(tmp_path):
+    devices = ('gpu "0"', "gpu\\1", "gpü ☃ 電力", "gpu %s 100%")
+    doc = _assert_identical(tmp_path, Tracer(), _sampler(5, devices=devices))
+    assert {e["name"] for e in doc["traceEvents"]} == {
+        f"power {d}" for d in devices
+    }
+
+
+def _assert_counters_identical(tmp_path, counters):
+    path = tmp_path / "trace.json"
+    write_chrome_trace(Tracer(), str(path), counters=counters)
+    doc = to_chrome_trace(Tracer(), counters=counters)
+    assert path.read_text() == json.dumps(doc)
+    return doc
+
+
+def test_counter_track_without_unit_uses_the_value_key(tmp_path):
+    track = CounterTrack("queue", ((0.0, 1.5), (0.25, 2.0)), unit="")
+    doc = _assert_counters_identical(tmp_path, [track])
+    assert [e["args"] for e in doc["traceEvents"]] == [
+        {"value": 1.5}, {"value": 2.0}
+    ]
+
+
+def test_empty_counter_series(tmp_path):
+    tracks = [CounterTrack("empty", ()), CounterTrack("one", ((1.0, -0.0),), "W"),
+              CounterTrack("also empty", (), "s")]
+    doc = _assert_counters_identical(tmp_path, tracks)
+    assert len(doc["traceEvents"]) == 1
+
+
+def test_counter_values_that_are_not_plain_floats(tmp_path):
+    # ints and bools keep json's spelling; numpy floats are floats.
+    tracks = [
+        CounterTrack("ints", ((0, 1), (1, 2)), "W"),
+        CounterTrack("bools", ((0.0, True), (1.0, False)), "W"),
+        CounterTrack("numpy", ((np.float64(0.5), np.float64(1e-7)),
+                               (np.float64(1.5), np.float64(3.0))), "W"),
+        CounterTrack("mixed", ((0.0, 1.0), (1.0, 2)), "W"),
+    ]
+    _assert_counters_identical(tmp_path, tracks)
+
+
+@pytest.mark.parametrize("brute_force", [False, True])
+def test_backlog_tracks_of_a_logged_run(tmp_path, monkeypatch, brute_force):
+    # The brute-force scan logs one pseudo-class per worker; the class scan
+    # one class per (arch, memory node).
+    monkeypatch.setattr(DMScheduler, "brute_force_placement", brute_force)
+    platform = "24-Intel-2-V100"
+    tracer = Tracer()
+    node = build_platform(platform, Simulator(), tracer)
+    log = DecisionLog()
+    runtime = RuntimeSystem(node, scheduler="dmdas", seed=0, tracer=tracer,
+                            decision_log=log)
+    runtime.run(operation_spec(platform, "potrf", "double", "tiny").build_graph())
+    if brute_force:
+        assert all(len(c.workers) == 1 for r in log for c in r.candidates)
+    doc = _assert_identical(tmp_path, tracer, decisions=log)
+    # Each worker's track is its backlog at every decision that priced it.
+    for worker in (w.name for w in runtime.workers):
+        track = [(e["ts"], e["args"]["s"]) for e in doc["traceEvents"]
+                 if e["name"] == f"backlog {worker}"]
+        assert track == [(r.time * 1e6, r.backlog_snapshot()[worker])
+                         for r in log if worker in r.backlog_snapshot()]
+        assert track
+
+
 def test_faulted_chaos_run(tmp_path):
     platform = "24-Intel-2-V100"
     spec = operation_spec(platform, "potrf", "double", "tiny")
@@ -96,14 +196,17 @@ def test_faulted_chaos_run(tmp_path):
 
 def test_writer_memory_stays_below_the_document(tmp_path):
     tracer = _tracer_with_events(32 * WRITE_CHUNK_EVENTS)
+    # A large counter track of distinct values; both paths build its
+    # CounterTrack, only the document path holds an event dict per sample.
+    sampler = _sampler(32 * WRITE_CHUNK_EVENTS)
     tracemalloc.start()
     try:
-        doc = enriched_chrome_trace(tracer)
+        doc = enriched_chrome_trace(tracer, sampler)
         _, doc_peak = tracemalloc.get_traced_memory()
         del doc
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
-        write_enriched_chrome_trace(str(tmp_path / "trace.json"), tracer)
+        write_enriched_chrome_trace(str(tmp_path / "trace.json"), tracer, sampler)
         _, writer_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
