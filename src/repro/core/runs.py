@@ -20,11 +20,17 @@ differ only in their specs differ only in what the specs say.
 :func:`compare` is the ``repro chaos`` / ``repro govern`` harness: a lean
 fault-free baseline (memoised in the experiment cache), the fault plan
 resolved against its makespan, then the treated run and its artefacts.
+
+A cap sweep runs one operation under many configurations, each on its own
+runtime, so :meth:`Run.execute` keeps the graph of the last run that
+completed on each thread and lends it, reset, to the next run of the same
+:class:`~repro.core.tradeoff.OperationSpec` instead of building it again.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
@@ -56,13 +62,42 @@ from repro.obs.stream import (
 )
 from repro.runtime import RuntimeSystem
 from repro.runtime.engine import RunResult
-from repro.runtime.graph import TaskState
+from repro.runtime.graph import TaskGraph, TaskState
 from repro.sim import Simulator, Tracer
 from repro.tools.powertrace import PowerSampler
 
 if TYPE_CHECKING:  # the faults and govern packages import this module
     from repro.core.tradeoff import OperationSpec
     from repro.faults.plan import FaultPlan
+
+
+class StaleGraphError(RuntimeError):
+    """A run's graph was reset for a later run, so it no longer shows this
+    run's outcome."""
+
+
+#: Per thread, ``(spec, graph)`` of the last :meth:`Run.execute` that
+#: returned, or ``None``: empty while its graph runs, and never holding a
+#: graph of a run that raised.
+_lent = threading.local()
+
+
+def _graph_for(op: "OperationSpec", ran: Sequence[TaskGraph]) -> TaskGraph:
+    """The slot's graph reset, when it is ``op``'s and not in ``ran``;
+    otherwise a fresh build.
+
+    ``ran`` holds the graphs the calling run has run: its runtime's memory
+    managers have seen their handles, so they are never lent back to it.
+    The slot is emptied first, so a miss drops the old graph before the new
+    one is built.
+    """
+    slot, _lent.slot = getattr(_lent, "slot", None), None
+    if slot is not None and slot[0] == op and all(g is not slot[1] for g in ran):
+        graph = slot[1]
+        graph.reset()
+        return graph
+    del slot
+    return op.build_graph()
 
 
 @dataclass(frozen=True)
@@ -115,6 +150,7 @@ class Run:
     watchdogs: Any = None     # Watchdogs: stream
     cache: Any = None
     graphs: list = field(default_factory=list)
+    graph_resets: list = field(default_factory=list)  # n_resets when run
     results: list[RunResult] = field(default_factory=list)
     measurement: Any = None   # Measurement: after execute()
 
@@ -131,6 +167,12 @@ class Run:
         re-fire earlier injections).  The bus is always closed — drained,
         then the writer flushed — so a run that raises keeps every event
         published before the raise.
+
+        Each phase's graph comes from this thread's slot when the slot
+        holds a graph of the same operation that this run has not run
+        (reset, see :meth:`TaskGraph.reset`), and is built otherwise.
+        Once every phase has returned, the last phase's graph goes back
+        into the slot; a run that raises leaves the slot empty.
         """
         runtime, injector, governor = self.runtime, self.injector, self.governor
         meter = EnergyMeter(runtime.node)
@@ -150,18 +192,32 @@ class Run:
                     governor.resume()
                 if self.sampler is not None:
                     self.sampler.start()
-                graph = op.build_graph()
+                graph = _graph_for(op, self.graphs)
                 self.graphs.append(graph)
+                self.graph_resets.append(graph.n_resets)
                 self.results.append(runtime.run(graph, reset_energy=False))
         finally:
             if self.bus is not None:
                 self.bus.close()
         self.measurement = meter.stop()
+        if operations:
+            _lent.slot = (operations[-1], self.graphs[-1])
         return self.results
 
     # ---------------------------------------------------------------- audit
 
     def all_tasks_done(self) -> bool:
+        """Whether every task of every phase finished.
+
+        Raises :class:`StaleGraphError` when a later run has reset one of
+        this run's graphs: its tasks then show that run, not this one.
+        """
+        for graph, resets in zip(self.graphs, self.graph_resets):
+            if graph.n_resets != resets:
+                raise StaleGraphError(
+                    f"a {len(graph)}-task graph of this run was reset for a "
+                    f"later run; audit a run before running its operation again"
+                )
         return all(t.state is TaskState.DONE for g in self.graphs for t in g.tasks)
 
     def executed_exactly_once(self) -> bool:
@@ -470,8 +526,9 @@ def compare(
         base = build_run(baseline)
         baseline_results = base.execute(operations)
         totals = base.totals()
-        # Free the baseline's runtime and graphs before the treated run is
-        # built, so the two never share the peak memory.
+        # Free the baseline's runtime before the treated run is built, so
+        # the two never share the peak memory; its last graph stays in the
+        # slot, for the treated run when their first operations match.
         del base
         if key is not None:
             cache.save(key, totals, label=cache_label)

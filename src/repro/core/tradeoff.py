@@ -32,7 +32,9 @@ def gc_paused() -> Iterator[None]:
     graphs hold no reference cycles (edges point forward only, see
     :mod:`repro.runtime.graph`), so refcounting alone frees them.  Pausing
     only defers collection; whatever the caller had enabled is re-enabled
-    on exit, exception or not.  The GC switch is process-wide, so a
+    on exit, exception or not.  A graph re-run after
+    :meth:`~repro.runtime.graph.TaskGraph.reset` is not built again, so it
+    pays neither the build nor the pause.  The GC switch is process-wide, so a
     concurrent build in another thread may re-enable it early; that costs
     speed, never correctness.
     """
@@ -57,6 +59,10 @@ class OperationSpec:
     def __post_init__(self) -> None:
         if self.op not in OPERATIONS:
             raise ValueError(f"unknown operation {self.op!r}; have {OPERATIONS}")
+        for name in ("n", "nb"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if self.n % self.nb != 0:
             raise ValueError("N must be a multiple of the tile size Nt")
 
@@ -65,6 +71,12 @@ class OperationSpec:
         return self.n // self.nb
 
     def build_graph(self):
+        """A freshly built task graph with priorities assigned.
+
+        Always a new graph; :meth:`repro.core.runs.Run.execute` calls this
+        only when its thread holds no finished graph of this operation to
+        reset and re-run.
+        """
         with gc_paused():
             if self.op == "gemm":
                 graph, *_ = gemm_graph(self.n, self.nb, self.precision)

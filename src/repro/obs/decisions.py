@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.obs.stream import EVAL_PERIOD_S
 
 
-@dataclass(frozen=True)
-class CandidateClass:
+class CandidateClass(NamedTuple):
     """One placement equivalence class evaluated for a task.
 
     ``terms`` are the class's cost addends in fold order — ``terms[0]`` is
@@ -37,6 +35,10 @@ class CandidateClass:
     folded cost exactly as the scheduler computed it; when empty it is
     reconstructed from ``backlogs`` and ``terms`` (bit-identical for the
     dm-family fast path, which uses the same left-to-right fold).
+
+    A named tuple, not a frozen dataclass: one is built per class per
+    logged decision, and a frozen dataclass pays ``object.__setattr__``
+    for each field.
     """
 
     class_key: str
@@ -64,9 +66,9 @@ class CandidateClass:
         return cost
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One scheduler placement decision."""
+class DecisionRecord(NamedTuple):
+    """One scheduler placement decision (a named tuple, like
+    :class:`CandidateClass`)."""
 
     tid: int
     label: str

@@ -9,6 +9,10 @@ and dependencies are inferred from data hazards —
 
 Edges therefore always point from earlier to later submissions, so the graph
 is acyclic by construction.
+
+A built graph is re-runnable after :meth:`TaskGraph.reset`, which puts its
+tasks and handles back as they were built, so a run of the same operation on
+another runtime can skip the build and its hazard inference.
 """
 
 from __future__ import annotations
@@ -79,7 +83,11 @@ class Task:
 
 
 class TaskGraph:
-    """A DAG of tasks built by sequential submission with hazard inference."""
+    """A DAG of tasks built by sequential submission with hazard inference.
+
+    Re-runnable after :meth:`reset`; ``n_resets`` counts the resets, so a
+    holder of the graph can tell whether a later run has reused it.
+    """
 
     def __init__(self) -> None:
         self.tasks: list[Task] = []
@@ -88,6 +96,9 @@ class TaskGraph:
         self._readers_since_write: dict[DataHandle, list[Task]] = {}
         self.n_edges = 0
         self._handles: dict[int, DataHandle] = {}
+        #: Each task's dependency count as built, in task order.
+        self._built_deps: list[int] = []
+        self.n_resets = 0
 
     def add_task(
         self,
@@ -119,6 +130,7 @@ class TaskGraph:
         for dep in deps:
             dep.successors.append(task)
         task.deps_remaining = len(deps)
+        self._built_deps.append(len(deps))
         self.n_edges += len(deps)
         # A second pass: the hazards above must see the state from before
         # this task, even when it accesses one handle twice.
@@ -134,6 +146,28 @@ class TaskGraph:
                     readers.append(task)
         self.tasks.append(task)
         return task
+
+    def reset(self) -> None:
+        """Put the graph back as built, ready for a run on a new runtime.
+
+        Every task returns to CREATED with the dependency count it was
+        built with and no worker, start or end time; every handle is valid
+        only on its home node, and clean.  Priorities, edges and accesses
+        are never changed by a run, so they stay.  A runtime that already
+        ran the graph still holds its handles in its memory managers, so
+        only a different runtime may run the reset graph.
+        """
+        created = TaskState.CREATED
+        for task, deps in zip(self.tasks, self._built_deps):
+            task.state = created
+            task.deps_remaining = deps
+            task.worker_name = None
+            task.start_time = None
+            task.end_time = None
+        for handle in self._handles.values():
+            handle.valid = 1 << handle.home_node
+            handle.dirty = False
+        self.n_resets += 1
 
     # ----------------------------------------------------------------- views
 

@@ -125,7 +125,13 @@ def to_chrome_trace(
 
 def counter_series(doc: dict, name: str, time_unit_us: float = 1e6) -> list[tuple[float, float]]:
     """Recover one counter track's ``(time_s, value)`` series from a trace
-    document — the read side of the round trip, used by tests and reports."""
+    document, for tests and reports.
+
+    Values come back exactly.  Times come back as ``ts / time_unit_us``
+    from the written ``t * time_unit_us``: two roundings, so a recovered
+    time is within one ulp of the recorded one, not always equal to it
+    (0.12380157034627123 s reads back as 0.12380157034627125 s).
+    """
     out = []
     for event in doc["traceEvents"]:
         if event.get("ph") == "C" and event.get("name") == name:

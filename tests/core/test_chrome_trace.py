@@ -1,8 +1,10 @@
 """Tests for the Chrome trace-event exporter."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware.catalog import build_platform
 from repro.linalg import assign_priorities, gemm_graph
@@ -101,3 +103,18 @@ def test_counter_tracks_survive_serialisation(tmp_path, tracer):
     write_chrome_trace(tracer, str(path), counters=[track])
     doc = json.loads(path.read_text())
     assert counter_series(doc, "backlog gpu-w0") == [(0.0, 1.5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.floats(min_value=1e-6, max_value=1e4),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=20,
+))
+def test_counter_series_recovers_times_within_one_ulp(samples):
+    track = CounterTrack.from_samples("power gpu0", samples, unit="W")
+    doc = json.loads(json.dumps(to_chrome_trace(Tracer(), counters=[track])))
+    recovered = counter_series(doc, "power gpu0")
+    assert [v for _, v in recovered] == [v for _, v in samples]
+    for (t, _), (back, _) in zip(samples, recovered):
+        assert abs(back - t) <= math.ulp(t)

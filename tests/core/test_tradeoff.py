@@ -20,6 +20,11 @@ def test_operation_spec_validation():
         OperationSpec(op="lu", n=100, nb=10, precision="double")
     with pytest.raises(ValueError):
         OperationSpec(op="gemm", n=100, nb=33, precision="double")
+    # A zero tile size used to raise a bare ZeroDivisionError, and a
+    # non-positive size was accepted until TileMatrix failed on it.
+    for n, nb, name in ((64, 0, "nb"), (0, 64, "n"), (-64, 64, "n"), (64, -64, "nb")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            OperationSpec(op="gemm", n=n, nb=nb, precision="double")
 
 
 def test_operation_spec_builds_graphs():
