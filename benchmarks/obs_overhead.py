@@ -26,6 +26,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.core.runs import RunSpec
 from repro.experiments.platforms import cap_states, config_list, operation_spec
 from repro.obs.capture import run_traced
 
@@ -37,9 +38,9 @@ CEILING = 1.05
 def traced_wall(stream: bool, outdir: Path, spec, config, states):
     """Wall seconds and result of one full ``run_traced`` (export included)."""
     t0 = time.perf_counter()
-    run = run_traced(PLATFORM, spec, config, states, str(outdir),
-                     scheduler="dmdas", seed=0, stream=stream)
-    return time.perf_counter() - t0, run.result
+    run = run_traced(RunSpec(PLATFORM, spec, config, states), str(outdir),
+                     stream=stream)
+    return time.perf_counter() - t0, run.results[0]
 
 
 def main() -> int:

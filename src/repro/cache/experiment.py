@@ -84,7 +84,7 @@ class ExperimentCache:
         return None if call is None else self.key_for_call(call)
 
     def key_for_call(self, call: dict) -> str:
-        """Key a prebuilt call document (used by ``repro chaos``)."""
+        """Key a prebuilt call document (used by the chaos and govern baselines)."""
         return run_key(self.fingerprint, call)
 
     @staticmethod

@@ -6,14 +6,16 @@ Three families of commands::
     repro all | list                     # everything / enumerate
     repro sweep --model ... --n ...      # ad-hoc kernel cap sweep (Sec. II)
     repro tradeoff --platform ... --config HHBB ...   # ad-hoc app run (Sec. V)
-    repro trace --config HL --outdir runs/hl          # instrumented run + artefacts
-    repro trace --config HL --outdir runs/hl --stream # ... with live events.jsonl
+    repro run --config HL --outdir runs/hl            # instrumented run + artefacts
+    repro run --config HL --outdir runs/hl --stream   # ... with live events.jsonl
     repro report runs/hl                              # audit a traced run
     repro watch runs/hl --follow                      # live dashboard over a stream
-    repro chaos --preset kill-throttle                # fault-injected run + audit
-    repro govern --preset blackout --mix shift        # governed vs static-best
+    repro run --op potrf --preset kill-throttle       # fault-injected run + audit
+    repro run --allocator efficiency --mix shift      # governed vs static-best
     repro serve --cache-dir .repro-cache              # cap-advisor HTTP service
 
+``repro run`` builds one :class:`~repro.core.runs.RunSpec` from its flags;
+``trace``, ``chaos`` and ``govern`` are ``repro run`` with other defaults.
 Any run-producing command accepts ``--spans FILE`` to record a span trace
 of where its wall time went (see :mod:`repro.obs.spans`).
 """
@@ -27,8 +29,10 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Optional, Sequence
 
+from repro.core.runs import POWER_PERIOD_S, RunSpecError
 from repro.experiments import EXPERIMENTS
 from repro.experiments.runner import SCALES
 
@@ -128,6 +132,56 @@ def _open_cache(args):
     return ExperimentCache(cache_dir)
 
 
+def _run_flags(one_run: bool = True) -> argparse.ArgumentParser:
+    """The run flags with their one set of defaults: RunSpec's fields, then
+    (``one_run``) what ``repro run`` does with its run.
+
+    A fresh parent per subparser, so an alias's ``set_defaults`` changes
+    only its own copies of the flags.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--platform", default="24-Intel-2-V100")
+    p.add_argument("--op", choices=["gemm", "potrf"], default="gemm")
+    p.add_argument("--precision", choices=["single", "double"], default="double")
+    p.add_argument("--scale", choices=SCALES, default="small")
+    p.add_argument("--config", default=None, metavar="LETTERS",
+                   help="cap config letters, e.g. HL (default: all-H; "
+                   "tradeoff: the full ladder)")
+    p.add_argument("--scheduler", default="dmdas")
+    p.add_argument("--seed", type=int, default=0)
+    _add_cache_args(p)
+    _add_spans_arg(p)
+    if not one_run:
+        return p
+    p.add_argument("--power-period", type=float, default=POWER_PERIOD_S,
+                   metavar="S", help="power sampling period in simulated seconds")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--plan", default=None, metavar="FILE",
+                       help="JSON fault plan (see docs/resilience.md)")
+    group.add_argument("--preset", default=None,
+                       help="named fault plan (--preset help lists them)")
+    p.add_argument("--allocator", default=None,
+                   help="govern the run under a watt budget with this split "
+                   "policy (--allocator help lists them)")
+    p.add_argument("--budget", type=float, default=None, metavar="W",
+                   help="global watt budget of a governed run (default: 80%% "
+                   "of the platform's cap-max sum; alone it implies "
+                   "--allocator efficiency)")
+    p.add_argument("--mix", choices=["steady", "shift"], default="steady",
+                   help="governed runs: 'shift' appends a second workload "
+                   "phase the static config was not derived for")
+    p.add_argument("--outdir", default=None, metavar="DIR",
+                   help="write the run's artefacts (required without a plan "
+                   "or budget)")
+    p.add_argument("--stream", action="store_true",
+                   help="write events.jsonl live through the telemetry bus "
+                   "(watchable mid-run with `repro watch`; crash-tolerant; "
+                   "requires --outdir)")
+    p.add_argument("--report", action="store_true",
+                   help="print the run report after the run")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -163,107 +217,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     _add_cache_args(p)
 
-    p = sub.add_parser("tradeoff", help="run one operation under a cap config")
-    p.add_argument("--platform", default="32-AMD-4-A100")
-    p.add_argument("--op", choices=["gemm", "potrf"], default="gemm")
-    p.add_argument("--precision", choices=["single", "double"], default="double")
-    p.add_argument("--config", default=None, help="e.g. HHBB (default: full ladder)")
-    p.add_argument("--scale", choices=SCALES, default="small")
-    p.add_argument("--scheduler", default="dmdas")
-    p.add_argument("--seed", type=int, default=0)
+    sub.add_parser(
+        "run", parents=[_run_flags()],
+        help="one run from RunSpec flags: traced; under a fault plan with "
+        "--plan/--preset; governed vs static-best with --allocator/--budget",
+    )
+    # Aliases of `repro run` with other defaults, kept for one release.
+    sub.add_parser("trace", parents=[_run_flags()], help="alias of repro run")
+    sub.add_parser("chaos", parents=[_run_flags()], help="alias of repro run "
+                   "--op potrf --scale tiny --preset kill-throttle"
+                   ).set_defaults(op="potrf", scale="tiny", preset="kill-throttle")
+    sub.add_parser("govern", parents=[_run_flags()], help="alias of repro run "
+                   "--scale tiny --allocator efficiency"
+                   ).set_defaults(scale="tiny", allocator="efficiency")
+    p = sub.add_parser("tradeoff", parents=[_run_flags(one_run=False)],
+                       help="run one operation under the cap config ladder")
+    p.set_defaults(platform="32-AMD-4-A100")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes for the config ladder (0 = one per core)")
     p.add_argument("--csv", action="store_true")
-    _add_cache_args(p)
-    _add_spans_arg(p)
-
-    p = sub.add_parser(
-        "trace",
-        help="run one cap config fully instrumented; write trace + decision "
-        "log + manifest to --outdir",
-    )
-    p.add_argument("--platform", default="24-Intel-2-V100")
-    p.add_argument("--op", choices=["gemm", "potrf"], default="gemm")
-    p.add_argument("--precision", choices=["single", "double"], default="double")
-    p.add_argument("--config", required=True, help="cap config letters, e.g. HL")
-    p.add_argument("--scale", choices=SCALES, default="small")
-    p.add_argument("--scheduler", default="dmdas")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--outdir", required=True, metavar="DIR")
-    p.add_argument("--power-period", type=float, default=0.005, metavar="S",
-                   help="power sampling period in simulated seconds")
-    p.add_argument("--report", action="store_true",
-                   help="print the run report after tracing")
-    p.add_argument("--stream", action="store_true",
-                   help="write events.jsonl live through the telemetry bus "
-                   "(watchable mid-run with `repro watch`; crash-tolerant)")
-    _add_cache_args(p)  # the traced run is uncacheable; this caches P_best
-    _add_spans_arg(p)
-
-    p = sub.add_parser(
-        "chaos",
-        help="run one cap config under a fault plan; report degradation "
-        "vs the fault-free run and audit the recovery",
-    )
-    p.add_argument("--platform", default="24-Intel-2-V100")
-    p.add_argument("--op", choices=["gemm", "potrf"], default="potrf")
-    p.add_argument("--precision", choices=["single", "double"], default="double")
-    p.add_argument("--config", default=None,
-                   help="cap config letters, e.g. HB (default: all-H)")
-    p.add_argument("--scale", choices=SCALES, default="tiny")
-    p.add_argument("--scheduler", default="dmdas")
-    p.add_argument("--seed", type=int, default=0)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--plan", default=None, metavar="FILE",
-                       help="JSON fault plan (see docs/resilience.md)")
-    group.add_argument("--preset", default="kill-throttle",
-                       help="named fault plan (repro chaos --preset help)")
-    p.add_argument("--outdir", default=None, metavar="DIR",
-                   help="write chaos.json + faults.jsonl + trace artefacts")
-    p.add_argument("--power-period", type=float, default=0.005, metavar="S")
-    p.add_argument("--report", action="store_true",
-                   help="print the run report after the chaos run")
-    p.add_argument("--stream", action="store_true",
-                   help="stream the faulted run's events.jsonl live "
-                   "(requires --outdir)")
-    _add_cache_args(p)
-    _add_spans_arg(p)
-
-    p = sub.add_parser(
-        "govern",
-        help="compare the online power-budget governor against the best "
-        "static cap config under one watt budget and a fault plan",
-    )
-    p.add_argument("--platform", default="24-Intel-2-V100")
-    p.add_argument("--op", choices=["gemm", "potrf"], default="gemm")
-    p.add_argument("--precision", choices=["single", "double"], default="double")
-    p.add_argument("--scale", choices=SCALES, default="tiny")
-    p.add_argument("--scheduler", default="dmdas")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=float, default=None, metavar="W",
-                   help="global watt budget (default: 80%% of the "
-                   "platform's cap-max sum)")
-    p.add_argument("--allocator", default="efficiency",
-                   help="budget split policy (repro govern --allocator help)")
-    p.add_argument("--mix", choices=["steady", "shift"], default="steady",
-                   help="'shift' appends a second workload phase the "
-                   "static config was not derived for")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--plan", default=None, metavar="FILE",
-                       help="JSON fault plan (see docs/resilience.md)")
-    group.add_argument("--preset", default="none",
-                       help="named fault plan (repro govern --preset help)")
-    p.add_argument("--outdir", default=None, metavar="DIR",
-                   help="write govern.json + faults.jsonl + trace artefacts")
-    p.add_argument("--power-period", type=float, default=0.005, metavar="S")
-    p.add_argument("--stream", action="store_true",
-                   help="stream the governed run's events.jsonl live "
-                   "(requires --outdir)")
-    _add_cache_args(p)
-    _add_spans_arg(p)
 
     p = sub.add_parser("report", help="summarize a traced run directory")
-    p.add_argument("rundir", help="directory written by `repro trace`")
+    p.add_argument("rundir", help="directory written by `repro run`")
     p.add_argument("--max-gaps", type=int, default=8,
                    help="idle gaps to list (longest first)")
     p.add_argument("--follow", action="store_true",
@@ -359,8 +334,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--n must be positive, got {args.n}")
     try:
         check_step_pct(gpu_spec(args.model), args.step_pct, "--step-pct")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(exc.args[0]) from None
     cache = _open_cache(args)
     points = sweep_gemm(
         args.model, args.n, args.precision, step_pct=args.step_pct, cache=cache
@@ -385,18 +360,29 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _run_spec(args, **fields):
+    """The validated :class:`~repro.core.runs.RunSpec` of the run flags,
+    its operation and cap states not yet resolved."""
+    from repro.core.runs import RunSpec
+
+    return RunSpec(
+        args.platform, None, args.config, None, scheduler=args.scheduler,
+        seed=args.seed, scale=args.scale, **fields,
+    ).validate()
+
+
 def _cmd_tradeoff(args) -> int:
     from repro.core.capconfig import CapConfig
     from repro.core.tradeoff import run_config_set
     from repro.experiments.platforms import cap_states, config_list, operation_spec
     from repro.experiments.runner import ExperimentResult
 
+    wanted = _run_spec(args).config
     cache = _open_cache(args)
     spec = operation_spec(args.platform, args.op, args.precision, args.scale)
     states = cap_states(args.platform, args.op, args.precision, args.scale, cache=cache)
     configs = config_list(args.platform)
     if args.config is not None:
-        wanted = CapConfig(args.config.upper())
         default = CapConfig("H" * wanted.n_gpus)
         configs = [default] + ([wanted] if wanted.letters != default.letters else [])
     metrics = run_config_set(
@@ -428,121 +414,94 @@ def _cmd_tradeoff(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from repro.experiments.platforms import cap_states, operation_spec
-    from repro.obs.capture import run_traced
-    from repro.obs.report import render_report
-
-    config = _cap_config(args.platform, args.config)
-    spec = operation_spec(args.platform, args.op, args.precision, args.scale)
-    states = cap_states(
-        args.platform, args.op, args.precision, args.scale, cache=_open_cache(args)
-    )
-    traced = run_traced(
-        args.platform, spec, config, states,
-        outdir=args.outdir, scheduler=args.scheduler, seed=args.seed,
-        scale=args.scale, power_period_s=args.power_period,
-        stream=args.stream,
-    )
-    events_note = "events.jsonl(streamed)" if args.stream else "events.jsonl"
-    sys.stdout.write(
-        f"wrote {traced.outdir}: manifest.json result.json decisions.jsonl "
-        f"{events_note} trace.json metrics.prom\n"
-        f"  {traced.result.n_tasks} tasks, {len(traced.decisions)} decisions, "
-        f"{len(traced.sampler.samples)} power samples, "
-        f"makespan {traced.result.makespan_s:.4f}s\n"
-    )
-    if args.stream and traced.anomalies:
-        sys.stdout.write(
-            f"  {len(traced.anomalies)} watchdog anomalies (see report)\n"
-        )
-    if args.report:
-        sys.stdout.write("\n" + render_report(str(traced.outdir)))
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    from repro.experiments.platforms import cap_states, operation_spec
-    from repro.faults.chaos import render_chaos_summary, run_chaos
-    from repro.faults.plan import PRESET_NAMES
-
-    if args.plan is None and args.preset == "help":
-        for name in PRESET_NAMES:
-            print(name)
-        return 0
-    if args.stream and args.outdir is None:
-        raise _UsageError("--stream requires --outdir")
-    plan = _fault_plan(args)
-    config = _cap_config(args.platform, args.config)
-    cache = _open_cache(args)
-    spec = operation_spec(args.platform, args.op, args.precision, args.scale)
-    states = cap_states(args.platform, args.op, args.precision, args.scale, cache=cache)
-    chaos = run_chaos(
-        args.platform, spec, config, states, plan,
-        outdir=args.outdir, scheduler=args.scheduler, seed=args.seed,
-        scale=args.scale, power_period_s=args.power_period, cache=cache,
-        stream=args.stream,
-    )
-    sys.stdout.write(render_chaos_summary(chaos.summary))
-    _emit_cache_line(cache)
-    if chaos.outdir is not None:
-        sys.stdout.write(
-            f"wrote {chaos.outdir}: chaos.json faults.jsonl manifest.json "
-            f"result.json decisions.jsonl events.jsonl trace.json metrics.prom\n"
-        )
-    if args.report and chaos.outdir is not None:
-        from repro.obs.report import render_report
-
-        sys.stdout.write("\n" + render_report(str(chaos.outdir)))
-    return 0 if chaos.passed else 1
-
-
-def _cmd_govern(args) -> int:
+def _cmd_run(args) -> int:
+    """One RunSpec from the run flags, sent down one path: a governed
+    comparison with ``--allocator`` or ``--budget``, a chaos comparison
+    with a fault plan, otherwise one traced run."""
     from repro.cluster.budget import ALLOCATORS
+    from repro.experiments.platforms import cap_states, operation_spec
     from repro.faults.plan import PRESET_NAMES, FaultPlan
-    from repro.govern import render_govern_summary, run_govern
-    from repro.govern.run import check_budget
 
     if args.plan is None and args.preset == "help":
-        for name in PRESET_NAMES:
-            print(name)
+        print("\n".join(PRESET_NAMES))
         return 0
     if args.allocator == "help":
-        for name in sorted(ALLOCATORS):
-            print(name)
+        print("\n".join(sorted(ALLOCATORS)))
         return 0
-    if args.allocator not in ALLOCATORS:
-        raise _UsageError(
-            f"unknown allocator {args.allocator!r}; "
-            f"known: {', '.join(sorted(ALLOCATORS))}"
-        )
+    governed = args.allocator is not None or args.budget is not None
+    faulted = args.plan is not None or args.preset is not None
+    if args.mix != "steady" and not governed:
+        raise _UsageError(f"--mix {args.mix} needs --allocator or --budget")
+    if governed and args.config is not None:
+        raise _UsageError("--config: a governed run's caps follow --budget")
     if args.stream and args.outdir is None:
         raise _UsageError("--stream requires --outdir")
-    if args.plan is None and args.preset == "none":
+    if args.outdir is None and not (governed or faulted):
+        raise _UsageError("a run without a plan or budget needs --outdir")
+    if governed and args.plan is None and args.preset in (None, "none"):
         plan = FaultPlan(name="none")
     else:
-        plan = _fault_plan(args)
-    if args.budget is not None:
-        try:
-            check_budget(args.platform, args.budget)
-        except ValueError as exc:
-            raise _UsageError(f"--budget: {exc}") from None
-    cache = _open_cache(args)
-    gov = run_govern(
-        args.platform, args.op, args.precision, plan,
-        budget_w=args.budget, mix=args.mix, outdir=args.outdir,
-        scheduler=args.scheduler, seed=args.seed, scale=args.scale,
-        allocator=args.allocator, power_period_s=args.power_period,
-        cache=cache, stream=args.stream,
+        plan = _fault_plan(args) if faulted else None
+    spec = _run_spec(
+        args, plan=plan, power_period_s=args.power_period,
+        governor=(args.allocator or "efficiency") if governed else None,
+        budget_w=args.budget,
     )
-    sys.stdout.write(render_govern_summary(gov.summary))
-    _emit_cache_line(cache)
-    if gov.outdir is not None:
-        sys.stdout.write(
-            f"wrote {gov.outdir}: govern.json faults.jsonl manifest.json "
-            f"result.json decisions.jsonl events.jsonl trace.json metrics.prom\n"
+    cache = _open_cache(args)
+    if not governed:
+        spec = replace(
+            spec,
+            operation=operation_spec(spec.platform, args.op, args.precision, spec.scale),
+            states=cap_states(spec.platform, args.op, args.precision, spec.scale,
+                              cache=cache),
         )
-    return 0 if gov.passed else 1
+    if governed or faulted:
+        if governed:
+            from repro.govern import render_govern_summary as render
+            from repro.govern import run_govern
+
+            outcome = run_govern(
+                spec.platform, args.op, args.precision, spec.plan,
+                budget_w=spec.budget_w, mix=args.mix, outdir=args.outdir,
+                scheduler=spec.scheduler, seed=spec.seed, scale=spec.scale,
+                allocator=spec.governor, power_period_s=spec.power_period_s,
+                cache=cache, stream=args.stream,
+            )
+        else:
+            from repro.faults.chaos import render_chaos_summary as render
+            from repro.faults.chaos import run_chaos
+
+            outcome = run_chaos(spec, args.outdir, cache, args.stream)
+        sys.stdout.write(render(outcome.summary))
+        _emit_cache_line(cache)
+        if outcome.outdir is not None:
+            summary_file = "govern.json" if governed else "chaos.json"
+            sys.stdout.write(
+                f"wrote {outcome.outdir}: {summary_file} faults.jsonl manifest.json "
+                f"result.json decisions.jsonl events.jsonl trace.json metrics.prom\n"
+            )
+        outdir, code = outcome.outdir, 0 if outcome.passed else 1
+    else:
+        from repro.obs.capture import run_traced
+
+        run = run_traced(spec, args.outdir, args.stream)
+        result = run.results[0]
+        events_note = "events.jsonl(streamed)" if args.stream else "events.jsonl"
+        sys.stdout.write(
+            f"wrote {run.outdir}: manifest.json result.json decisions.jsonl "
+            f"{events_note} trace.json metrics.prom\n"
+            f"  {result.n_tasks} tasks, {len(run.decisions)} decisions, "
+            f"{len(run.sampler.samples)} power samples, "
+            f"makespan {result.makespan_s:.4f}s\n"
+        )
+        if run.anomalies:
+            sys.stdout.write(f"  {len(run.anomalies)} watchdog anomalies (see report)\n")
+        outdir, code = run.outdir, 0
+    if args.report and outdir is not None:
+        from repro.obs.report import render_report
+
+        sys.stdout.write("\n" + render_report(str(outdir)))
+    return code
 
 
 def _cmd_report(args) -> int:
@@ -659,42 +618,10 @@ def _fault_plan(args):
         raise _UsageError(f"{source}: {exc}") from None
 
 
-def _cap_config(platform: str, letters: Optional[str]):
-    """``--config`` letters (default all-H) checked against the platform."""
-    from repro.core.capconfig import CapConfig
-    from repro.hardware.catalog import platform_spec
-
-    n_gpus = platform_spec(platform).n_gpus
-    try:
-        config = CapConfig((letters or "H" * n_gpus).upper())
-    except ValueError as exc:
-        raise _UsageError(f"--config {letters}: {exc}") from None
-    if config.n_gpus != n_gpus:
-        raise _UsageError(
-            f"--config {config.letters} has {config.n_gpus} states for "
-            f"{n_gpus} GPUs on {platform}"
-        )
-    return config
-
-
 def _check_args(args) -> None:
-    """Reject an unknown ``--platform``, ``--model`` or ``--scheduler``, a
-    count flag below its minimum, a ``--port`` outside 0..65535, and a
-    period or timeout that is not finite and positive."""
-    from repro.hardware.catalog import gpu_spec, platform_spec
-    from repro.runtime.schedulers import SCHEDULERS
-
-    for attr, lookup in (("platform", platform_spec), ("model", gpu_spec)):
-        if getattr(args, attr, None) is not None:
-            try:
-                lookup(getattr(args, attr))
-            except KeyError as exc:
-                raise _UsageError(exc.args[0]) from None
-    scheduler = getattr(args, "scheduler", None)
-    if scheduler is not None and scheduler not in SCHEDULERS:
-        raise _UsageError(
-            f"unknown scheduler {scheduler!r}; have {sorted(SCHEDULERS)}"
-        )
+    """Reject a count flag below its minimum, a ``--port`` outside
+    0..65535, and a period or timeout that is not finite and positive (the
+    run flags are checked by :meth:`~repro.core.runs.RunSpec.validate`)."""
     for attr, least in (("jobs", 0), ("shards", 1), ("max_queue", 1), ("max_gaps", 0)):
         count = getattr(args, attr, None)
         if count is not None and count < least:
@@ -703,7 +630,7 @@ def _check_args(args) -> None:
     port = getattr(args, "port", None)
     if port is not None and not 0 <= port <= 65535:
         raise _UsageError(f"--port must be in 0..65535, got {port}")
-    for attr in ("power_period", "request_timeout", "drain_timeout", "interval", "timeout"):
+    for attr in ("request_timeout", "drain_timeout", "interval", "timeout"):
         seconds = getattr(args, attr, None)
         if seconds is not None and not 0.0 < seconds < math.inf:
             flag = "--" + attr.replace("_", "-")
@@ -716,7 +643,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_args(args)
         with _span_tracing(args):
             return _dispatch(args)
-    except _UsageError as exc:
+    except (_UsageError, RunSpecError) as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
 
@@ -726,24 +653,14 @@ def _dispatch(args) -> int:
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "tradeoff":
-        return _cmd_tradeoff(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "govern":
-        return _cmd_govern(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "watch":
-        return _cmd_watch(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
+    command = {
+        "sweep": _cmd_sweep, "tradeoff": _cmd_tradeoff, "run": _cmd_run,
+        "trace": _cmd_run, "chaos": _cmd_run, "govern": _cmd_run,
+        "report": _cmd_report, "watch": _cmd_watch, "serve": _cmd_serve,
+        "cache": _cmd_cache,
+    }.get(args.command)
+    if command is not None:
+        return command(args)
     cache = _open_cache(args)
     names = sorted(EXPERIMENTS) if args.command == "all" else [args.command]
     for name in names:

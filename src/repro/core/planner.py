@@ -254,7 +254,6 @@ class OperationModel:
         self.counts = graph.counts_by_kind()
         self.total_flops = graph.total_flops()
         self.ops = {kind: TileOp(kind, spec.nb, spec.precision) for kind in self.counts}
-        self._graph = graph
 
         # Per-kind (duration, busy power) at each cap state, from a scratch
         # device per distinct cap (the same analytic models the runtime's

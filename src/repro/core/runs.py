@@ -17,7 +17,7 @@ differ only in their specs differ only in what the specs say.
 - ``power_period_s`` attaches a power sampler (its ticks are sim events,
   so runs that compare numbers must agree on it).
 
-:func:`compare` is the ``repro chaos`` / ``repro govern`` harness: a lean
+:func:`compare` is the chaos and govern harness of ``repro run``: a lean
 fault-free baseline (memoised in the experiment cache), the fault plan
 resolved against its makespan, then the treated run and its artefacts.
 
@@ -30,6 +30,7 @@ completed on each thread and lends it, reset, to the next run of the same
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro.core.capconfig import CapConfig, CapStates
 from repro.energy.meters import EnergyMeter
-from repro.hardware.catalog import build_platform
+from repro.hardware.catalog import build_platform, gpu_spec, platform_spec
 from repro.obs.decisions import DecisionLog
 from repro.obs.exporters import (
     DECISIONS_FILENAME,
@@ -69,6 +70,15 @@ from repro.tools.powertrace import PowerSampler
 if TYPE_CHECKING:  # the faults and govern packages import this module
     from repro.core.tradeoff import OperationSpec
     from repro.faults.plan import FaultPlan
+
+
+#: Power sampling period (simulated seconds) of traced, chaos and governed
+#: runs whose spec sets none.
+POWER_PERIOD_S = 0.005
+
+
+class RunSpecError(ValueError):
+    """A run spec no run can honour; the message names the flag at fault."""
 
 
 class StaleGraphError(RuntimeError):
@@ -118,11 +128,68 @@ class RunSpec:
     power_period_s: Optional[float] = None
     ewma_alpha: Optional[float] = None
     governor: Optional[str] = None  # the governor's allocator
-    budget_w: float = 0.0  # the governor's watt budget
+    budget_w: Optional[float] = None  # the governor's watt budget
 
     @property
     def caps_w(self) -> list[float]:
         return self.config.watts(self.states)
+
+    def validate(self) -> "RunSpec":
+        """This spec checked, with ``config`` parsed and ``budget_w`` set.
+
+        ``config`` may still be cap letters (``None``: all-H) and a governed
+        spec's ``budget_w`` may be ``None`` (the platform's default budget),
+        as a command line gives them.  Raises :class:`RunSpecError` for an
+        unknown platform, scheduler or allocator, cap letters that are
+        invalid or do not match the GPU count, a power period that is not
+        finite and positive, and a budget that is not finite or is below
+        the platform floor (every GPU at its minimum cap).
+        """
+        from repro.cluster.budget import ALLOCATORS
+        from repro.runtime.schedulers import SCHEDULERS
+
+        try:
+            platform = platform_spec(self.platform)
+        except KeyError as exc:
+            raise RunSpecError(exc.args[0]) from None
+        if self.scheduler not in SCHEDULERS:
+            raise RunSpecError(
+                f"unknown scheduler {self.scheduler!r}; have {sorted(SCHEDULERS)}"
+            )
+        config = self.config
+        if not isinstance(config, CapConfig):
+            try:
+                config = CapConfig((config or "H" * platform.n_gpus).upper())
+            except ValueError as exc:
+                raise RunSpecError(f"--config {self.config}: {exc}") from None
+        if config.n_gpus != platform.n_gpus:
+            raise RunSpecError(
+                f"--config {config.letters} has {config.n_gpus} states for "
+                f"{platform.n_gpus} GPUs on {self.platform}"
+            )
+        period = self.power_period_s
+        if period is not None and not 0.0 < period < math.inf:
+            raise RunSpecError(f"--power-period must be finite and > 0, got {period}")
+        budget = self.budget_w
+        if self.governor is not None:
+            from repro.govern.run import default_budget_w
+
+            if self.governor not in ALLOCATORS:
+                raise RunSpecError(
+                    f"unknown allocator {self.governor!r}; "
+                    f"known: {', '.join(sorted(ALLOCATORS))}"
+                )
+            if budget is None:
+                budget = default_budget_w(self.platform)
+            if not math.isfinite(budget):
+                raise RunSpecError(f"--budget: budget must be finite, got {budget!r}")
+            floor = gpu_spec(platform.gpu_model).cap_min_w * platform.n_gpus
+            if budget < floor - 1e-9:
+                raise RunSpecError(
+                    f"--budget: budget {budget:.0f} W below the platform floor "
+                    f"{floor:.0f} W"
+                )
+        return replace(self, config=config, budget_w=budget)
 
 
 @dataclass
@@ -305,18 +372,15 @@ def build_run(
     through a telemetry bus with the online aggregator and watchdogs
     attached; the manifest is written first, so a tail reader (or a
     post-mortem of a killed run) can identify the run.  ``cache`` only
-    labels the manifest and ``metrics.prom``.
+    labels the manifest and ``metrics.prom``.  A spec
+    :meth:`RunSpec.validate` rejects raises :class:`RunSpecError`.
     """
     if stream and outdir is None:
         raise ValueError("stream=True requires an outdir to stream into")
+    spec = spec.validate()
     sim = Simulator()
     tracer = Tracer() if spec.observe else None
     node = build_platform(spec.platform, sim, tracer)
-    if spec.config.n_gpus != node.n_gpus:
-        raise ValueError(
-            f"config {spec.config.letters} has {spec.config.n_gpus} states for "
-            f"{node.n_gpus} GPUs on {spec.platform}"
-        )
     registry = MetricsRegistry(clock=sim) if spec.observe else None
     decisions = DecisionLog() if spec.observe else None
     runtime = RuntimeSystem(
@@ -490,7 +554,7 @@ def compare(
     stream: bool = False,
     cache=None,
 ) -> tuple[Comparison, dict]:
-    """Baseline, then treated: the shared ``repro chaos``/``govern`` path.
+    """Baseline, then treated: the shared chaos and govern path.
 
     1. the baseline's totals, memoised in ``cache`` under ``cache_name``
        and the baseline's run identity (the baseline is deterministic and

@@ -18,8 +18,8 @@ exactly those conditions, deterministically:
   detection);
 - :mod:`repro.faults.nvml_guard` — retry/verify-after-set wrappers over the
   NVML facade, hardening the cap-application path;
-- :mod:`repro.faults.chaos` — :func:`run_chaos`, the ``repro chaos``
-  backend: one cap config under a fault plan, reported against its
+- :mod:`repro.faults.chaos` — :func:`run_chaos`, ``repro run`` with a
+  fault plan: one cap config under the plan, reported against its
   fault-free twin.
 
 Everything is driven by the simulation clock and named RNG streams, so a

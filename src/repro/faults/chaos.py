@@ -1,7 +1,7 @@
 """Chaos runs: one cap configuration executed under a fault plan.
 
-:func:`run_chaos` is the ``repro chaos`` backend.  It runs the operation
-twice with the same ``(platform, config, scheduler, seed)``:
+:func:`run_chaos` is ``repro run`` with a fault plan.  It runs a
+:class:`~repro.core.runs.RunSpec`'s operation twice:
 
 1. **baseline** — fault-free and lean: the same run spec without the
    plan or the observers (tracer, metrics, decision log), which report
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
-from repro.core.capconfig import CapConfig, CapStates
 from repro.core.runs import (
+    POWER_PERIOD_S,
     Audited,
     RunSpec,
     audit_line,
@@ -37,7 +37,6 @@ from repro.core.runs import (
     comparison_lines,
     recovery_line,
 )
-from repro.core.tradeoff import OperationSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoveryManager
@@ -74,22 +73,15 @@ class ChaosRun(Audited):
 
 
 def run_chaos(
-    platform: str,
-    spec: OperationSpec,
-    config: CapConfig,
-    states: CapStates,
-    plan: FaultPlan,
+    spec: RunSpec,
     outdir: Optional[str] = None,
-    scheduler: str = "dmdas",
-    seed: int = 0,
-    cpu_caps: Optional[Mapping[int, float]] = None,
-    scale: str = "custom",
-    power_period_s: float = 0.005,
-    cap_retries: int = 3,
     cache=None,
     stream: bool = False,
 ) -> ChaosRun:
-    """Run ``spec`` under ``config`` with and without ``plan``'s faults.
+    """Run ``spec`` with and without its plan's faults.
+
+    ``spec.plan`` is the fault plan; both runs are power-sampled every
+    ``spec.power_period_s`` (default :data:`~repro.core.runs.POWER_PERIOD_S`).
 
     With ``cache`` set, the fault-free baseline's numbers are memoised
     under the full run identity (the baseline run itself is deterministic
@@ -102,11 +94,12 @@ def run_chaos(
     ``events.jsonl`` live, with online watchdogs attached; the fault-free
     baseline stays unstreamed, it only anchors the degradation numbers.
     """
-    baseline = RunSpec(
-        platform, spec, config, states, scheduler=scheduler, seed=seed,
-        cpu_caps=cpu_caps, scale=scale, power_period_s=power_period_s,
-        cap_retries=cap_retries,
-    )
+    if spec.plan is None:
+        raise ValueError("run_chaos needs a spec with a fault plan")
+    plan, op, config = spec.plan, spec.operation, spec.config.letters
+    baseline = replace(spec, observe=False, plan=None, power_period_s=(
+        POWER_PERIOD_S if spec.power_period_s is None else spec.power_period_s
+    ))
     treated = replace(baseline, observe=True)
 
     def summarize(cmp) -> dict:
@@ -117,14 +110,14 @@ def run_chaos(
         # deliberately clamps caps; verify-after-set still has to *report*.
         clamp_expected = bool(cmp.plan.by_kind("cap-silent-clamp"))
         return {
-            "platform": platform,
-            "op": spec.op,
-            "n": spec.n,
-            "nb": spec.nb,
-            "precision": spec.precision,
-            "config": config.letters,
-            "scheduler": scheduler,
-            "seed": seed,
+            "platform": spec.platform,
+            "op": op.op,
+            "n": op.n,
+            "nb": op.nb,
+            "precision": op.precision,
+            "config": config,
+            "scheduler": spec.scheduler,
+            "seed": spec.seed,
             "plan": cmp.plan_record(),
             "baseline": cmp.baseline_block(),
             "faulted": cmp.treated_block(),
@@ -144,9 +137,9 @@ def run_chaos(
         }
 
     cmp, summary = compare(
-        baseline, treated, plan, [spec], summarize, CHAOS_FILENAME,
+        baseline, treated, plan, [op], summarize, CHAOS_FILENAME,
         cache_name="chaos_baseline",
-        cache_label=f"chaos-baseline/{platform}/{config.letters}",
+        cache_label=f"chaos-baseline/{spec.platform}/{config}",
         baseline_prefix="baseline", outdir=outdir, stream=stream, cache=cache,
     )
     run = cmp.run

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is an ordered set of :class:`FaultSpec` entries, each
 naming a fault kind, an injection time, a target resource and kind-specific
-parameters.  Plans serialise to JSON (``repro chaos --plan file.json``) and
+parameters.  Plans serialise to JSON (``repro run --plan file.json``) and
 come in two time bases:
 
 - **absolute** — ``time``/``duration`` are simulated seconds;

@@ -6,7 +6,7 @@ watt budget across the node's GPUs from live telemetry, survives the
 failure modes :mod:`repro.faults` models via a hold → quarantine →
 safe-mode degradation ladder, and a comparison driver
 (:mod:`repro.govern.run`) measuring it against the best static
-configuration — the ``repro govern`` backend.
+configuration — ``repro run --allocator``.
 """
 
 from repro.govern.controller import (

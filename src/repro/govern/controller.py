@@ -49,8 +49,8 @@ from typing import Optional, Sequence
 from repro import nvml
 from repro.cluster.budget import get_allocator
 from repro.cluster.farm import FarmGPU
-from repro.core.dynamic_runtime import PeriodicController
 from repro.faults.nvml_guard import set_power_limit_verified
+from repro.govern.periodic import PeriodicController
 from repro.hardware.node import Node
 from repro.kernels.gemm import GemmKernel
 from repro.obs.stream import BUDGET_TOLERANCE_W

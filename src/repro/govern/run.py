@@ -1,4 +1,4 @@
-"""Governed vs static-best comparison runs (the ``repro govern`` backend).
+"""Governed vs static-best comparison runs (``repro run --allocator``).
 
 :func:`run_govern` executes the same workload scenario twice under one
 global watt budget:
@@ -22,20 +22,20 @@ the governor.  Only the governed run attaches the tracer, metrics and
 decision log, because only its artefacts are written; the static-best run
 reports makespans, flops and joules.  Both runs are built from
 :class:`~repro.core.runs.RunSpec` declarations and compared by the
-:func:`~repro.core.runs.compare` harness ``repro chaos`` shares; both are
+:func:`~repro.core.runs.compare` harness the chaos runs share; both are
 bit-deterministic per (seed, plan): re-running reproduces
 ``govern.json`` and the budget-move ledger byte-for-byte.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from repro.core.capconfig import CapConfig, CapStates
 from repro.core.runs import (
+    POWER_PERIOD_S,
     Audited,
     RunSpec,
     audit_line,
@@ -123,19 +123,6 @@ def default_budget_w(platform: str) -> float:
     return round(0.8 * sum([gpu_spec(spec.gpu_model).cap_max_w] * spec.n_gpus), 1)
 
 
-def check_budget(platform: str, budget_w: float) -> None:
-    """Reject a budget no governed run can honour: a non-finite one, or one
-    below the platform's floor (every GPU at its minimum cap)."""
-    if not math.isfinite(budget_w):
-        raise ValueError(f"budget must be finite, got {budget_w!r}")
-    spec = platform_spec(platform)
-    floor = gpu_spec(spec.gpu_model).cap_min_w * spec.n_gpus
-    if budget_w < floor - 1e-9:
-        raise ValueError(
-            f"budget {budget_w:.0f} W below the platform floor {floor:.0f} W"
-        )
-
-
 def static_best_config(
     platform: str, phase: Phase, budget_w: float
 ) -> tuple[CapConfig, list[float]]:
@@ -173,7 +160,7 @@ def run_govern(
     seed: int = 0,
     scale: str = "tiny",
     allocator: str = "efficiency",
-    power_period_s: float = 0.005,
+    power_period_s: float = POWER_PERIOD_S,
     cache=None,
     stream: bool = False,
 ) -> GovernRun:
@@ -187,16 +174,22 @@ def run_govern(
     ``stream=True`` (requires ``outdir``) streams the governed run's
     telemetry — including every budget move — to ``events.jsonl`` live,
     with the online watchdogs (budget-violation rule included) attached.
+
+    An unknown allocator and a budget that is not finite or is below the
+    platform floor raise :class:`~repro.core.runs.RunSpecError`.
     """
     phases = scenario_phases(platform, op, precision, scale, mix, cache=cache)
-    budget = default_budget_w(platform) if budget_w is None else budget_w
-    check_budget(platform, budget)
+    governed = RunSpec(
+        platform, phases[0].spec, None, phases[0].states, scheduler=scheduler,
+        seed=seed, scale=scale, observe=True, cap_retries=CAP_RETRIES,
+        power_period_s=power_period_s, ewma_alpha=0.3, governor=allocator,
+        budget_w=budget_w,
+    ).validate()
+    budget = governed.budget_w
     static_config, static_caps = static_best_config(platform, phases[0], budget)
     static = static_spec(platform, phases, static_config, scheduler, seed,
                          power_period_s)
-    governed = replace(static, scale=scale, observe=True,
-                       cap_retries=CAP_RETRIES, governor=allocator,
-                       budget_w=budget)
+    governed = replace(governed, config=static_config)
 
     def summarize(cmp) -> dict:
         run = cmp.run

@@ -1,9 +1,8 @@
-"""Fully-instrumented single runs: the ``repro trace`` backend.
+"""Fully-instrumented single runs: ``repro run`` without a plan or budget.
 
-:func:`run_traced` builds the same run as
-:func:`repro.core.tradeoff.run_operation` (through
-:func:`repro.core.runs.build_run`) with every observability layer on —
-tracer, metrics registry, scheduler decision log, power sampler — and
+:func:`run_traced` builds a :class:`~repro.core.runs.RunSpec`'s run
+(through :func:`repro.core.runs.build_run`) with every observability layer
+on — tracer, metrics registry, scheduler decision log, power sampler — and
 writes a self-describing run directory:
 
 ========================  ====================================================
@@ -33,75 +32,30 @@ the gate enforced by ``benchmarks/obs_overhead.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Optional
+from dataclasses import replace
 
-from repro.core.capconfig import CapConfig, CapStates
-from repro.core.runs import RunSpec, build_run
-from repro.core.tradeoff import OperationSpec
-from repro.obs.decisions import DecisionLog
-from repro.obs.manifest import RunManifest
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.stream import OnlineAggregator, TelemetryBus
-from repro.runtime.engine import RunResult
-from repro.sim import Tracer
-from repro.tools.powertrace import PowerSampler
+from repro.core.runs import POWER_PERIOD_S, Run, RunSpec, build_run
 
 
-@dataclass
-class TracedRun:
-    """Everything produced by one instrumented run."""
+def run_traced(spec: RunSpec, outdir: str, stream: bool = False) -> Run:
+    """Run ``spec``'s operation with full observability and dump the
+    artefact directory; return the executed :class:`~repro.core.runs.Run`.
 
-    outdir: Path
-    result: RunResult
-    manifest: RunManifest
-    registry: MetricsRegistry
-    decisions: DecisionLog
-    tracer: Tracer
-    sampler: PowerSampler
-    #: Streaming-mode extras (``None``/empty for post-hoc runs).
-    bus: Optional[TelemetryBus] = None
-    aggregator: Optional[OnlineAggregator] = None
-    anomalies: list = field(default_factory=list)
-
-
-def run_traced(
-    platform: str,
-    spec: OperationSpec,
-    config: CapConfig,
-    states: CapStates,
-    outdir: str,
-    scheduler: str = "dmdas",
-    seed: int = 0,
-    cpu_caps: Optional[Mapping[int, float]] = None,
-    scale: str = "custom",
-    power_period_s: float = 0.005,
-    stream: bool = False,
-) -> TracedRun:
-    """Run one (platform, operation, cap config) with full observability and
-    dump the artefact directory.
-
-    ``stream=True`` writes ``events.jsonl`` live through a telemetry bus
-    (crash-tolerant, watchable mid-run) instead of exporting it post-hoc.
+    The run is power-sampled every ``spec.power_period_s`` (default
+    :data:`~repro.core.runs.POWER_PERIOD_S`).  ``stream=True`` writes
+    ``events.jsonl`` live through a telemetry bus (crash-tolerant,
+    watchable mid-run) instead of exporting it post-hoc.
     """
     run = build_run(
-        RunSpec(
-            platform, spec, config, states, scheduler=scheduler, seed=seed,
-            cpu_caps=cpu_caps, scale=scale, observe=True,
-            power_period_s=power_period_s,
-        ),
+        replace(spec, observe=True, power_period_s=(
+            POWER_PERIOD_S if spec.power_period_s is None else spec.power_period_s
+        )),
         outdir=outdir, stream=stream,
     )
-    (result,) = run.execute([spec])
+    run.execute([spec.operation])
     measure = run.measurement
     run.write_artefacts(result_extra={
         "measured_cpu_j": measure.cpu_j,
         "measured_gpu_j": measure.gpu_j,
     })
-    return TracedRun(
-        outdir=run.outdir, result=result, manifest=run.manifest,
-        registry=run.registry, decisions=run.decisions, tracer=run.tracer,
-        sampler=run.sampler, bus=run.bus, aggregator=run.aggregator,
-        anomalies=run.anomalies,
-    )
+    return run

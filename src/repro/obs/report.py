@@ -13,7 +13,7 @@ prints the audit views the paper's claims hinge on:
   threshold, the first thing to look at when a config underperforms;
 - **decision-log audit** — replays every logged placement argmin and counts
   disagreements (zero means the log fully explains the schedule);
-- **fault section** — for chaos run directories (``repro chaos --outdir``),
+- **fault section** — for chaos run directories (``repro run --preset ... --outdir``),
   injected-fault and recovery-action counts, degradation vs the fault-free
   baseline, the resilience audit verdict and the recovery annotations;
 - **anomaly section** — watchdog anomalies found in a streamed

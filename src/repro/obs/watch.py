@@ -1,6 +1,6 @@
 """``repro watch``: tail a (possibly still-running) streamed run directory.
 
-A streamed run (``repro trace --stream`` / ``repro chaos --stream``) writes
+A streamed run (``repro run --outdir DIR --stream``) writes
 ``manifest.json`` up front and appends to ``events.jsonl`` while it
 executes.  This module turns that file into a refreshing plain-text
 dashboard:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache import ExperimentCache
 from repro.core.capconfig import CapConfig, CapStates
+from repro.core.runs import RunSpec
 from repro.core.sweep import sweep_gemm
 from repro.core.tradeoff import OperationSpec, run_operation, run_config_set
 from repro.experiments.parallel import parallel_starmap
@@ -122,12 +123,13 @@ def test_chaos_baseline_served_from_cache(tmp_path):
     from repro.faults.plan import preset_plan
 
     plan = preset_plan("kill-throttle", seed=0)
-    spec = OperationSpec(op="potrf", n=1920 * 4, nb=1920, precision="double")
+    op = OperationSpec(op="potrf", n=1920 * 4, nb=1920, precision="double")
     cache = ExperimentCache(tmp_path / "cache")
-    cold = run_chaos(PLATFORM, spec, CONFIG, STATES, plan, cache=cache)
+    spec = RunSpec(PLATFORM, op, CONFIG, STATES, plan=plan)
+    cold = run_chaos(spec, cache=cache)
     assert cold.baseline is not None and cache.misses == 1
-    warm = run_chaos(PLATFORM, spec, CONFIG, STATES, plan, cache=cache)
+    warm = run_chaos(spec, cache=cache)
     assert warm.baseline is None and cache.hits == 1
     assert warm.summary == cold.summary
-    uncached = run_chaos(PLATFORM, spec, CONFIG, STATES, plan)
+    uncached = run_chaos(spec)
     assert uncached.summary == cold.summary

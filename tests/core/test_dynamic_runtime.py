@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.dynamic_runtime import PeriodicController, RuntimeCapGovernor
+from repro.core.dynamic_runtime import RuntimeCapGovernor
+from repro.govern.periodic import PeriodicController
 from repro.hardware.catalog import build_platform
 from repro.linalg import assign_priorities, gemm_graph
 from repro.runtime import RuntimeSystem

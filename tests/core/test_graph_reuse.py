@@ -132,9 +132,9 @@ CHAOS_FILES = ("chaos.json", "decisions.jsonl", "events.jsonl", "faults.jsonl",
 
 
 def _chaos(outdir):
-    return run_chaos(PLATFORM, POTRF, CapConfig("HH"), STATES,
-                     preset_plan("kill-throttle", seed=0), outdir=str(outdir),
-                     seed=0, scale="tiny")
+    return run_chaos(RunSpec(PLATFORM, POTRF, CapConfig("HH"), STATES, seed=0,
+                             scale="tiny", plan=preset_plan("kill-throttle", seed=0)),
+                     outdir=str(outdir))
 
 
 def test_a_chaos_rerun_reproduces_fresh_chaos_artefacts(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""One way to build a run: only ``core/runs.py`` constructs a runtime."""
+"""One way to build a run: only ``core/runs.py`` constructs a runtime, and
+``RunSpec.validate()`` turns command-line values into a buildable spec."""
 
 import ast
 import pathlib
@@ -23,3 +24,25 @@ def test_runtime_system_is_constructed_only_in_build_run():
         if any(map(_constructs_runtime, ast.walk(ast.parse(path.read_text()))))
     }
     assert sites == {"core/runs.py"}
+
+
+PLATFORM = "24-Intel-2-V100"
+
+
+def _spec(config=None, **fields):
+    """A spec as the command line builds it: names only, letters unparsed."""
+    from repro.core.runs import RunSpec
+
+    return RunSpec(PLATFORM, None, config, None, **fields)
+
+
+def test_validate_parses_letters_and_fills_the_default_budget():
+    from repro.core.capconfig import CapConfig
+    from repro.govern.run import default_budget_w
+
+    spec = _spec(config="hl").validate()
+    assert spec.config == CapConfig("HL") and spec.budget_w is None
+    assert _spec().validate().config == CapConfig("HH")
+    governed = _spec(governor="efficiency").validate()
+    assert governed.budget_w == default_budget_w(PLATFORM)
+    assert governed.validate() == governed

@@ -66,10 +66,12 @@ def test_tradeoff_command_full_ladder(capsys):
         assert config in out
 
 
-def test_tradeoff_invalid_config_letters():
-    with pytest.raises(ValueError):
-        main(["tradeoff", "--config", "HX", "--scale", "tiny",
-              "--platform", "24-Intel-2-V100"])
+def test_tradeoff_invalid_config_letters(capsys):
+    assert main(["tradeoff", "--config", "HX", "--scale", "tiny",
+                 "--platform", "24-Intel-2-V100"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("repro tradeoff: --config HX: invalid cap states ['X']; "
+                   "allowed: H, B, L\n")
 
 
 @pytest.fixture
@@ -138,6 +140,11 @@ def bad_plans(tmp_path):
     (["serve", "--port", "-1"], "--port must be in 0..65535, got -1"),
     (["sweep", "--step-pct", "1e-300"], "--step-pct 1e-300 is too small to advance"),
     (["sweep", "--step-pct", "1e-9"], "--step-pct 1e-09 gives more than 1000 cap points"),
+    (["tradeoff", "--config", "HQ"], "invalid cap states"),
+    (["tradeoff", "--config", "HH"], "--config HH has 2 states for 4 GPUs"),
+    (["run", "--mix", "shift"], "--mix shift needs --allocator or --budget"),
+    (["run"], "a run without a plan or budget needs --outdir"),
+    (["govern", "--config", "HB"], "--config: a governed run's caps follow --budget"),
 ])
 def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
                                                   capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.capconfig import CapConfig
+from repro.core.runs import RunSpec
 from repro.experiments.platforms import cap_states, operation_spec
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import preset_plan
@@ -24,8 +25,9 @@ def _chaos(preset, tmpdir=None, **kw):
     spec = operation_spec(PLATFORM, "potrf", "double", "tiny")
     states = cap_states(PLATFORM, "potrf", "double", "tiny")
     return run_chaos(
-        PLATFORM, spec, CapConfig("HH"), states, preset_plan(preset),
-        outdir=tmpdir, scheduler="dmdas", seed=0, scale="tiny", **kw,
+        RunSpec(PLATFORM, spec, CapConfig("HH"), states, scheduler="dmdas",
+                seed=0, scale="tiny", plan=preset_plan(preset)),
+        outdir=tmpdir, **kw,
     )
 
 
@@ -101,14 +103,16 @@ def test_empty_plan_matches_run_traced_numbers(empty_plan, tmp_path):
     spec = operation_spec(PLATFORM, "potrf", "double", "tiny")
     states = cap_states(PLATFORM, "potrf", "double", "tiny")
     traced = run_traced(
-        PLATFORM, spec, CapConfig("HH"), states, str(tmp_path / "trace"),
-        scheduler="dmdas", seed=0, scale="tiny",
+        RunSpec(PLATFORM, spec, CapConfig("HH"), states, scheduler="dmdas",
+                seed=0, scale="tiny"),
+        str(tmp_path / "trace"),
     )
+    (result,) = traced.results
     chaos = empty_plan
-    assert chaos.faulted.makespan_s == traced.result.makespan_s
-    assert chaos.faulted.gflops == traced.result.gflops
-    assert chaos.faulted.total_energy_j == traced.result.total_energy_j
-    assert chaos.faulted.worker_tasks == traced.result.worker_tasks
+    assert chaos.faulted.makespan_s == result.makespan_s
+    assert chaos.faulted.gflops == result.gflops
+    assert chaos.faulted.total_energy_j == result.total_energy_j
+    assert chaos.faulted.worker_tasks == result.worker_tasks
     assert len(chaos.decisions) == len(traced.decisions)
 
 

@@ -102,9 +102,9 @@ def test_lean_chaos_baseline_matches_instrumented(op, config, seed):
 def _chaos_run(outdir, cache):
     spec = operation_spec(PLATFORM, "potrf", "double", "tiny")
     states = cap_states(PLATFORM, "potrf", "double", "tiny")
-    return run_chaos(PLATFORM, spec, CapConfig("HB"), states,
-                     preset_plan("brownout", seed=1), outdir=outdir,
-                     seed=1, scale="tiny", cache=cache)
+    return run_chaos(RunSpec(PLATFORM, spec, CapConfig("HB"), states, seed=1,
+                             scale="tiny", plan=preset_plan("brownout", seed=1)),
+                     outdir=outdir, cache=cache)
 
 
 def _govern_run(outdir, cache):

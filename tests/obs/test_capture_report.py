@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.capconfig import CapConfig
+from repro.core.runs import RunSpec
 from repro.experiments.platforms import cap_states, operation_spec
 from repro.obs.capture import run_traced
 from repro.obs.report import RunReport
@@ -20,8 +21,9 @@ def traced(tmp_path_factory):
     spec = operation_spec(PLATFORM, "gemm", "double", "tiny")
     states = cap_states(PLATFORM, "gemm", "double", "tiny")
     return run_traced(
-        PLATFORM, spec, CapConfig("HL"), states, str(outdir),
-        scheduler="dmdas", seed=0, scale="tiny",
+        RunSpec(PLATFORM, spec, CapConfig("HL"), states, scheduler="dmdas",
+                seed=0, scale="tiny"),
+        str(outdir),
     )
 
 
@@ -40,7 +42,7 @@ def test_manifest_records_cap_config(traced):
 
 
 def test_decisions_cover_all_tasks_and_replay(traced):
-    assert len(traced.decisions) == traced.result.n_tasks
+    assert len(traced.decisions) == traced.results[0].n_tasks
     assert traced.decisions.verify_replay() == []
 
 
@@ -55,7 +57,7 @@ def test_metrics_registry_populated(traced):
     total = sum(
         m.value for m in reg if m.name == "repro_tasks_total"
     )
-    assert total == traced.result.n_tasks
+    assert total == traced.results[0].n_tasks
     prom = (traced.outdir / "metrics.prom").read_text()
     assert "# TYPE repro_task_duration_seconds histogram" in prom
 
@@ -112,7 +114,8 @@ def test_config_mismatch_rejected(tmp_path):
     spec = operation_spec(PLATFORM, "gemm", "double", "tiny")
     states = cap_states(PLATFORM, "gemm", "double", "tiny")
     with pytest.raises(ValueError, match="states for"):
-        run_traced(PLATFORM, spec, CapConfig("HHLL"), states, str(tmp_path))
+        run_traced(RunSpec(PLATFORM, spec, CapConfig("HHLL"), states),
+                   str(tmp_path))
 
 
 def test_cli_trace_then_report(tmp_path, capsys):

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.capconfig import CapConfig
+from repro.core.runs import RunSpec
 from repro.experiments.platforms import cap_states, operation_spec
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import preset_plan
@@ -57,10 +58,10 @@ def test_traced_artefacts_match_golden(mode, tmp_path):
     golden = json.loads(TRACE_GOLDEN.read_text())
     sc, spec, states = _scenario(golden)
     run_traced(
-        sc["platform"], spec, CapConfig(sc["config"]), states,
-        outdir=str(tmp_path), seed=sc["seed"], scale=sc["scale"],
-        cpu_caps={int(k): v for k, v in sc["cpu_caps"].items()},
-        stream=mode == "stream",
+        RunSpec(sc["platform"], spec, CapConfig(sc["config"]), states,
+                seed=sc["seed"], scale=sc["scale"],
+                cpu_caps={int(k): v for k, v in sc["cpu_caps"].items()}),
+        outdir=str(tmp_path), stream=mode == "stream",
     )
     expected = golden["sha256"][mode]
     assert artefact_digests(tmp_path, expected) == expected
@@ -70,10 +71,10 @@ def test_streamed_chaos_artefacts_match_golden(tmp_path):
     golden = json.loads(CHAOS_GOLDEN.read_text())
     sc, spec, states = _scenario(golden)
     chaos = run_chaos(
-        sc["platform"], spec, CapConfig(sc["config"]), states,
-        preset_plan(sc["preset"], seed=sc["plan_seed"]),
-        outdir=str(tmp_path), seed=sc["seed"], scale=sc["scale"],
-        stream=sc["stream"],
+        RunSpec(sc["platform"], spec, CapConfig(sc["config"]), states,
+                seed=sc["seed"], scale=sc["scale"],
+                plan=preset_plan(sc["preset"], seed=sc["plan_seed"])),
+        outdir=str(tmp_path), stream=sc["stream"],
     )
     assert chaos.passed is True
     assert artefact_digests(tmp_path, golden["sha256"]) == golden["sha256"]

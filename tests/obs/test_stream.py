@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.core.capconfig import CapConfig
+from repro.core.runs import RunSpec
 from repro.experiments.platforms import cap_states, operation_spec
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import preset_plan
@@ -289,7 +290,7 @@ def test_dict_and_tuple_paths_agree():
 def test_run_info_event_and_gauge(tmp_path):
     spec = operation_spec(PLATFORM, "gemm", "double", "tiny")
     states = cap_states(PLATFORM, "gemm", "double", "tiny")
-    traced = run_traced(PLATFORM, spec, CapConfig("HL"), states,
+    traced = run_traced(RunSpec(PLATFORM, spec, CapConfig("HL"), states),
                         outdir=str(tmp_path / "run"))
     info = run_info_from_manifest(traced.manifest)
     assert set(info) == {"version", "platform", "scheduler", "config", "op",
@@ -308,7 +309,7 @@ def test_run_info_event_and_gauge(tmp_path):
 def _traced(tmpdir, **kw):
     spec = operation_spec(PLATFORM, "gemm", "double", "tiny")
     states = cap_states(PLATFORM, "gemm", "double", "tiny")
-    return run_traced(PLATFORM, spec, CapConfig("HL"), states,
+    return run_traced(RunSpec(PLATFORM, spec, CapConfig("HL"), states),
                       outdir=str(tmpdir), **kw)
 
 
@@ -317,7 +318,7 @@ def test_streamed_run_matches_posthoc_run(tmp_path):
     streamed = _traced(tmp_path / "streamed", stream=True)
     # Bit-identity: attaching the whole telemetry stack must not perturb
     # the simulation.
-    assert streamed.result == plain.result
+    assert streamed.results == plain.results
     events, n_torn = read_events_jsonl_tolerant(
         str(tmp_path / "streamed" / "events.jsonl")
     )
@@ -325,7 +326,7 @@ def test_streamed_run_matches_posthoc_run(tmp_path):
     types = [e["type"] for e in events]
     assert types[0] == "run_info"
     assert "run_start" in types and types[-1] == "run_end"
-    assert types.count("interval") == plain.result.n_tasks
+    assert types.count("interval") == plain.results[0].n_tasks
     assert any(t == "decision" for t in types)
     assert any(t == "power" for t in types)
     # The streamed header identifies the run.
@@ -340,9 +341,9 @@ def test_streamed_chaos_anomalies_appear_before_run_end(tmp_path):
     spec = operation_spec(PLATFORM, "potrf", "double", "tiny")
     states = cap_states(PLATFORM, "potrf", "double", "tiny")
     chaos = run_chaos(
-        PLATFORM, spec, CapConfig("HH"), states, preset_plan("kill-throttle"),
-        outdir=str(tmp_path / "chaos"), scheduler="dmdas", seed=0,
-        scale="tiny", stream=True,
+        RunSpec(PLATFORM, spec, CapConfig("HH"), states, scheduler="dmdas",
+                seed=0, scale="tiny", plan=preset_plan("kill-throttle")),
+        outdir=str(tmp_path / "chaos"), stream=True,
     )
     assert chaos.anomalies, "watchdogs saw nothing during the faulted run"
     events, _ = read_events_jsonl_tolerant(

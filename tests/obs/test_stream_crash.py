@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.capconfig import CapConfig
+from repro.core.runs import RunSpec
 from repro.experiments.platforms import cap_states, operation_spec
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import preset_plan
@@ -65,9 +66,9 @@ def test_streamed_chaos_crash_keeps_published_events(crashing, tmp_path):
     states = cap_states(PLATFORM, "potrf", "double", "tiny")
     with pytest.raises(Crash):
         run_chaos(
-            PLATFORM, spec, CapConfig("HH"), states,
-            preset_plan("kill-throttle"), outdir=str(tmp_path), seed=0,
-            scale="tiny", stream=True,
+            RunSpec(PLATFORM, spec, CapConfig("HH"), states, seed=0,
+                    scale="tiny", plan=preset_plan("kill-throttle")),
+            outdir=str(tmp_path), stream=True,
         )
     _assert_stream_complete(crashing, tmp_path)
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.capconfig import CapConfig
+from repro.core.runs import RunSpec
 from repro.experiments.platforms import cap_states, operation_spec
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import preset_plan
@@ -185,8 +186,9 @@ def test_faulted_chaos_run(tmp_path):
     spec = operation_spec(platform, "potrf", "double", "tiny")
     states = cap_states(platform, "potrf", "double", "tiny")
     chaos = run_chaos(
-        platform, spec, CapConfig("HH"), states, preset_plan("kill-throttle"),
-        outdir=str(tmp_path / "chaos"), seed=0, scale="tiny",
+        RunSpec(platform, spec, CapConfig("HH"), states, seed=0, scale="tiny",
+                plan=preset_plan("kill-throttle")),
+        outdir=str(tmp_path / "chaos"),
     )
     assert chaos.summary["faults_injected"] > 0
     written = (tmp_path / "chaos" / TRACE_FILENAME).read_text()

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.capconfig import CapConfig
+from repro.core.runs import RunSpec
 from repro.experiments.platforms import cap_states, operation_spec
 from repro.obs.capture import run_traced
 from repro.obs.manifest import MANIFEST_FILENAME
@@ -125,8 +126,8 @@ def test_watch_command_renders_killed_run_prefix(tmp_path):
     spec = operation_spec(PLATFORM, "gemm", "double", "tiny")
     states = cap_states(PLATFORM, "gemm", "double", "tiny")
     out = tmp_path / "run"
-    run_traced(PLATFORM, spec, CapConfig("HL"), states, outdir=str(out),
-               stream=True)
+    run_traced(RunSpec(PLATFORM, spec, CapConfig("HL"), states),
+               outdir=str(out), stream=True)
     events_path = out / "events.jsonl"
     raw = events_path.read_bytes()
     cut = int(len(raw) * 0.6)
