@@ -637,7 +637,29 @@ def _check_args(args) -> None:
             raise _UsageError(f"{flag} must be finite and > 0, got {seconds}")
 
 
+#: Exit status of a tool killed by SIGPIPE (128 + 13), what ``repro``
+#: returns when the reader of its stdout goes away early.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        try:
+            return _main(argv)
+        finally:
+            # Inside the guard, so output still buffered (argparse's
+            # --help included) meets a closed pipe here, not at exit.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro table1 | head -1``).  Point
+        # stdout at devnull so the interpreter's own flush at exit stays
+        # quiet too, and exit as a SIGPIPE-killed tool would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)

@@ -31,7 +31,7 @@ from repro.obs.decisions import DecisionLog
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.data import DataManager
 from repro.runtime.graph import Task, TaskGraph, TaskState
-from repro.runtime.perfmodel import HistoryModel, PerfModelSet, model_key
+from repro.runtime.perfmodel import HistoryModel, PerfModelSet
 from repro.runtime.schedulers import make_scheduler
 from repro.runtime.worker import (
     GPUWorker,
@@ -177,8 +177,7 @@ class RuntimeSystem:
             seen_arch: dict[str, WorkerType] = {}
             for w in self.workers:
                 seen_arch.setdefault(w.arch, w)
-            distinct = {model_key(t.op): t.op for t in graph.tasks}
-            for op in distinct.values():
+            for op in graph.distinct_ops():
                 for arch, w in seen_arch.items():
                     if not w.can_run(op):
                         continue
@@ -372,9 +371,8 @@ class RuntimeSystem:
             return 0
         self.perf.invalidate_arch(arch)
         rng = self.rng.stream("calibration")
-        distinct = {model_key(t.op): t.op for t in self._graph.tasks}
         reseeded = 0
-        for op in distinct.values():
+        for op in self._graph.distinct_ops():
             if not sample.can_run(op):
                 continue
             truth = ground_truth_duration(sample, op)

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode, DataHandle
+from repro.runtime.perfmodel import model_key
 
 
 class TaskState(Enum):
@@ -99,6 +100,8 @@ class TaskGraph:
         #: Each task's dependency count as built, in task order.
         self._built_deps: list[int] = []
         self.n_resets = 0
+        #: :meth:`distinct_ops`, once computed; cleared by :meth:`add_task`.
+        self._distinct_ops: Optional[tuple[TileOp, ...]] = None
 
     def add_task(
         self,
@@ -145,6 +148,7 @@ class TaskGraph:
                 else:
                     readers.append(task)
         self.tasks.append(task)
+        self._distinct_ops = None
         return task
 
     def reset(self) -> None:
@@ -183,6 +187,19 @@ class TaskGraph:
 
     def total_flops(self) -> float:
         return sum(t.op.flops for t in self.tasks)
+
+    def distinct_ops(self) -> tuple[TileOp, ...]:
+        """One op per performance-model key, in first-occurrence order.
+
+        Computed once per graph (a run never changes the tasks' ops, so it
+        survives :meth:`reset`); calibration walks it once per run.
+        """
+        ops = self._distinct_ops
+        if ops is None:
+            ops = self._distinct_ops = tuple(
+                {model_key(t.op): t.op for t in self.tasks}.values()
+            )
+        return ops
 
     def counts_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}

@@ -8,6 +8,7 @@ they only decide placement and ordering.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,8 +50,8 @@ class Scheduler(ABC):
             raise ValueError("scheduler needs at least one worker")
         self.workers = list(workers)
         #: Worker position by name: the index into ``self.workers`` (and
-        #: into every array-structured state a policy keeps, e.g. the dm
-        #: backlog array).
+        #: into every position-indexed state a policy keeps, e.g. the dm
+        #: backlog list).
         self._pos = {w.name: i for i, w in enumerate(self.workers)}
         self.perf = perf
         self.data = data
@@ -77,15 +78,16 @@ class Scheduler(ABC):
         """Group workers by :meth:`placement_class_key` into one flat record
         per class, in worker order both across and within classes.
 
-        Each record is ``(w0, is_gpu, arch, mem_node, index, members, view,
-        buf)``: the class's first worker and the three fields placement
-        reads from it; ``index``, the first worker's position in
+        Each record is ``(w0, is_gpu, arch, mem_node, index, members,
+        get_members)``: the class's first worker and the three fields
+        placement reads from it; ``index``, the first worker's position in
         ``self.workers`` (tie-breaks match a brute-force scan); ``members``,
-        the ``(index, worker)`` pairs; ``view``, the class's segment of any
-        worker-position-indexed array (e.g. the dm backlog array); and
-        ``buf``, a reusable output array for the vectorized cost fold
-        (``None`` for a singleton class).  Excluded (quarantined) workers
-        are left out entirely.
+        the ``(index, worker)`` pairs; and ``get_members``, an
+        :func:`operator.itemgetter` that picks the class's entries, in
+        member order, out of any worker-position-indexed sequence (e.g. the
+        dm backlog list), or ``None`` for a singleton class.  Members need
+        not be consecutive: exclusions can punch holes in a class.
+        Excluded (quarantined) workers are left out entirely.
         """
         classes: dict = {}
         for index, worker in enumerate(self.workers):
@@ -97,19 +99,12 @@ class Scheduler(ABC):
         records = []
         for members in classes.values():
             index, w0 = members[0]
-            n = len(members)
-            # Workers of one class are consecutive in the worker list for
-            # every cataloged platform (GPU workers first, then each CPU
-            # package's cores in order), so the class's segment is usually
-            # a zero-copy slice; exclusions can punch holes, in which case
-            # an index array (fancy indexing, a copy) is used.
-            view = slice(index, index + n)
-            if members[-1][0] != index + n - 1:
-                view = np.fromiter((i for i, _ in members), dtype=np.intp)
-            buf = np.empty(n) if n > 1 else None
+            get_members = (
+                itemgetter(*(i for i, _ in members)) if len(members) > 1 else None
+            )
             records.append((
                 w0, w0.is_gpu, w0.arch, getattr(w0, "mem_node", None),
-                index, members, view, buf,
+                index, members, get_members,
             ))
         self._placement_records = records
         #: The decision log's side table (see :meth:`_placement_log_table`),
@@ -138,7 +133,7 @@ class Scheduler(ABC):
                 tuple(w.name for _, w in members),
                 tuple(i for i, _ in members),
             )
-            for w0, _, _, _, index, members, _, _ in self._placement_records
+            for w0, _, _, _, index, members, _ in self._placement_records
         }
         return table
 

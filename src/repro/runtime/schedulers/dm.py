@@ -16,14 +16,18 @@ two workers with the same ``(arch, mem_node)`` see identical duration
 estimates and transfer penalties, so their costs differ only by backlog.
 The expensive cost terms (:meth:`placement_terms`) are therefore computed
 once per class; each member's cost is the class terms folded onto its
-backlog.  Backlogs live in a numpy array indexed by worker position, so a
-class's member costs are one vectorized expression
-(``backlog[indices] + t0 + t1 + ...``) instead of a Python loop — and
-because IEEE-754 addition is applied element-wise in the same left-to-right
-order a per-worker scan would use, the selection stays bit-identical to the
-brute-force path (kept behind :attr:`brute_force_placement` for testing)
-while collapsing ~26 model/transfer evaluations per push to ~3 on the
-paper's platforms.  See ``docs/performance.md``.
+backlog, with the same left-to-right float adds a per-worker scan would
+use, so the selection stays bit-identical to the brute-force path (kept
+behind :attr:`brute_force_placement` for testing) while collapsing ~26
+model/transfer evaluations per push to ~3 on the paper's platforms.
+
+Most classes are not even folded.  Backlogs are never negative, so the
+class's terms folded onto ``0.0`` are a floor under every member's cost
+(a rounded add is monotone); an unlogged scan skips a class whose floor
+is above the best cost so far.  CPU tile kernels are far slower than GPU
+ones, so on the paper's platforms this skips nearly every CPU-package
+fold.  A logged scan folds every class, because the decision log records
+every member's cost.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from typing import Optional
-
-import numpy as np
 
 from repro.obs.decisions import CandidateClass, DecisionRecord
 from repro.runtime.graph import Task
@@ -75,13 +77,16 @@ class DMScheduler(Scheduler):
         self._queues: dict[str, deque[Task]] = {w.name: deque() for w in self.workers}
         #: Summed estimated seconds queued per worker, indexed by the
         #: worker's position in ``self.workers`` (see ``Scheduler._pos``).
-        self._backlog = np.zeros(len(self.workers))
+        #: Never negative, which the class scan's floor relies on: a push
+        #: adds a duration estimate, :meth:`task_finished` clamps at 0.0
+        #: and a drain sets 0.0.
+        self._backlog = [0.0] * len(self.workers)
         self._task_est: dict[int, float] = {}
         self.n_placement_evals = 0
 
     def backlog_of(self, worker: WorkerType) -> float:
         """Current backlog seconds attributed to ``worker``."""
-        return float(self._backlog[self._pos[worker.name]])
+        return self._backlog[self._pos[worker.name]]
 
     # --------------------------------------------------------------- scoring
 
@@ -104,7 +109,7 @@ class DMScheduler(Scheduler):
 
     def placement_cost(self, task: Task, worker: WorkerType, now: float) -> float:
         """Expected completion time of ``task`` on ``worker``."""
-        cost = float(self._backlog[self._pos[worker.name]])
+        cost = self._backlog[self._pos[worker.name]]
         for term in self.placement_terms(task, worker, now):
             cost += term
         return cost
@@ -134,7 +139,7 @@ class DMScheduler(Scheduler):
                             class_key=self.placement_class_label(w),
                             workers=(w.name,),
                             indices=(pos[w.name],),
-                            backlogs=(self._backlog.item(pos[w.name]),),
+                            backlogs=(self._backlog[pos[w.name]],),
                             terms=(),
                             costs=(cost,),
                         )
@@ -164,7 +169,7 @@ class DMScheduler(Scheduler):
         best_index = -1
         best_est = 0.0
         n_evals = 0
-        for w0, is_gpu, arch, mem_node, index, members, view, buf in self._placement_records:
+        for w0, is_gpu, arch, mem_node, index, members, get_members in self._placement_records:
             if is_gpu and not runs_on_gpu:
                 continue
             n_evals += 1
@@ -178,10 +183,9 @@ class DMScheduler(Scheduler):
                 terms = self.placement_terms(task, w0, now, xfer)
                 est = terms[0]
                 rest = terms[1:]
-            if buf is None:
-                # Singleton class (each GPU is its own arch): a scalar fold
-                # in Python floats (IEEE doubles, as numpy's).
-                seg_backlog = backlog.item(index)
+            if get_members is None:
+                # Singleton class (each GPU is its own arch): a scalar fold.
+                seg_backlog = backlog[index]
                 cost = seg_backlog + est
                 for term in rest:
                     cost += term
@@ -191,29 +195,35 @@ class DMScheduler(Scheduler):
                     costs_list = [cost]
                     class_backlogs = (seg_backlog,)
             else:
-                # Vectorized fold: element-wise IEEE adds in the same
-                # left-to-right order as the scalar loop, so every cost is
-                # bit-identical to a per-worker scan.  ``view`` is a
-                # zero-copy slice of the backlog array when the class's
-                # workers are consecutive (always, on the cataloged
-                # platforms); ``buf`` is the class's reusable output array.
-                seg = backlog[view]
-                np.add(seg, est, out=buf)
+                if candidates is None:
+                    # The class's floor: its terms folded onto a 0.0
+                    # backlog.  Backlogs are never negative and a rounded
+                    # add is monotone, so no member costs less; a class
+                    # whose floor is above the best cost cannot win.  Not
+                    # on a tie, which the index tie-break may still give
+                    # to this class.
+                    floor = 0.0 + est
+                    for term in rest:
+                        floor += term
+                    if floor > best_cost:
+                        continue
+                # The fold: per member, the same left-to-right adds as the
+                # scalar loop, so every cost is bit-identical to a
+                # per-worker scan.
+                class_backlogs = get_members(backlog)
+                costs_list = [b + est for b in class_backlogs]
                 for term in rest:
-                    np.add(buf, term, out=buf)
-                # argmin returns the FIRST minimum; members are in
+                    costs_list = [c + term for c in costs_list]
+                # index() finds the FIRST minimum; members are in
                 # worker-index order, so this is the lowest-index winner —
                 # the same tie-break as the scalar scan.
-                i = int(buf.argmin())
-                cost = buf.item(i)
+                cost = min(costs_list)
+                i = costs_list.index(cost)
                 member_index = members[i][0]
                 if cost < best_cost or (cost == best_cost and member_index < best_index):
                     best, best_cost, best_index, best_est = (
                         members[i][1], cost, member_index, est,
                     )
-                if candidates is not None:
-                    costs_list = buf.tolist()
-                    class_backlogs = tuple(seg.tolist())
             if candidates is not None:
                 class_key, names, indices = log_consts[index]
                 candidates.append(CandidateClass(
@@ -292,9 +302,8 @@ class DMScheduler(Scheduler):
         est = self._task_est.pop(task.tid, 0.0)
         pos = self._pos[worker.name]
         backlog = self._backlog
-        # Python floats, not numpy scalars: the same IEEE subtraction and
-        # the same clamp as max(0.0, ...), without the scalar boxing.
-        left = backlog.item(pos) - est
+        # The same clamp as max(0.0, ...), without the call.
+        left = backlog[pos] - est
         backlog[pos] = left if left > 0.0 else 0.0
 
     def _drain_queue(self, worker: WorkerType) -> list[Task]:
