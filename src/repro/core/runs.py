@@ -33,6 +33,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
@@ -482,9 +483,24 @@ def audit_passed(audit: Mapping) -> bool:
 
 
 class Audited:
-    """Mixin for comparison results carrying a ``summary["audit"]``."""
+    """Mixin for comparison results: the executed treated :class:`Run`,
+    whose parts read through it, and a ``summary["audit"]``."""
 
+    run: Run
     summary: dict
+
+    outdir = property(attrgetter("run.outdir"))
+    registry = property(attrgetter("run.registry"))
+    decisions = property(attrgetter("run.decisions"))
+    tracer = property(attrgetter("run.tracer"))
+    sampler = property(attrgetter("run.sampler"))
+    injector = property(attrgetter("run.injector"))
+    recovery = property(attrgetter("run.recovery"))
+
+    @property
+    def anomalies(self) -> tuple:
+        """Watchdog anomalies raised during a streamed run (else empty)."""
+        return tuple(self.run.anomalies)
 
     @property
     def passed(self) -> bool:

@@ -25,51 +25,41 @@ every event byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional
 
 from repro.core.runs import (
     POWER_PERIOD_S,
     Audited,
+    Run,
     RunSpec,
     audit_line,
     compare,
     comparison_lines,
     recovery_line,
 )
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoveryManager
-from repro.obs.decisions import DecisionLog
 from repro.obs.exporters import CHAOS_FILENAME
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime.engine import RunResult
-from repro.sim import Tracer
-from repro.tools.powertrace import PowerSampler
 
 
 @dataclass
 class ChaosRun(Audited):
-    """Everything produced by one chaos comparison.
+    """Everything produced by one chaos comparison: the faulted ``run``
+    (its parts read through :class:`~repro.core.runs.Audited`), the plan
+    and the summary.
 
     ``baseline`` is ``None`` when the fault-free baseline came from the
     experiment cache (its numbers are in ``summary["baseline"]`` either way).
     """
 
-    outdir: Optional[Path]
+    run: Run
     plan: FaultPlan  # resolved (absolute times)
     baseline: Optional[RunResult]
-    faulted: RunResult
     summary: dict
-    registry: MetricsRegistry
-    decisions: DecisionLog
-    tracer: Tracer
-    sampler: PowerSampler
-    injector: FaultInjector
-    recovery: RecoveryManager
-    #: Watchdog anomalies raised during a streamed faulted run (empty
-    #: otherwise).
-    anomalies: tuple = ()
+
+    @property
+    def faulted(self) -> RunResult:
+        return self.run.results[0]
 
 
 def run_chaos(
@@ -142,14 +132,10 @@ def run_chaos(
         cache_label=f"chaos-baseline/{spec.platform}/{config}",
         baseline_prefix="baseline", outdir=outdir, stream=stream, cache=cache,
     )
-    run = cmp.run
     return ChaosRun(
-        outdir=run.outdir, plan=cmp.plan,
+        run=cmp.run, plan=cmp.plan,
         baseline=cmp.baseline_results[0] if cmp.baseline_results else None,
-        faulted=run.results[0], summary=summary, registry=run.registry,
-        decisions=run.decisions, tracer=run.tracer, sampler=run.sampler,
-        injector=run.injector, recovery=run.recovery,
-        anomalies=tuple(run.anomalies),
+        summary=summary,
     )
 
 

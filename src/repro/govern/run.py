@@ -30,13 +30,14 @@ bit-deterministic per (seed, plan): re-running reproduces
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
+from operator import attrgetter
 from typing import Optional
 
 from repro.core.capconfig import CapConfig, CapStates
 from repro.core.runs import (
     POWER_PERIOD_S,
     Audited,
+    Run,
     RunSpec,
     audit_line,
     compare,
@@ -45,19 +46,12 @@ from repro.core.runs import (
 )
 from repro.core.tradeoff import OperationSpec
 from repro.experiments.platforms import cap_states, operation_spec
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoveryManager
-from repro.govern.controller import CAP_RETRIES, PowerBudgetGovernor
+from repro.govern.controller import CAP_RETRIES
 from repro.hardware.catalog import gpu_spec, platform_spec
 from repro.kernels.gemm import GemmKernel
-from repro.obs.decisions import DecisionLog
 from repro.obs.exporters import GOVERN_FILENAME
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import BUDGET_TOLERANCE_W
-from repro.runtime.engine import RunResult
-from repro.sim import Tracer
-from repro.tools.powertrace import PowerSampler
 
 #: The shifted second phase per first-phase workload: a different kernel
 #: *and* precision, so the first phase's derived ``B`` states are wrong
@@ -80,21 +74,17 @@ class Phase:
 
 @dataclass
 class GovernRun(Audited):
-    """Everything produced by one govern comparison."""
+    """Everything produced by one govern comparison: the governed ``run``
+    (its parts read through :class:`~repro.core.runs.Audited`), the plan,
+    the static-best configuration and the summary."""
 
-    outdir: Optional[Path]
+    run: Run
     plan: FaultPlan  # resolved (absolute times)
     static_config: CapConfig
-    governed: list[RunResult]
     summary: dict
-    registry: MetricsRegistry
-    decisions: DecisionLog
-    tracer: Tracer
-    sampler: PowerSampler
-    injector: FaultInjector
-    recovery: RecoveryManager
-    governor: PowerBudgetGovernor
-    anomalies: tuple = ()
+
+    governed = property(attrgetter("run.results"))
+    governor = property(attrgetter("run.governor"))
 
 
 def scenario_phases(
@@ -237,14 +227,8 @@ def run_govern(
         cache_label=f"govern-static/{platform}/{static_config.letters}/{mix}",
         baseline_prefix="static", outdir=outdir, stream=stream, cache=cache,
     )
-    run = cmp.run
-    return GovernRun(
-        outdir=run.outdir, plan=cmp.plan, static_config=static_config,
-        governed=run.results, summary=summary, registry=run.registry,
-        decisions=run.decisions, tracer=run.tracer, sampler=run.sampler,
-        injector=run.injector, recovery=run.recovery, governor=run.governor,
-        anomalies=tuple(run.anomalies),
-    )
+    return GovernRun(run=cmp.run, plan=cmp.plan, static_config=static_config,
+                     summary=summary)
 
 
 def static_spec(

@@ -19,9 +19,99 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, NamedTuple, Optional
+import struct
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Any, Iterator, NamedTuple, Optional
 
 from repro.obs.stream import EVAL_PERIOD_S
+
+#: Lines per ``write`` in :meth:`DecisionLog.write_jsonl`: enough to
+#: amortise the call, few enough that the writer never holds the file.
+WRITE_CHUNK_RECORDS = 256
+
+#: One decision record as ``json.dumps(rec.to_record())`` spells it, with
+#: its candidate classes rendered into the last field.
+_RECORD_FMT = (
+    '{"tid": %d, "label": %s, "kind": %s, "time": %s, "priority": %d, '
+    '"chosen": %s, "chosen_cost": %s, "candidates": [%s]}\n'
+)
+
+#: One candidate class: its header (up to ``"backlogs": [``), then the
+#: bodies of its three float lists.
+_CANDIDATE_FMT = '%s%s], "terms": [%s], "costs": [%s]}'
+
+#: Errors of a fast-path render that ``json.dumps`` may still spell (or
+#: must raise itself): a value of the wrong type, a non-finite number, an
+#: int too large for a double, a record of the wrong shape.
+_FALLBACK = (TypeError, ValueError, OverflowError, struct.error)
+
+
+def _float_list(values, memo: list, packers: dict) -> str:
+    """The body of ``json.dumps(list(values))`` for a tuple of floats.
+
+    ``memo`` holds the last tuple rendered for this slot as its packed
+    doubles, element types and text; a tuple with the same bits and the
+    same types reuses the text.  Bits, not ``==``: ``-0.0 == 0.0`` but
+    the two spell differently, and an int equal to a float spells
+    without the ``.0``.  Raises one of :data:`_FALLBACK` for anything but
+    finite floats (a repr with an ``n``: ``nan``, ``inf``), never
+    memoised, so the record goes through ``json.dumps``.  ``packers``
+    caches a ``struct`` packer per tuple length.
+    """
+    pack = packers.get(len(values))
+    if pack is None:
+        pack = packers[len(values)] = struct.Struct("%dd" % len(values)).pack
+    bits = pack(*values)
+    types = tuple(map(type, values))
+    if bits == memo[0] and types == memo[1]:
+        return memo[2]
+    text = ", ".join(map(float.__repr__, values))
+    if "n" in text:
+        raise ValueError("not finite")
+    memo[:] = bits, types, text
+    return text
+
+
+def _record_line(rec: "DecisionRecord", classes: dict, packers: dict) -> str:
+    """``json.dumps(rec.to_record()) + "\\n"``, rendering what repeats once.
+
+    ``classes`` maps each class key to its rendered header and the memos
+    of its three float lists (see :func:`_float_list`).  A class's header
+    is reused while the record carries the very same key, worker and
+    index objects (the scheduler's per-class constants), and rendered by
+    ``json.dumps`` otherwise.
+    """
+    tid, label, kind, time, chosen, chosen_cost, candidates, priority = rec
+    if type(tid) is not int or type(priority) is not int:
+        raise TypeError("not an int")
+    parts = []
+    for class_key, workers, indices, backlogs, terms, costs in candidates:
+        state = classes.get(class_key)
+        if state is None:
+            # The key, workers and indices the header was rendered from,
+            # the header, then the backlogs, terms and costs memos.
+            state = classes[class_key] = [None, None, None, None,
+                                          [None] * 3, [None] * 3, [None] * 3]
+        if state[0] is not class_key or state[1] is not workers or state[2] is not indices:
+            state[:4] = class_key, workers, indices, (
+                '{"class": %s, "workers": %s, "indices": %s, "backlogs": ['
+                % (json.dumps(class_key), json.dumps(list(workers)),
+                   json.dumps(list(indices)))
+            )
+        parts.append(_CANDIDATE_FMT % (
+            state[3], _float_list(backlogs, state[4], packers),
+            _float_list(terms, state[5], packers),
+            _float_list(costs, state[6], packers),
+        ))
+    time_text = float.__repr__(time)
+    cost_text = float.__repr__(chosen_cost)
+    if "n" in time_text or "n" in cost_text:
+        raise ValueError("not finite")
+    return _RECORD_FMT % (
+        tid, _json_str(label), _json_str(kind), time_text, priority,
+        _json_str(chosen), cost_text, ", ".join(parts),
+    )
 
 
 class CandidateClass(NamedTuple):
@@ -225,11 +315,34 @@ class DecisionLog:
     # ------------------------------------------------------------------- io
 
     def write_jsonl(self, path: str) -> None:
+        """One ``json.dumps(rec.to_record())`` line per record, then the
+        annotations, written :data:`WRITE_CHUNK_RECORDS` lines at a time.
+
+        The bytes are ``json.dumps``'s, but a governed run's records
+        mostly repeat themselves: each placement class carries the same
+        label, workers and indices in every record, and its backlogs,
+        terms and costs often equal the previous record's.  So
+        :func:`_record_line` renders each class header once and reuses a
+        class's last float-list text while the bits and types are
+        unchanged.  A record it cannot spell (a non-finite number, an int
+        or bool where a float belongs, a non-``int`` tid) goes through
+        ``json.dumps(rec.to_record())``, the oracle.
+        """
+        lines = self._lines()
         with open(path, "w") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec.to_record()) + "\n")
-            for ann in self.annotations:
-                fh.write(json.dumps({"type": "annotation", **ann}) + "\n")
+            while batch := list(islice(lines, WRITE_CHUNK_RECORDS)):
+                fh.write("".join(batch))
+
+    def _lines(self) -> Iterator[str]:
+        classes: dict = {}
+        packers: dict = {}
+        for rec in self.records:
+            try:
+                yield _record_line(rec, classes, packers)
+            except _FALLBACK:
+                yield json.dumps(rec.to_record()) + "\n"
+        for ann in self.annotations:
+            yield json.dumps({"type": "annotation", **ann}) + "\n"
 
     @classmethod
     def read_jsonl(cls, path: str) -> "DecisionLog":

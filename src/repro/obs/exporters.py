@@ -18,7 +18,7 @@ Prometheus text snapshots come from
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.obs.decisions import DecisionLog
 from repro.sim.tracing import Tracer
@@ -129,31 +129,40 @@ def backlog_counter_tracks(decisions: DecisionLog) -> list[CounterTrack]:
     :meth:`~repro.obs.decisions.DecisionRecord.backlog_snapshot` takes,
     without a dict per record.  Times and backlogs are floats already.
     """
-    series: dict[str, list[tuple[float, float]]] = {}
+    return list(_backlog_tracks(decisions))
+
+
+def _backlog_tracks(decisions: DecisionLog) -> Iterator[CounterTrack]:
+    """:func:`backlog_counter_tracks` one track at a time.
+
+    The samples are gathered into a times column and a backlogs column
+    per worker, and a track's ``(time, backlog)`` pairs are built only
+    when it is yielded, so a writer that drops each track after use
+    holds two list slots per sample instead of a pair.
+    """
+    columns: dict[str, tuple[list, list]] = {}
     for rec in decisions:
         t = rec.time
         for cand in rec.candidates:
             for worker, backlog in zip(cand.workers, cand.backlogs):
-                points = series.get(worker)
-                if points is None:
-                    points = series[worker] = []
-                points.append((t, backlog))
-    return [
-        CounterTrack(f"backlog {worker}", tuple(points), unit="s")
-        for worker, points in sorted(series.items())
-    ]
+                column = columns.get(worker)
+                if column is None:
+                    column = columns[worker] = ([], [])
+                column[0].append(t)
+                column[1].append(backlog)
+    for worker in sorted(columns):
+        times, backlogs = columns.pop(worker)
+        yield CounterTrack(f"backlog {worker}", tuple(zip(times, backlogs)), unit="s")
 
 
 def _enriched_counters(
     sampler=None, decisions: Optional[DecisionLog] = None
-) -> list[CounterTrack]:
+) -> Iterator[CounterTrack]:
     """Per-device power tracks, then per-worker backlog tracks."""
-    counters: list[CounterTrack] = []
     if sampler is not None:
-        counters.extend(sampler.counter_tracks())
+        yield from sampler.counter_tracks()
     if decisions is not None:
-        counters.extend(backlog_counter_tracks(decisions))
-    return counters
+        yield from _backlog_tracks(decisions)
 
 
 def enriched_chrome_trace(

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Optional, Sequence
+from itertools import groupby, islice
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional
 
 from repro.sim.tracing import Tracer
 
@@ -25,9 +26,11 @@ from repro.sim.tracing import Tracer
 #: the writer's memory stays small.
 WRITE_CHUNK_EVENTS = 256
 
-#: One counter event as ``json.dumps`` spells it, with the track's name and
-#: value key filled in once per track (see :func:`_counter_chunks`).
-_COUNTER_FMT = '{"name": %s, "ph": "C", "ts": %%s, "pid": 0, "args": {%s: %%s}}'
+#: One counter event as ``json.dumps`` spells it is ``head + ts + mid +
+#: value + "}}"``, with the track's name and value key filled in once per
+#: track (see :func:`_counter_chunks`).
+_COUNTER_HEAD = '{"name": %s, "ph": "C", "ts": '
+_COUNTER_MID = ', "pid": 0, "args": {%s: '
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ def _resource_tids(tracer: Tracer) -> dict[str, int]:
 def iter_chrome_events(
     tracer: Tracer,
     time_unit_us: float = 1e6,
-    counters: Optional[Sequence[CounterTrack]] = None,
+    counters: Optional[Iterable[CounterTrack]] = None,
 ) -> Iterator[dict]:
     """Yield the trace events: thread metadata, intervals, points, counters.
 
@@ -114,7 +117,7 @@ def iter_chrome_events(
 def to_chrome_trace(
     tracer: Tracer,
     time_unit_us: float = 1e6,
-    counters: Optional[Sequence[CounterTrack]] = None,
+    counters: Optional[Iterable[CounterTrack]] = None,
 ) -> dict:
     """The whole trace-event document in memory (see :func:`iter_chrome_events`)."""
     return {
@@ -140,41 +143,60 @@ def counter_series(doc: dict, name: str, time_unit_us: float = 1e6) -> list[tupl
     return out
 
 
-def _counter_chunks(track: CounterTrack) -> Iterator[str]:
+def _counter_chunks(track: CounterTrack, stamps: dict) -> Iterator[str]:
     """One track's counter events as JSON text, :data:`WRITE_CHUNK_EVENTS`
     events per chunk, each chunk exactly what ``json.dumps`` writes for
     those events between its list brackets (at the default time unit,
     1 simulated second = 10^6 µs).
 
     Counter events make up almost all of a governed run's trace, and only
-    their timestamp and value vary, so they go through a format template
+    their timestamp and value vary, so they are spliced from fixed pieces
     instead of one dict and one encoder pass each: the name and value key
     are encoded once per track with ``json.dumps`` (escaping included), and
     the numbers with ``float.__repr__``, which is how the encoder spells a
-    finite float.  A chunk holding a value that is not a float (the repr
-    raises ``TypeError``) or a number that is not finite (its repr contains
-    an ``n``: ``nan``, ``inf``) is encoded by ``json.dumps`` instead, which
-    writes ints, ``NaN`` and ``Infinity`` as the in-memory document does.
+    finite float.  ``stamps`` maps a time to its rendered timestamp and is
+    shared by the tracks of one family (see :func:`write_chrome_trace`), so
+    each distinct time is rendered once per family, not once per track.
+    A zero time is never a key (``-0.0 == 0.0``, but the two spell
+    differently), nor is a time whose timestamp is not finite.  A chunk
+    holding a value that is not a float (the repr raises ``TypeError``) or
+    a number that is not finite (its repr contains an ``n``: ``nan``,
+    ``inf``) is encoded by ``json.dumps`` instead, which writes ints,
+    ``NaN`` and ``Infinity`` as the in-memory document does.
     """
     value_key = track.unit or "value"
-    fmt = _COUNTER_FMT % (
-        json.dumps(track.name).replace("%", "%%"),
-        json.dumps(value_key).replace("%", "%%"),
-    )
+    head = _COUNTER_HEAD % json.dumps(track.name)
+    mid = _COUNTER_MID % json.dumps(value_key)
+    between = "}}, " + head
     series = track.series
     # float.__mul__ returns a float, or NotImplemented, whose repr raises.
     scale = (1e6).__mul__
+
+    def stamp(t):
+        text = stamps.get(t)
+        if text is None:
+            text = float.__repr__(scale(t))
+            if t and "n" not in text:
+                stamps[t] = text
+        return text
+
     for lo in range(0, len(series), WRITE_CHUNK_EVENTS):
         part = series[lo:lo + WRITE_CHUNK_EVENTS]
         times, values = zip(*part)
         try:
-            ts = list(map(float.__repr__, map(scale, times)))
+            try:
+                # Every time already stamped: all finite by construction.
+                ts = list(map(stamps.__getitem__, times))
+                plain = True
+            except KeyError:
+                ts = list(map(stamp, times))
+                plain = "n" not in "".join(ts)
             vs = list(map(float.__repr__, values))
-            plain = "n" not in "".join(ts) and "n" not in "".join(vs)
+            plain = plain and "n" not in "".join(vs)
         except TypeError:
             plain = False
         if plain:
-            yield ", ".join(map(fmt.__mod__, zip(ts, vs)))
+            yield head + between.join(map(mid.join, zip(ts, vs))) + "}}"
         else:
             yield json.dumps([
                 {"name": track.name, "ph": "C", "ts": t * 1e6,
@@ -186,7 +208,7 @@ def _counter_chunks(track: CounterTrack) -> Iterator[str]:
 def write_chrome_trace(
     tracer: Tracer,
     path: str,
-    counters: Optional[Sequence[CounterTrack]] = None,
+    counters: Optional[Iterable[CounterTrack]] = None,
 ) -> None:
     """Serialise the trace to a JSON file loadable by Perfetto.
 
@@ -197,6 +219,12 @@ def write_chrome_trace(
     tracks through :func:`_counter_chunks`.  ``json.dump`` would be simpler
     and much slower, because only the one-shot ``json.dumps`` path uses
     CPython's C encoder.
+
+    Consecutive tracks with the same unit are one *family* sharing a time
+    axis: the power tracks (W) sample the sampler's ticks, the backlog
+    tracks (s) the decision times.  Each family gets a fresh timestamp
+    memo, dropped when the family ends, so every distinct time is
+    rendered once per family and the writer holds at most one axis.
     """
     events = iter_chrome_events(tracer)
     with open(path, "w") as fh:
@@ -206,9 +234,11 @@ def write_chrome_trace(
             fh.write(sep)
             fh.write(json.dumps(batch)[1:-1])
             sep = ", "
-        for track in counters or ():
-            for chunk in _counter_chunks(track):
-                fh.write(sep)
-                fh.write(chunk)
-                sep = ", "
+        for _, family in groupby(counters or (), key=attrgetter("unit")):
+            stamps: dict = {}
+            for track in family:
+                for chunk in _counter_chunks(track, stamps):
+                    fh.write(sep)
+                    fh.write(chunk)
+                    sep = ", "
         fh.write('], "displayTimeUnit": "ms"}')
