@@ -6,6 +6,23 @@ GEMM updates, ``N`` are POTRF panel factorisations and ``N(N-1)/2`` each are
 TRSM and SYRK.  The critical path runs through the POTRF/TRSM tasks — small,
 divergent kernels the GPUs are bad at — which is why scheduling this DAG on
 a heterogeneous node is the interesting case.
+
+The edges are closed form too.  No task of this DAG writes a tile that a
+task has read since its last write, so there are no WAR edges, and each
+task depends on the last writer of each tile it touches, read off a
+per-tile table:
+
+- ``potrf[k]`` on ``syrk[k,k-1]``;
+- ``trsm[m,k]`` on ``potrf[k]`` and ``gemm[m,k,k-1]``;
+- ``syrk[n,k]`` on ``trsm[n,k]`` and ``syrk[n,k-1]``;
+- ``gemm[m,n,k]`` on ``gemm[m,n,k-1]``, ``trsm[m,k]`` and ``trsm[n,k]``
+
+(no ``k-1`` term at ``k = 0``).  :func:`build_potrf` emits the tasks with
+those edges (:meth:`~repro.runtime.graph.TaskGraph.emit`) when no tile of
+the matrix is known to the graph yet.  Otherwise it submits them through
+:meth:`~repro.runtime.graph.TaskGraph.add_task`, whose hazard inference
+stays the reference: an emitted graph equals the inferred one field for
+field.
 """
 
 from __future__ import annotations
@@ -28,46 +45,72 @@ def build_potrf(graph: TaskGraph, a: TileMatrix) -> TaskGraph:
     op_syrk = TileOp("syrk", nb, prec)
     op_gemm = TileOp("gemm", nb, prec)
     R, RW = AccessMode.R, AccessMode.RW
-    # cols[j][i - j] is tile (i, j) of the lower triangle.  A column is
-    # fetched whole at its first touch (column 0 at the first POTRF, column
-    # n at the first SYRK on it), which creates its handles in exactly the
-    # order the tasks below would first touch them one by one.
+    if any(map(graph.knows, a.handles())):
+        # Earlier tasks touch these tiles: only inference sees their edges.
+        def submit(op, accesses, deps, priority, label, payload):
+            return graph.add_task(op, accesses, priority, label, payload)
+    else:
+        submit = graph.emit
+    # cols[j][i - j] is tile (i, j) of the lower triangle, and
+    # writers[j][i - j] its last writer so far.  A column is fetched whole
+    # at its first touch (column 0 at the first POTRF, column n at the
+    # first SYRK on it), which creates its handles in exactly the order
+    # the tasks below would first touch them one by one.
     cols: list = [None] * nt
+    writers: list = [None] * nt
     for k in range(nt):
         ck = cols[k]
         if ck is None:
             ck = cols[k] = [a.handle(i, k) for i in range(k, nt)]
+            writers[k] = [None] * (nt - k)
+        wk = writers[k]
         akk = ck[0]
-        graph.add_task(
+        prev = wk[0]
+        panel = wk[0] = submit(
             op_potrf,
-            [(akk, RW)],
-            label=f"potrf[{k}]",
-            payload={"kind": "potrf", "A": (a, k, k)},
+            ((akk, RW),),
+            () if prev is None else (prev,),
+            0,
+            f"potrf[{k}]",
+            {"kind": "potrf", "A": (a, k, k)},
         )
         for m in range(k + 1, nt):
-            graph.add_task(
+            prev = wk[m - k]
+            wk[m - k] = submit(
                 op_trsm,
-                [(akk, R), (ck[m - k], RW)],
-                label=f"trsm[{m},{k}]",
-                payload={"kind": "trsm", "L": (a, k, k), "A": (a, m, k)},
+                ((akk, R), (ck[m - k], RW)),
+                (panel,) if prev is None else (panel, prev),
+                0,
+                f"trsm[{m},{k}]",
+                {"kind": "trsm", "L": (a, k, k), "A": (a, m, k)},
             )
         for n in range(k + 1, nt):
             cn = cols[n]
             if cn is None:
                 cn = cols[n] = [a.handle(i, n) for i in range(n, nt)]
+                writers[n] = [None] * (nt - n)
+            wn = writers[n]
             ank = ck[n - k]
-            graph.add_task(
+            trsm_n = wk[n - k]
+            prev = wn[0]
+            wn[0] = submit(
                 op_syrk,
-                [(ank, R), (cn[0], RW)],
-                label=f"syrk[{n},{k}]",
-                payload={"kind": "syrk", "A": (a, n, k), "C": (a, n, n)},
+                ((ank, R), (cn[0], RW)),
+                (trsm_n,) if prev is None else (trsm_n, prev),
+                0,
+                f"syrk[{n},{k}]",
+                {"kind": "syrk", "A": (a, n, k), "C": (a, n, n)},
             )
             for m in range(n + 1, nt):
-                graph.add_task(
+                prev = wn[m - n]
+                wn[m - n] = submit(
                     op_gemm,
-                    [(cn[m - n], RW), (ck[m - k], R), (ank, R)],
-                    label=f"gemm[{m},{n},{k}]",
-                    payload={
+                    ((cn[m - n], RW), (ck[m - k], R), (ank, R)),
+                    (wk[m - k], trsm_n) if prev is None
+                    else (prev, wk[m - k], trsm_n),
+                    0,
+                    f"gemm[{m},{n},{k}]",
+                    {
                         "kind": "gemm",
                         "C": (a, m, n),
                         "A": (a, m, k),

@@ -242,7 +242,8 @@ class RuntimeSystem:
         reset_energy: bool = True,
         update_models: bool = True,
     ) -> RunResult:
-        graph.validate()
+        if not graph.validated:
+            graph.validate()
         if self._remaining:
             raise RuntimeError_("a run is already in progress")
         if calibrate:
@@ -538,7 +539,6 @@ class RuntimeSystem:
         worker.busy = True
         task.state = _RUNNING
         task.worker_name = worker.name
-        self._scheduler.task_started(task, worker, now)
         metrics = self.metrics
         if metrics is not None:
             waits = self._wait_metrics.get(worker.arch)

@@ -10,9 +10,16 @@ and dependencies are inferred from data hazards —
 Edges therefore always point from earlier to later submissions, so the graph
 is acyclic by construction.
 
+Builders whose hazards are closed form in their tile indices (tiled POTRF
+and GEMM) skip the inference: :meth:`TaskGraph.emit` appends a task with the
+predecessors the builder read off its own tiles, and :meth:`TaskGraph.add_task`
+stays the general path and the reference an emitted graph must equal.
+
 A built graph is re-runnable after :meth:`TaskGraph.reset`, which puts its
 tasks and handles back as they were built, so a run of the same operation on
-another runtime can skip the build and its hazard inference.
+another runtime can skip the build and its hazard inference.  What a run
+derives from the structure (its validation, roots and flop total) is
+computed once per graph and survives the reset.
 """
 
 from __future__ import annotations
@@ -87,7 +94,8 @@ class TaskGraph:
     """A DAG of tasks built by sequential submission with hazard inference.
 
     Re-runnable after :meth:`reset`; ``n_resets`` counts the resets, so a
-    holder of the graph can tell whether a later run has reused it.
+    holder of the graph can tell whether a later run has reused it.  Task
+    ids are positions: ``tasks[i].tid == i``.
     """
 
     def __init__(self) -> None:
@@ -95,12 +103,19 @@ class TaskGraph:
         self._tid = itertools.count()
         self._last_writer: dict[DataHandle, Task] = {}
         self._readers_since_write: dict[DataHandle, list[Task]] = {}
+        #: The hazard state above covers ``tasks[:_n_hazard]``; emitted
+        #: tasks are folded in by the next :meth:`add_task`.
+        self._n_hazard = 0
         self.n_edges = 0
         self._handles: dict[int, DataHandle] = {}
         #: Each task's dependency count as built, in task order.
         self._built_deps: list[int] = []
         self.n_resets = 0
-        #: :meth:`distinct_ops`, once computed; cleared by :meth:`add_task`.
+        # Derived from the structure, computed once and kept across
+        # reset(); add_task and emit drop them.
+        self._validated = False
+        self._roots: Optional[list[Task]] = None
+        self._flops: Optional[float] = None
         self._distinct_ops: Optional[tuple[TileOp, ...]] = None
 
     def add_task(
@@ -113,6 +128,8 @@ class TaskGraph:
     ) -> Task:
         """Submit a task; dependencies are inferred from data hazards."""
         task = Task(next(self._tid), op, accesses, priority, label, payload)
+        if self._n_hazard != task.tid:
+            self._fold_hazards(self.tasks[self._n_hazard:])
         handles = self._handles
         last_writer = self._last_writer
         readers_since_write = self._readers_since_write
@@ -137,19 +154,64 @@ class TaskGraph:
         self.n_edges += len(deps)
         # A second pass: the hazards above must see the state from before
         # this task, even when it accesses one handle twice.
-        for handle, mode in task.accesses:
-            if mode.writes:
-                last_writer[handle] = task
-                readers_since_write[handle] = []
-            elif mode.reads:
-                readers = readers_since_write.get(handle)
-                if readers is None:
-                    readers_since_write[handle] = [task]
-                else:
-                    readers.append(task)
+        self._fold_hazards((task,))
         self.tasks.append(task)
-        self._distinct_ops = None
+        self._drop_derived()
         return task
+
+    def emit(
+        self,
+        op: TileOp,
+        accesses: Sequence[tuple[DataHandle, AccessMode]],
+        deps: Sequence[Task],
+        priority: int = 0,
+        label: str = "",
+        payload: Optional[dict] = None,
+    ) -> Task:
+        """Append a task whose predecessors the caller already knows.
+
+        ``deps`` must be exactly the distinct tasks :meth:`add_task` would
+        infer for ``accesses``, in the order it would find them; a builder
+        that reads them off its own tiles passes them here and skips the
+        hazard inference.  The handles are registered as :meth:`add_task`
+        registers them, and the hazard state catches up at the next
+        :meth:`add_task`, so later submissions see the same hazards.
+        """
+        task = Task(next(self._tid), op, accesses, priority, label, payload)
+        handles = self._handles
+        for handle, _ in task.accesses:
+            handles[handle.hid] = handle
+        for dep in deps:
+            dep.successors.append(task)
+        n = len(deps)
+        task.deps_remaining = n
+        self._built_deps.append(n)
+        self.n_edges += n
+        self.tasks.append(task)
+        self._drop_derived()
+        return task
+
+    def _fold_hazards(self, tasks: Sequence[Task]) -> None:
+        """Record ``tasks``' writes and reads as the latest per handle."""
+        last_writer = self._last_writer
+        readers_since_write = self._readers_since_write
+        for task in tasks:
+            for handle, mode in task.accesses:
+                if mode.writes:
+                    last_writer[handle] = task
+                    readers_since_write[handle] = []
+                elif mode.reads:
+                    readers = readers_since_write.get(handle)
+                    if readers is None:
+                        readers_since_write[handle] = [task]
+                    else:
+                        readers.append(task)
+        if tasks:
+            self._n_hazard = tasks[-1].tid + 1
+
+    def _drop_derived(self) -> None:
+        self._validated = False
+        self._roots = self._flops = self._distinct_ops = None
 
     def reset(self) -> None:
         """Put the graph back as built, ready for a run on a new runtime.
@@ -182,11 +244,24 @@ class TaskGraph:
     def handles(self) -> list[DataHandle]:
         return list(self._handles.values())
 
+    def knows(self, handle: DataHandle) -> bool:
+        """Whether a task of this graph accesses ``handle``."""
+        return handle.hid in self._handles
+
     def roots(self) -> list[Task]:
-        return [t for t in self.tasks if t.deps_remaining == 0]
+        """The tasks built with no dependency, in task order (computed once)."""
+        roots = self._roots
+        if roots is None:
+            roots = self._roots = [
+                t for t, deps in zip(self.tasks, self._built_deps) if not deps
+            ]
+        return roots
 
     def total_flops(self) -> float:
-        return sum(t.op.flops for t in self.tasks)
+        flops = self._flops
+        if flops is None:
+            flops = self._flops = sum(t.op.flops for t in self.tasks)
+        return flops
 
     def distinct_ops(self) -> tuple[TileOp, ...]:
         """One op per performance-model key, in first-occurrence order.
@@ -209,17 +284,35 @@ class TaskGraph:
 
     # ------------------------------------------------------------- analysis
 
+    @property
+    def validated(self) -> bool:
+        """Whether :meth:`validate` passed since the last task was added.
+
+        A run changes no edge and :meth:`reset` restores the built
+        dependency counts, so a runtime validates a graph the first time
+        it runs it and trusts it afterwards.
+        """
+        return self._validated
+
     def validate(self) -> None:
-        """Check structural sanity (dep counts match incoming edges)."""
-        incoming = {t.tid: 0 for t in self.tasks}
-        for t in self.tasks:
+        """Check structural sanity: every edge points forward, and each
+        task's built dependency count, and its current one while it is
+        CREATED, matches its incoming edges.  Always checks, and a pass
+        sets :attr:`validated`."""
+        tasks = self.tasks
+        incoming = [0] * len(tasks)
+        for t in tasks:
+            tid = t.tid
             for s in t.successors:
-                if s.tid <= t.tid:
+                sid = s.tid
+                if sid <= tid:
                     raise ValueError("edge does not respect submission order")
-                incoming[s.tid] += 1
-        for t in self.tasks:
-            if t.state is TaskState.CREATED and incoming[t.tid] != t.deps_remaining:
+                incoming[sid] += 1
+        created = TaskState.CREATED
+        for t, n, built in zip(tasks, incoming, self._built_deps):
+            if n != built or (t.state is created and n != t.deps_remaining):
                 raise ValueError(f"dep count mismatch on {t.label}")
+        self._validated = True
 
     def critical_path(
         self, weight: Optional[Callable[[Task], float]] = None
@@ -257,8 +350,9 @@ class TaskGraph:
         This is the runtime-agnostic equivalent of Chameleon's expert-tuned
         priorities: tasks deep on the critical path sort first in ``dmdas``.
         """
-        depth: dict[int, int] = {}
-        for t in reversed(self.tasks):
+        tasks = self.tasks
+        depth = [0] * len(tasks)
+        for t in reversed(tasks):
             # A plain loop: max() over a generator costs more than the
             # one to three successors a tile task has.
             d = 0
@@ -266,6 +360,5 @@ class TaskGraph:
                 ds = depth[s.tid]
                 if ds > d:
                     d = ds
-            depth[t.tid] = d + 1
-        for t in self.tasks:
-            t.priority = depth[t.tid]
+            depth[t.tid] = d = d + 1
+            t.priority = d

@@ -172,7 +172,11 @@ class Scheduler(ABC):
         """An idle worker requests work; return a task or ``None``."""
 
     def task_started(self, task: Task, worker: WorkerType, now: float) -> None:
-        """Hook: the engine began executing ``task`` on ``worker``."""
+        """Hook for a task that began on ``worker``.
+
+        No policy overrides it, so the engine no longer calls it; it stays
+        defined because the perf benchmark's tracer wraps it by name.
+        """
 
     def task_finished(self, task: Task, worker: WorkerType, now: float) -> None:
         """Hook: ``task`` completed on ``worker``."""

@@ -158,7 +158,15 @@ def _counter_chunks(track: CounterTrack, stamps: dict) -> Iterator[str]:
     shared by the tracks of one family (see :func:`write_chrome_trace`), so
     each distinct time is rendered once per family, not once per track.
     A zero time is never a key (``-0.0 == 0.0``, but the two spell
-    differently), nor is a time whose timestamp is not finite.  A chunk
+    differently), nor is a time whose timestamp is not finite.
+
+    A track's value usually repeats the one before it (a power level held
+    between cap changes, an unchanged backlog), so a value that is an
+    exact ``float``, nonzero and equal to the previous value of the track,
+    itself an exact ``float``, reuses that value's text: equal nonzero
+    floats have equal bits.  Zeros of either sign, ints, bools, float
+    subclasses such as ``numpy.float64`` and NaN are spelled afresh each
+    time.  Only the previous value is held, so the memo never grows.  A chunk
     holding a value that is not a float (the repr raises ``TypeError``) or
     a number that is not finite (its repr contains an ``n``: ``nan``,
     ``inf``) is encoded by ``json.dumps`` instead, which writes ints,
@@ -180,6 +188,8 @@ def _counter_chunks(track: CounterTrack, stamps: dict) -> Iterator[str]:
                 stamps[t] = text
         return text
 
+    spell = float.__repr__
+    prev = text = None  # the track's last exact-float value and its text
     for lo in range(0, len(series), WRITE_CHUNK_EVENTS):
         part = series[lo:lo + WRITE_CHUNK_EVENTS]
         times, values = zip(*part)
@@ -191,7 +201,16 @@ def _counter_chunks(track: CounterTrack, stamps: dict) -> Iterator[str]:
             except KeyError:
                 ts = list(map(stamp, times))
                 plain = "n" not in "".join(ts)
-            vs = list(map(float.__repr__, values))
+            vs = []
+            for v in values:
+                if type(v) is not float:
+                    prev = None
+                    vs.append(spell(v))
+                    continue
+                if v != prev or not v:
+                    prev = v
+                    text = spell(v)
+                vs.append(text)
             plain = plain and "n" not in "".join(vs)
         except TypeError:
             plain = False

@@ -99,8 +99,13 @@ class PowerSampler:
         """One Perfetto counter track per device (instantaneous watts)."""
         from repro.tools.chrometrace import CounterTrack
 
+        samples = self.samples
         return [
-            CounterTrack.from_samples(f"power {device}", self.series(device), unit="W")
+            CounterTrack(
+                f"power {device}",
+                tuple([(float(s.time_s), float(s.device_w[device])) for s in samples]),
+                unit="W",
+            )
             for device in self.devices()
         ]
 

@@ -3,7 +3,7 @@
 ``DecisionLog.write_jsonl`` renders each placement class's header once and
 reuses a class's last float-list text while the bits and types repeat;
 ``write_chrome_trace`` renders each distinct timestamp once per family of
-counter tracks.  Both must write the bytes of their oracles:
+counter tracks, and a track's value once per run of equal floats.  Both must write the bytes of their oracles:
 ``json.dumps(rec.to_record()) + "\\n"`` per decision line and
 ``json.dumps(to_chrome_trace(...))`` for the trace.  The draws sit on the
 edges of that reuse: ``-0.0`` right after ``0.0`` (equal, spelled
@@ -198,12 +198,26 @@ def tracers(draw) -> Tracer:
     return tracer
 
 
+#: A run of one float across several chunks, broken by both zeros (in a
+#: chunk the fast path spells), by an int equal to the run's value and by
+#: NaN (each in a chunk that ``json.dumps`` spells): the value memo must
+#: answer for the run only.
+_BROKEN_RUN = (
+    [2.0] * 250 + [0.0, -0.0, 2.0, -0.0, 0.0, 0.0, 2.0]
+    + [2.0] * 300 + [2, 2.0] + [2.0] * 300 + [math.nan, 2.0, math.nan]
+    + [2.0] * 10
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(tracers(), counter_families())
 @example(Tracer(), [
     CounterTrack("power a", ((0.0, 1.0), (-0.0, 1.0), (0.5, -0.0)), "W"),
     CounterTrack("power b", ((-0.0, 0.0), (0.0, 2.0), (0.5, 0.0)), "W"),
 ])
+@example(Tracer(), [CounterTrack(
+    "power run", tuple((i * 1e-3, v) for i, v in enumerate(_BROKEN_RUN)), "W",
+)])
 def test_trace_is_json_dumps_of_the_document(tmp_path_factory, tracer, tracks):
     path = tmp_path_factory.mktemp("trace") / "trace.json"
     write_chrome_trace(tracer, str(path), counters=tracks)

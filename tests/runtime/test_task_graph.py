@@ -1,9 +1,13 @@
 """Unit tests for implicit dependency inference and graph analysis."""
 
+import pytest
 
+from repro.hardware.catalog import build_platform
 from repro.kernels.tile_kernels import TileOp
+from repro.runtime import RuntimeSystem
 from repro.runtime.data import AccessMode, DataHandle
 from repro.runtime.graph import TaskGraph, TaskState
+from repro.sim import Simulator
 
 
 OP = TileOp("gemm", 64, "double")
@@ -148,3 +152,83 @@ def test_reads_writes_helpers():
     t = g.add_task(OP, [(a, AccessMode.R), (b, AccessMode.RW)])
     assert t.reads() == [a, b]
     assert t.writes() == [b]
+
+
+# ------------------------------------------------- validated once per graph
+
+
+def _runtime():
+    return RuntimeSystem(build_platform("24-Intel-2-V100", Simulator()))
+
+
+def _diamond():
+    g = TaskGraph()
+    a, b = _h(), _h()
+    g.add_task(OP, [(a, AccessMode.W), (b, AccessMode.W)])
+    g.add_task(OP, [(a, AccessMode.RW)])
+    g.add_task(OP, [(b, AccessMode.RW)])
+    g.add_task(OP, [(a, AccessMode.R), (b, AccessMode.R)])
+    return g
+
+
+def _count_validations(monkeypatch, g):
+    calls = []
+    real = g.validate
+    monkeypatch.setattr(g, "validate", lambda: calls.append(1) or real())
+    return calls
+
+
+def _edit_dep_count(g):
+    g.tasks[3].deps_remaining = 1
+
+
+def _edit_successors(g):
+    g.tasks[1].successors.pop()
+
+
+@pytest.mark.parametrize("edit", [_edit_dep_count, _edit_successors])
+def test_a_hand_edited_graph_raises_from_validate_and_its_first_run(edit):
+    g = _diamond()
+    edit(g)
+    with pytest.raises(ValueError, match="dep count mismatch"):
+        g.validate()
+    assert not g.validated
+    with pytest.raises(ValueError, match="dep count mismatch"):
+        _runtime().run(g)
+
+
+def test_a_reset_graph_is_not_validated_again(monkeypatch):
+    g = _diamond()
+    calls = _count_validations(monkeypatch, g)
+    _runtime().run(g)
+    assert calls == [1] and g.validated
+    g.reset()
+    assert g.validated
+    _runtime().run(g)
+    assert calls == [1]
+    assert all(t.state is TaskState.DONE for t in g.tasks)
+
+
+def test_add_task_after_a_run_makes_the_next_run_validate(monkeypatch):
+    g = _diamond()
+    calls = _count_validations(monkeypatch, g)
+    _runtime().run(g)
+    g.reset()
+    roots, flops = g.roots(), g.total_flops()
+    g.add_task(OP, [(_h(), AccessMode.W)])
+    assert not g.validated
+    assert g.roots() == roots + [g.tasks[4]]
+    assert g.total_flops() == flops + OP.flops
+    res = _runtime().run(g)
+    assert calls == [1, 1] and res.n_tasks == 5
+
+
+def test_an_edge_edited_after_a_run_still_fails_validate():
+    # The tasks are DONE, so only the built counts can disagree; reset()
+    # would restore them against the edited edges.
+    g = _diamond()
+    _runtime().run(g)
+    g.validate()
+    _edit_successors(g)
+    with pytest.raises(ValueError, match="dep count mismatch"):
+        g.validate()
