@@ -114,9 +114,11 @@ class RecoveryManager:
         self._retries: dict[int, int] = {}
         self._parked: list[Task] = []
         self._suspect: dict[str, int] = {}
-        # Insertion-ordered (a list, not a set) so cancellation order — and
+        # Pending recovery events by the number _later gave them.
+        # Insertion-ordered (a dict, not a set) so cancellation order — and
         # with it heap compaction — is identical across processes.
-        self._pending: list[EventHandle] = []
+        self._pending: dict[int, EventHandle] = {}
+        self._n_later = 0
         self._scheduler: Optional["Scheduler"] = None
         self._n_tasks = 0
         self._n_finished = 0
@@ -142,7 +144,7 @@ class RecoveryManager:
         self._retries.clear()
         self._parked.clear()
         self._suspect.clear()
-        for handle in self._pending:
+        for handle in self._pending.values():
             handle.cancel()
         self._pending.clear()
         # Multi-phase scenarios: a worker still dead from an earlier run must
@@ -182,6 +184,9 @@ class RecoveryManager:
         entry = self._inflight.pop(worker.name, None)
         if entry is not None and entry.watchdog is not None:
             entry.watchdog.cancel()
+            # The handle's args hold the entry: dropping the handle breaks
+            # the cycle, so the entry is freed now instead of by the GC.
+            entry.watchdog = None
         if entry is not None and entry.est > 0:
             self._note_drift(worker.arch, duration / entry.est)
         self._n_finished += 1
@@ -238,6 +243,7 @@ class RecoveryManager:
         entry.handle.cancel()
         if entry.watchdog is not None:
             entry.watchdog.cancel()
+            entry.watchdog = None  # see on_task_finished
         self.runtime.abort_task(
             entry.task, entry.worker, running=entry.phase == "running"
         )
@@ -334,7 +340,7 @@ class RecoveryManager:
             self._suspect[arch] = 0
 
     def _on_run_complete(self) -> None:
-        for handle in self._pending:
+        for handle in self._pending.values():
             handle.cancel()
         self._pending.clear()
         if self.injector is not None:
@@ -342,14 +348,19 @@ class RecoveryManager:
         self._notify("on_run_complete")
 
     def _later(self, delay: float, fn, *args) -> None:
-        """Schedule a cancellable recovery event that unregisters on fire."""
+        """Schedule a cancellable recovery event that unregisters on fire.
+
+        The event finds itself in ``_pending`` by number: a callback
+        holding its own handle would be a cycle only the GC frees.
+        """
+        number = self._n_later
+        self._n_later += 1
+
         def fire() -> None:
-            if handle in self._pending:
-                self._pending.remove(handle)
+            self._pending.pop(number, None)
             fn(*args)
 
-        handle: EventHandle = self.sim.schedule(delay, fire)
-        self._pending.append(handle)
+        self._pending[number] = self.sim.schedule(delay, fire)
 
     def _event(self, kind: str, target: str = "", task: str = "",
                detail: str = "") -> None:

@@ -124,35 +124,19 @@ def backlog_counter_tracks(decisions: DecisionLog) -> list[CounterTrack]:
 
     Sampled at decision times — exactly the values the scheduler folded
     into its costs, so the tracks explain the decisions they sit next to.
-    Read straight off each candidate's ``(workers, backlogs)``: a
-    scheduler's candidates partition its workers, so this is the union
-    :meth:`~repro.obs.decisions.DecisionRecord.backlog_snapshot` takes,
-    without a dict per record.  Times and backlogs are floats already.
+    Read straight off the log's backlog snapshots
+    (:meth:`~repro.obs.decisions.DecisionLog.backlog_columns`).
     """
     return list(_backlog_tracks(decisions))
 
 
 def _backlog_tracks(decisions: DecisionLog) -> Iterator[CounterTrack]:
-    """:func:`backlog_counter_tracks` one track at a time.
-
-    The samples are gathered into a times column and a backlogs column
-    per worker, and a track's ``(time, backlog)`` pairs are built only
-    when it is yielded, so a writer that drops each track after use
-    holds two list slots per sample instead of a pair.
-    """
-    columns: dict[str, tuple[list, list]] = {}
-    for rec in decisions:
-        t = rec.time
-        for cand in rec.candidates:
-            for worker, backlog in zip(cand.workers, cand.backlogs):
-                column = columns.get(worker)
-                if column is None:
-                    column = columns[worker] = ([], [])
-                column[0].append(t)
-                column[1].append(backlog)
+    """:func:`backlog_counter_tracks` one track at a time, in worker-name
+    order, each handed its time and backlog columns as they are."""
+    columns = decisions.backlog_columns()
     for worker in sorted(columns):
         times, backlogs = columns.pop(worker)
-        yield CounterTrack(f"backlog {worker}", tuple(zip(times, backlogs)), unit="s")
+        yield CounterTrack(f"backlog {worker}", unit="s", times=times, values=backlogs)
 
 
 def _enriched_counters(

@@ -26,8 +26,9 @@ class's terms folded onto ``0.0`` are a floor under every member's cost
 (a rounded add is monotone); an unlogged scan skips a class whose floor
 is above the best cost so far.  CPU tile kernels are far slower than GPU
 ones, so on the paper's platforms this skips nearly every CPU-package
-fold.  A logged scan folds every class, because the decision log records
-every member's cost.  See ``docs/performance.md``.
+fold.  A logged scan prunes the same way: the decision log keeps each
+class's terms and a snapshot of the backlogs, and folds the member costs
+only when it is read.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -129,12 +130,14 @@ class DMScheduler(Scheduler):
             best = workers[best_i]
             if log is not None:
                 pos = self._pos
-                log.append(self._decision_record(
-                    task, now, best.name, costs[best_i],
+                log.append(DecisionRecord(
+                    tid=task.tid, label=task.label, kind=task.op.kind,
+                    time=now, priority=task.priority, chosen=best.name,
+                    chosen_cost=costs[best_i],
                     # One pseudo-class per worker: the brute-force path may
                     # run subclasses whose cost does not decompose into the
                     # shared terms, so only the folded cost is authoritative.
-                    tuple(
+                    candidates=tuple(
                         CandidateClass(
                             class_key=self.placement_class_label(w),
                             workers=(w.name,),
@@ -160,10 +163,14 @@ class DMScheduler(Scheduler):
             if self.data_aware else None
         )
         if log is not None:
-            candidates = []
-            log_consts = self._placement_log or self._placement_log_table()
+            # What the log keeps of the scan: each priced class's key and
+            # terms, where class i's terms end at ends[i].
+            log_table = self._placement_log or self._placement_log_table()
+            logged: Optional[list] = []
+            log_terms: list = []
+            ends: list = []
         else:
-            candidates = None
+            logged = None
         best: Optional[WorkerType] = None
         best_cost = math.inf
         best_index = -1
@@ -183,35 +190,33 @@ class DMScheduler(Scheduler):
                 terms = self.placement_terms(task, w0, now, xfer)
                 est = terms[0]
                 rest = terms[1:]
+            if logged is not None:
+                logged.append(index)
+                log_terms.append(est)
+                log_terms += rest
+                ends.append(len(log_terms))
             if get_members is None:
                 # Singleton class (each GPU is its own arch): a scalar fold.
-                seg_backlog = backlog[index]
-                cost = seg_backlog + est
+                cost = backlog[index] + est
                 for term in rest:
                     cost += term
                 if cost < best_cost or (cost == best_cost and index < best_index):
                     best, best_cost, best_index, best_est = w0, cost, index, est
-                if candidates is not None:
-                    costs_list = [cost]
-                    class_backlogs = (seg_backlog,)
             else:
-                if candidates is None:
-                    # The class's floor: its terms folded onto a 0.0
-                    # backlog.  Backlogs are never negative and a rounded
-                    # add is monotone, so no member costs less; a class
-                    # whose floor is above the best cost cannot win.  Not
-                    # on a tie, which the index tie-break may still give
-                    # to this class.
-                    floor = 0.0 + est
-                    for term in rest:
-                        floor += term
-                    if floor > best_cost:
-                        continue
+                # The class's floor: its terms folded onto a 0.0 backlog.
+                # Backlogs are never negative and a rounded add is
+                # monotone, so no member costs less; a class whose floor
+                # is above the best cost cannot win.  Not on a tie, which
+                # the index tie-break may still give to this class.
+                floor = 0.0 + est
+                for term in rest:
+                    floor += term
+                if floor > best_cost:
+                    continue
                 # The fold: per member, the same left-to-right adds as the
                 # scalar loop, so every cost is bit-identical to a
                 # per-worker scan.
-                class_backlogs = get_members(backlog)
-                costs_list = [b + est for b in class_backlogs]
+                costs_list = [b + est for b in get_members(backlog)]
                 for term in rest:
                     costs_list = [c + term for c in costs_list]
                 # index() finds the FIRST minimum; members are in
@@ -224,43 +229,13 @@ class DMScheduler(Scheduler):
                     best, best_cost, best_index, best_est = (
                         members[i][1], cost, member_index, est,
                     )
-            if candidates is not None:
-                class_key, names, indices = log_consts[index]
-                candidates.append(CandidateClass(
-                    class_key=class_key,
-                    workers=names,
-                    indices=indices,
-                    backlogs=class_backlogs,
-                    terms=(est, *rest),
-                    costs=tuple(costs_list),
-                ))
         self.n_placement_evals += n_evals
         if best is None:
             raise RuntimeError(f"no worker can run {task.op.kind!r}")
-        if log is not None:
-            log.append(self._decision_record(
-                task, now, best.name, float(best_cost), tuple(candidates)
-            ))
+        if logged is not None:
+            log.append_scan(task, now, best.name, float(best_cost), log_table,
+                            backlog, logged, log_terms, ends)
         return best, best_est
-
-    def _decision_record(
-        self,
-        task: Task,
-        now: float,
-        chosen: str,
-        chosen_cost: float,
-        candidates: tuple[CandidateClass, ...],
-    ) -> DecisionRecord:
-        return DecisionRecord(
-            tid=task.tid,
-            label=task.label,
-            kind=task.op.kind,
-            time=now,
-            priority=task.priority,
-            chosen=chosen,
-            chosen_cost=chosen_cost,
-            candidates=candidates,
-        )
 
     # ------------------------------------------------------------------- api
 

@@ -14,10 +14,9 @@ intervals (power dips become visible exactly where a cap state engages).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import groupby, islice
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.sim.tracing import Tracer
 
@@ -33,13 +32,53 @@ _COUNTER_HEAD = '{"name": %s, "ph": "C", "ts": '
 _COUNTER_MID = ', "pid": 0, "args": {%s: '
 
 
-@dataclass(frozen=True)
 class CounterTrack:
-    """One named counter series, e.g. ``power gpu0`` in watts."""
+    """One named counter series, e.g. ``power gpu0`` in watts.
 
-    name: str
-    series: tuple[tuple[float, float], ...]
-    unit: str = ""
+    Held as a time column and a value column, which is how the samplers
+    gather them and how :func:`write_chrome_trace` reads them; ``series``
+    is the ``(time, value)`` pairs, built when asked for.  Build one from
+    pairs (``CounterTrack(name, series, unit)``) or from the columns
+    (``CounterTrack(name, unit=unit, times=..., values=...)``).  Either
+    way the columns are stored as tuples, and two tracks are equal when
+    their name, columns and unit are.
+    """
+
+    __slots__ = ("name", "times", "values", "unit")
+
+    def __init__(self, name: str, series: Iterable[tuple[float, float]] = (),
+                 unit: str = "", *, times: Optional[Sequence[float]] = None,
+                 values: Optional[Sequence[float]] = None) -> None:
+        if times is None and values is None:
+            pairs = tuple(series)
+            times = [t for t, _ in pairs]
+            values = [v for _, v in pairs]
+        elif times is None or values is None:
+            raise ValueError("a counter track needs both times and values, or neither")
+        elif len(times) != len(values):
+            raise ValueError("a counter track's times and values differ in length")
+        self.name = name
+        self.times = tuple(times)
+        self.values = tuple(values)
+        self.unit = unit
+
+    @property
+    def series(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.times, self.values))
+
+    def _key(self) -> tuple:
+        return self.name, self.times, self.values, self.unit
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CounterTrack:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"CounterTrack({self.name!r}, {self.series!r}, unit={self.unit!r})"
 
     @classmethod
     def from_samples(cls, name: str, samples, unit: str = "") -> "CounterTrack":
@@ -104,7 +143,7 @@ def iter_chrome_events(
         }
     for track in counters or ():
         value_key = track.unit or "value"
-        for t, v in track.series:
+        for t, v in zip(track.times, track.values):
             yield {
                 "name": track.name,
                 "ph": "C",
@@ -176,7 +215,7 @@ def _counter_chunks(track: CounterTrack, stamps: dict) -> Iterator[str]:
     head = _COUNTER_HEAD % json.dumps(track.name)
     mid = _COUNTER_MID % json.dumps(value_key)
     between = "}}, " + head
-    series = track.series
+    all_times, all_values = track.times, track.values
     # float.__mul__ returns a float, or NotImplemented, whose repr raises.
     scale = (1e6).__mul__
 
@@ -190,9 +229,9 @@ def _counter_chunks(track: CounterTrack, stamps: dict) -> Iterator[str]:
 
     spell = float.__repr__
     prev = text = None  # the track's last exact-float value and its text
-    for lo in range(0, len(series), WRITE_CHUNK_EVENTS):
-        part = series[lo:lo + WRITE_CHUNK_EVENTS]
-        times, values = zip(*part)
+    for lo in range(0, len(all_times), WRITE_CHUNK_EVENTS):
+        times = all_times[lo:lo + WRITE_CHUNK_EVENTS]
+        values = all_values[lo:lo + WRITE_CHUNK_EVENTS]
         try:
             try:
                 # Every time already stamped: all finite by construction.
@@ -220,7 +259,7 @@ def _counter_chunks(track: CounterTrack, stamps: dict) -> Iterator[str]:
             yield json.dumps([
                 {"name": track.name, "ph": "C", "ts": t * 1e6,
                  "pid": 0, "args": {value_key: v}}
-                for t, v in part
+                for t, v in zip(times, values)
             ])[1:-1]
 
 

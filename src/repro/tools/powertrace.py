@@ -100,11 +100,11 @@ class PowerSampler:
         from repro.tools.chrometrace import CounterTrack
 
         samples = self.samples
+        times = tuple([float(s.time_s) for s in samples])
         return [
             CounterTrack(
-                f"power {device}",
-                tuple([(float(s.time_s), float(s.device_w[device])) for s in samples]),
-                unit="W",
+                f"power {device}", unit="W", times=times,
+                values=[float(s.device_w[device]) for s in samples],
             )
             for device in self.devices()
         ]
