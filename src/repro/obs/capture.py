@@ -8,9 +8,10 @@ writes a self-describing run directory:
 ========================  ====================================================
 ``manifest.json``         provenance (:class:`repro.obs.manifest.RunManifest`)
 ``result.json``           aggregate :class:`~repro.runtime.engine.RunResult`
-``decisions.jsonl``       scheduler decision log, one record per task
+``decisions.jsonl``       scheduler decision log, one line per decision
 ``events.jsonl``          merged time-ordered event stream
-``trace.json``            Perfetto trace with power/backlog counter tracks
+``trace.json``            Perfetto trace with power/backlog counter tracks,
+                          each at its change points
 ``metrics.prom``          Prometheus text snapshot of the metrics registry
 ``spans.jsonl``           phase spans (only when a span tracer is active)
 ========================  ====================================================
@@ -23,7 +24,7 @@ before the run starts so ``repro watch`` can label a run it is tailing —
 and so a killed run still identifies itself.  The simulated numbers are
 bit-identical either way.  The streamed ``events.jsonl`` differs from the
 post-hoc export in one deliberate way: ``decision`` events are sampled at
-the decision log's stream cadence (the full per-task records stay in
+the decision log's stream cadence (every decision stays in
 ``decisions.jsonl``), which is what keeps the attached overhead inside
 the gate enforced by ``benchmarks/obs_overhead.py``.
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-import struct
-from itertools import islice
-from json.encoder import encode_basestring_ascii as _json_str
+from itertools import islice, repeat
+from operator import is_not
 from typing import Any, Iterator, NamedTuple, Optional
 
 from repro.obs.stream import EVAL_PERIOD_S
@@ -31,33 +30,6 @@ from repro.obs.stream import EVAL_PERIOD_S
 #: Lines per ``write`` in :meth:`DecisionLog.write_jsonl`: enough to
 #: amortise the call, few enough that the writer never holds the file.
 WRITE_CHUNK_RECORDS = 256
-
-#: Most float texts :meth:`DecisionLog.write_jsonl` keeps for reuse in a
-#: plain log (see :class:`_Renderer`); the memo starts over when full.  A
-#: value mostly recurs soon after it was last written (an unchanged
-#: backlog, the estimate of a kernel), so a small memo finds nearly all
-#: the repeats a file-wide one would, and the writer's memory does not
-#: grow with the log.  Without the memo a governed unit's file took ~40 %
-#: longer to write.
-TEXT_MEMO_SIZE = 1024
-
-#: One decision record as ``json.dumps(rec.to_record())`` spells it, with
-#: its candidate classes rendered into the last field.
-_RECORD_FMT = (
-    '{"tid": %d, "label": %s, "kind": %s, "time": %s, "priority": %d, '
-    '"chosen": %s, "chosen_cost": %s, "candidates": [%s]}\n'
-)
-
-#: One candidate class after its header (which ends ``"backlogs": [``):
-#: the bodies of its three float lists.
-_CANDIDATE_FMT = '%s], "terms": [%s], "costs": [%s]}'
-
-#: Values per ``struct.pack`` call in :func:`_plain`.
-_PLAIN_CHUNK = 4096
-
-#: Errors of a fast-path render that ``json.dumps`` may still spell (or
-#: must raise itself): a value of the wrong type, a non-finite number.
-_FALLBACK = (TypeError, ValueError)
 
 
 class CandidateClass(NamedTuple):
@@ -433,13 +405,18 @@ class DecisionLog:
         ]
 
     def backlog_columns(self) -> dict[str, tuple[list, list]]:
-        """Each worker's ``(times, backlogs)`` columns, in decision order.
+        """Each worker's ``(times, backlogs)`` columns, in decision order,
+        at their change points (:func:`~repro.tools.chrometrace.change_points`).
 
-        A worker gets a sample at every decision that priced its class,
-        once per class naming it, in class order.  A run of decisions that
-        price the same classes of one table holds each worker's backlog at
-        one stride in the snapshots, so the run's column is one slice.
+        A worker is sampled at every decision that priced its class, once
+        per class naming it, in class order, and a sample is kept where
+        its backlog changes, with the worker's first and last.  A run of
+        decisions that price the same classes of one table holds each
+        worker's backlog at one stride in the snapshots, so the run's
+        column is one slice.
         """
+        from repro.tools.chrometrace import change_points
+
         columns: dict[str, tuple[list, list]] = {}
         times, tables, keys = self._time, self._table, self._class
         snap, snap_at, classes_at = self._backlogs, self._snap_at, self._classes_at
@@ -479,24 +456,30 @@ class DecisionLog:
                         column[0].append(t)
                         column[1].append(snap[b0 + slot])
             d = end
-        return columns
+        return {worker: change_points(*column) for worker, column in columns.items()}
 
     # ------------------------------------------------------------------- io
 
     def write_jsonl(self, path: str) -> None:
-        """One ``json.dumps(rec.to_record())`` line per record, then the
-        annotations, written :data:`WRITE_CHUNK_RECORDS` lines at a time.
+        """Write the log, :data:`WRITE_CHUNK_RECORDS` lines at a time:
+        one ``json.dumps`` line per decision, then the annotations.
 
-        The bytes are ``json.dumps``'s, rendered straight from the
-        columns (see :class:`_Renderer`): a class's text is reused while
-        its backlogs, terms and verbatim costs are unchanged, so a folded
-        class's costs are folded only when its text changes, and a float
-        seen recently reuses its text.  A log holding an int, a bool, a
-        float subclass or a negative number where a float belongs is
-        rendered without that reuse.  A record it cannot spell (a
-        non-finite number, an int or bool where a float belongs, a
-        non-``int`` tid) goes through ``json.dumps(rec.to_record())``,
-        the oracle.
+        A decision that :meth:`append` recorded is written whole, as
+        ``json.dumps(rec.to_record())``.  A class-scan decision is written
+        compact, by reference to what the lines before it said:
+
+        - its scalars, its class keys (``classes``), each class's terms
+          (``terms``) and, under ``backlogs``, only the workers whose
+          backlog does not repeat (:func:`~repro.tools.chrometrace.
+          same_value`) the one last written for them;
+        - before it, a class line ``{"class", "workers", "indices"}`` for
+          each of its classes not yet written with that membership (a
+          class's first decision, an exclusion, a re-admission).
+
+        Member costs are not written: each is its backlog and terms folded
+        left to right, which :meth:`read_jsonl` repeats bit for bit.  A
+        scan decision whose table names a worker or a class key twice, or
+        a name that is not a ``str``, is written whole.
         """
         lines = self._lines()
         with open(path, "w") as fh:
@@ -504,18 +487,65 @@ class DecisionLog:
                 fh.write("".join(batch))
 
     def _lines(self) -> Iterator[str]:
-        render = _Renderer(self)
+        from repro.tools.chrometrace import same_value
+
+        dumps = json.dumps
+        compact: dict[int, bool] = {}  # id(table): whether it goes compact
+        shown: dict[str, tuple] = {}   # class key: (row, its class line)
+        last: dict[str, Any] = {}      # worker: its backlog last seen
+        tables, keys, snap = self._table, self._class, self._backlogs
+        all_terms, terms_at = self._terms, self._terms_at
         for d in range(len(self._tid)):
-            try:
-                yield render.line(d)
-            except _FALLBACK:
-                yield json.dumps(self._record(d).to_record()) + "\n"
+            table = tables[d]
+            ok = compact.get(id(table))
+            if ok is None:
+                ok = compact[id(table)] = table is not self._rows and _compact(table)
+            if not ok:
+                yield dumps(self._record(d).to_record()) + "\n"
+                continue
+            b0 = self._snap_at[d]
+            classes, terms, changed = [], [], {}
+            for c in range(self._classes_at[d], self._classes_at[d + 1]):
+                row = table[keys[c]]
+                class_key, workers, indices, slots = row
+                seen = shown.get(class_key)
+                if seen is None or seen[0] is not row:
+                    line = dumps({"class": class_key, "workers": list(workers),
+                                  "indices": list(indices)}) + "\n"
+                    if seen is None or seen[1] != line:
+                        yield line
+                    shown[class_key] = row, line
+                classes.append(class_key)
+                terms.append(all_terms[terms_at[c]:terms_at[c + 1]])
+                backlogs = _members(snap, b0, slots)
+                prevs = list(map(last.get, workers, repeat(_UNSET)))
+                if any(map(is_not, backlogs, prevs)):
+                    for worker, backlog, prev in zip(workers, backlogs, prevs):
+                        if prev is not backlog:
+                            if not same_value(prev, backlog):
+                                changed[worker] = backlog
+                            last[worker] = backlog
+            yield dumps({
+                "tid": self._tid[d], "label": self._label[d], "kind": self._kind[d],
+                "time": self._time[d], "priority": self._priority[d],
+                "chosen": self._chosen[d], "chosen_cost": self._chosen_cost[d],
+                "classes": classes, "terms": terms, "backlogs": changed,
+            }) + "\n"
         for ann in self.annotations:
-            yield json.dumps({"type": "annotation", **ann}) + "\n"
+            yield dumps({"type": "annotation", **ann}) + "\n"
 
     @classmethod
     def read_jsonl(cls, path: str) -> "DecisionLog":
+        """Read a log :meth:`write_jsonl` wrote, in either line shape.
+
+        Class lines and compact decisions are read against a running row
+        per class key and backlog per worker; every decision is
+        :meth:`append`-ed whole, with its member costs folded from its
+        backlogs and terms when the line does not carry them.
+        """
         log = cls()
+        rows: dict[str, tuple] = {}
+        backlog: dict[str, Any] = {}
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
@@ -526,8 +556,27 @@ class DecisionLog:
                     log.annotations.append(
                         {k: v for k, v in rec.items() if k != "type"}
                     )
-                else:
+                elif "candidates" in rec:
                     log.append(DecisionRecord.from_record(rec))
+                elif "classes" in rec:
+                    backlog.update(rec["backlogs"])
+                    candidates = []
+                    for class_key, terms in zip(rec["classes"], rec["terms"]):
+                        workers, indices = rows[class_key]
+                        costs = backlogs = [backlog[w] for w in workers]
+                        for term in terms:
+                            costs = [cost + term for cost in costs]
+                        candidates.append(CandidateClass(
+                            class_key, workers, indices, tuple(backlogs),
+                            tuple(terms), tuple(costs),
+                        ))
+                    log.append(DecisionRecord(
+                        rec["tid"], rec["label"], rec["kind"], rec["time"],
+                        rec["chosen"], rec["chosen_cost"], tuple(candidates),
+                        rec["priority"],
+                    ))
+                else:
+                    rows[rec["class"]] = tuple(rec["workers"]), tuple(rec["indices"])
         return log
 
 
@@ -567,125 +616,15 @@ def _members(snap: list, base: int, slots) -> list:
     return [snap[base + s] for s in slots]
 
 
-def _plain(values: list) -> bool:
-    """Whether every value is an exact ``float`` with its sign bit clear.
-
-    Two such values are ``==`` exactly when they spell the same: no int
-    or bool equals a float, and no ``-0.0`` equals ``0.0``.  A NaN never
-    equals anything, and spells with an ``n``.  The sign bits are read
-    off the packed doubles, a chunk at a time so the copy stays small.
-    """
-    if not set(map(type, values)) <= {float}:
-        return False
-    for lo in range(0, len(values), _PLAIN_CHUNK):
-        part = values[lo:lo + _PLAIN_CHUNK]
-        if max(struct.pack("<%dd" % len(part), *part)[7::8]) >= 0x80:
-            return False
-    return True
+#: A worker not yet written in :meth:`DecisionLog.write_jsonl`.
+_UNSET = object()
 
 
-class _Renderer:
-    """One :meth:`DecisionLog.write_jsonl` pass over the columns.
-
-    Numbers are spelled by ``float.__repr__``, as ``json.dumps`` spells a
-    float; it raises on an int or a bool.  A log is *plain* when all its
-    numbers are exact floats with a clear sign bit (see :func:`_plain`),
-    which is what a scheduler logs.  Then two numbers are ``==`` exactly
-    when they spell the same, and two memos apply:
-
-    - ``classes`` maps ``id(row)`` (the log's tables keep every row
-      alive) to the backlogs, terms and verbatim costs the class was
-      last rendered from, that text, and the shape (list lengths) and
-      ``%`` template of its text.  A class whose values are ``==`` to
-      those reuses its text, costs included, so a folded class is folded
-      only when its text changes.
-    - ``texts`` maps up to :data:`TEXT_MEMO_SIZE` floats rendered so far
-      to their text.
-
-    A log that is not plain keeps the templates but neither memo.  A
-    decision :meth:`line` cannot spell raises one of :data:`_FALLBACK`
-    (a non-``int`` tid, a non-``str`` label, a non-float number, a
-    number that is not finite: its repr has an ``n``).
-    """
-
-    def __init__(self, log: "DecisionLog") -> None:
-        self.log = log
-        self.plain = all(map(_plain, (
-            log._backlogs, log._terms, log._costs, log._time, log._chosen_cost,
-        )))
-        self.classes: dict[int, list] = {}
-        self.texts: dict[float, str] = {}
-
-    def line(self, d: int) -> str:
-        """Decision ``d``'s line, as ``json.dumps(rec.to_record()) + "\\n"``."""
-        log = self.log
-        tid, priority = log._tid[d], log._priority[d]
-        if type(tid) is not int or type(priority) is not int:
-            raise TypeError("not an int")
-        table = log._table[d]
-        folded = table is not log._rows
-        snap, b0 = log._backlogs, log._snap_at[d]
-        all_terms, terms_at = log._terms, log._terms_at
-        all_costs, costs_at = log._costs, log._costs_at
-        keys = log._class
-        candidate = self.candidate
-        parts = []
-        for c in range(log._classes_at[d], log._classes_at[d + 1]):
-            row = table[keys[c]]
-            parts.append(candidate(
-                row, _members(snap, b0, row[3]),
-                all_terms[terms_at[c]:terms_at[c + 1]],
-                None if folded else all_costs[costs_at[c]:costs_at[c + 1]],
-            ))
-        get, new = self.texts.get, self._new
-        time, cost = log._time[d], log._chosen_cost[d]
-        return _RECORD_FMT % (
-            tid, _json_str(log._label[d]), _json_str(log._kind[d]),
-            get(time) or new(time), priority, _json_str(log._chosen[d]),
-            get(cost) or new(cost), ", ".join(parts),
-        )
-
-    def candidate(self, row: tuple, backlogs: list, terms: list,
-                  costs: Optional[list]) -> str:
-        """One candidate class's JSON text.  ``costs`` is ``None`` for a
-        folded class: each backlog with the terms added left to right."""
-        state = self.classes.get(id(row))
-        if state is None:
-            state = self.classes[id(row)] = [None] * 6
-        elif (self.plain and backlogs == state[0] and terms == state[1]
-              and costs == state[2]):
-            return state[3]
-        listed = costs
-        if listed is None:
-            listed = backlogs
-            for term in terms:
-                listed = [cost + term for cost in listed]
-        shape = (len(backlogs), len(terms), len(listed))
-        if state[4] != shape:
-            state[4], state[5] = shape, _candidate_format(row, *shape)
-        get, new = self.texts.get, self._new
-        text = state[5] % tuple([get(v) or new(v) for v in backlogs + terms + listed])
-        state[:4] = backlogs, terms, costs, text
-        return text
-
-    def _new(self, value: float) -> str:
-        text = float.__repr__(value)
-        if "n" in text:
-            raise ValueError("not finite")
-        if self.plain:
-            texts = self.texts
-            if len(texts) >= TEXT_MEMO_SIZE:
-                texts.clear()
-            texts[value] = text
-        return text
-
-
-def _candidate_format(row: tuple, n_backlogs: int, n_terms: int, n_costs: int) -> str:
-    """The ``%`` template of one candidate class's JSON text: the row's
-    header, then a ``%s`` per number, as ``json.dumps`` lays them out."""
-    class_key, workers, indices, _ = row
-    header = '{"class": %s, "workers": %s, "indices": %s, "backlogs": [' % (
-        json.dumps(class_key), json.dumps(list(workers)), json.dumps(list(indices))
-    )
-    lists = tuple(", ".join(["%s"] * n) for n in (n_backlogs, n_terms, n_costs))
-    return header.replace("%", "%%") + _CANDIDATE_FMT % lists
+def _compact(table: dict) -> bool:
+    """Whether a table's decisions can be written compact: its class keys
+    and member names are ``str``, and none is named twice."""
+    class_keys = [row[0] for row in table.values()]
+    workers = [w for row in table.values() for w in row[1]]
+    names = class_keys + workers
+    return (set(map(type, names)) <= {str} and len(set(class_keys)) == len(class_keys)
+            and len(set(workers)) == len(workers))

@@ -9,7 +9,21 @@ Three consumers of one run's telemetry:
   the decision log's backlog snapshots.
 - :func:`enriched_chrome_trace` — the Perfetto document with counter tracks
   (per-device instantaneous power, per-worker backlog) attached, so power
-  dips render aligned with cap states and task rows.
+  dips render aligned with cap states and task rows.  Each track holds
+  its change points: a point where the value differs in type or bits
+  from the one before, plus the track's first and last point.  Perfetto
+  draws a counter as a step function, so the curve is the one every
+  sample would draw.
+
+``decisions.jsonl`` (:meth:`~repro.obs.decisions.DecisionLog.write_jsonl`)
+has two line shapes, each one ``json.dumps`` call.  A decision appended
+whole (the brute-force scan, a log read back) is a full record:
+``json.dumps(rec.to_record())``, with every class's members, backlogs,
+terms and costs.  A class-scan decision is compact: its scalars, its
+class keys, each class's terms and the backlogs that changed since they
+were last written, after a ``{"class", "workers", "indices"}`` line for
+each class whose membership the file has not stated yet.
+:meth:`~repro.obs.decisions.DecisionLog.read_jsonl` reads both.
 
 Prometheus text snapshots come from
 :meth:`repro.obs.metrics.MetricsRegistry.to_prometheus`.
@@ -122,7 +136,7 @@ def read_events_jsonl_tolerant(path: str) -> tuple[list[dict], int]:
 def backlog_counter_tracks(decisions: DecisionLog) -> list[CounterTrack]:
     """Per-worker backlog (seconds of queued estimated work) over time.
 
-    Sampled at decision times — exactly the values the scheduler folded
+    Changes at decision times — exactly the values the scheduler folded
     into its costs, so the tracks explain the decisions they sit next to.
     Read straight off the log's backlog snapshots
     (:meth:`~repro.obs.decisions.DecisionLog.backlog_columns`).

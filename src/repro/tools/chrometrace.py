@@ -9,14 +9,21 @@ Counter tracks (``ph: "C"``) can be attached alongside the timeline rows:
 Perfetto renders them as stacked area charts, which is how per-device
 instantaneous power and per-worker backlog line up against the task
 intervals (power dips become visible exactly where a cap state engages).
+Perfetto draws a counter as a step function, so the samplers hand over
+only each series' change points (:func:`change_points`): the same curve
+from a small share of the samples.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import groupby, islice
-from operator import attrgetter
+from array import array
+from itertools import islice
+from math import copysign
+from struct import pack
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.sim.tracing import Tracer
 
@@ -83,6 +90,40 @@ class CounterTrack:
     @classmethod
     def from_samples(cls, name: str, samples, unit: str = "") -> "CounterTrack":
         return cls(name, tuple((float(t), float(v)) for t, v in samples), unit)
+
+
+def same_value(a, b) -> bool:
+    """Whether ``b`` repeats ``a``: the same type and the same float bits.
+
+    So ``-0.0`` does not repeat ``0.0``, ``1`` does not repeat ``1.0``,
+    and a NaN repeats a NaN with the same payload.
+    """
+    if type(a) is not type(b):
+        return False
+    if a == b:
+        return bool(a) or copysign(1.0, a) == copysign(1.0, b)
+    return a != a and b != b and pack("<d", a) == pack("<d", b)
+
+
+def change_points(times: Sequence, values: Sequence) -> tuple[list, list]:
+    """A counter series cut to its change points: ``(times, values)``.
+
+    A point is kept when its value does not repeat the one before it
+    (:func:`same_value`); the first and the last point are always kept, so
+    the series spans the same times.  Read as a step function, the kept
+    points give every dropped point's value.  A series of exact floats is
+    compared as 64-bit patterns, in numpy.
+    """
+    n = len(values)
+    if n <= 2:
+        return list(times), list(values)
+    if set(map(type, values)) == {float}:
+        bits = np.frombuffer(array("d", values), dtype=np.uint64)
+        inner = (np.flatnonzero(bits[1:-1] != bits[:-2]) + 1).tolist()
+    else:
+        inner = [i for i in range(1, n - 1) if not same_value(values[i - 1], values[i])]
+    kept = [0, *inner, n - 1]
+    return [times[i] for i in kept], [values[i] for i in kept]
 
 
 def _resource_tids(tracer: Tracer) -> dict[str, int]:
@@ -182,75 +223,36 @@ def counter_series(doc: dict, name: str, time_unit_us: float = 1e6) -> list[tupl
     return out
 
 
-def _counter_chunks(track: CounterTrack, stamps: dict) -> Iterator[str]:
+def _counter_chunks(track: CounterTrack) -> Iterator[str]:
     """One track's counter events as JSON text, :data:`WRITE_CHUNK_EVENTS`
     events per chunk, each chunk exactly what ``json.dumps`` writes for
     those events between its list brackets (at the default time unit,
     1 simulated second = 10^6 µs).
 
-    Counter events make up almost all of a governed run's trace, and only
-    their timestamp and value vary, so they are spliced from fixed pieces
-    instead of one dict and one encoder pass each: the name and value key
-    are encoded once per track with ``json.dumps`` (escaping included), and
-    the numbers with ``float.__repr__``, which is how the encoder spells a
-    finite float.  ``stamps`` maps a time to its rendered timestamp and is
-    shared by the tracks of one family (see :func:`write_chrome_trace`), so
-    each distinct time is rendered once per family, not once per track.
-    A zero time is never a key (``-0.0 == 0.0``, but the two spell
-    differently), nor is a time whose timestamp is not finite.
-
-    A track's value usually repeats the one before it (a power level held
-    between cap changes, an unchanged backlog), so a value that is an
-    exact ``float``, nonzero and equal to the previous value of the track,
-    itself an exact ``float``, reuses that value's text: equal nonzero
-    floats have equal bits.  Zeros of either sign, ints, bools, float
-    subclasses such as ``numpy.float64`` and NaN are spelled afresh each
-    time.  Only the previous value is held, so the memo never grows.  A chunk
-    holding a value that is not a float (the repr raises ``TypeError``) or
-    a number that is not finite (its repr contains an ``n``: ``nan``,
-    ``inf``) is encoded by ``json.dumps`` instead, which writes ints,
-    ``NaN`` and ``Infinity`` as the in-memory document does.
+    Only the timestamp and the value vary between a track's events, so
+    they are spliced from fixed pieces instead of one dict and one encoder
+    pass each: the name and value key are encoded once per track with
+    ``json.dumps`` (escaping included), and the numbers with
+    ``float.__repr__``, which is how the encoder spells a finite float.
+    A chunk holding a value that is not a float (the repr raises
+    ``TypeError``) or a number that is not finite (its repr contains an
+    ``n``: ``nan``, ``inf``) is encoded by ``json.dumps`` instead, which
+    writes ints, ``NaN`` and ``Infinity`` as the in-memory document does.
     """
     value_key = track.unit or "value"
     head = _COUNTER_HEAD % json.dumps(track.name)
     mid = _COUNTER_MID % json.dumps(value_key)
     between = "}}, " + head
-    all_times, all_values = track.times, track.values
+    spell = float.__repr__
     # float.__mul__ returns a float, or NotImplemented, whose repr raises.
     scale = (1e6).__mul__
-
-    def stamp(t):
-        text = stamps.get(t)
-        if text is None:
-            text = float.__repr__(scale(t))
-            if t and "n" not in text:
-                stamps[t] = text
-        return text
-
-    spell = float.__repr__
-    prev = text = None  # the track's last exact-float value and its text
-    for lo in range(0, len(all_times), WRITE_CHUNK_EVENTS):
-        times = all_times[lo:lo + WRITE_CHUNK_EVENTS]
-        values = all_values[lo:lo + WRITE_CHUNK_EVENTS]
+    for lo in range(0, len(track.times), WRITE_CHUNK_EVENTS):
+        times = track.times[lo:lo + WRITE_CHUNK_EVENTS]
+        values = track.values[lo:lo + WRITE_CHUNK_EVENTS]
         try:
-            try:
-                # Every time already stamped: all finite by construction.
-                ts = list(map(stamps.__getitem__, times))
-                plain = True
-            except KeyError:
-                ts = list(map(stamp, times))
-                plain = "n" not in "".join(ts)
-            vs = []
-            for v in values:
-                if type(v) is not float:
-                    prev = None
-                    vs.append(spell(v))
-                    continue
-                if v != prev or not v:
-                    prev = v
-                    text = spell(v)
-                vs.append(text)
-            plain = plain and "n" not in "".join(vs)
+            ts = [spell(scale(t)) for t in times]
+            vs = list(map(spell, values))
+            plain = "n" not in "".join(ts) + "".join(vs)
         except TypeError:
             plain = False
         if plain:
@@ -277,12 +279,6 @@ def write_chrome_trace(
     tracks through :func:`_counter_chunks`.  ``json.dump`` would be simpler
     and much slower, because only the one-shot ``json.dumps`` path uses
     CPython's C encoder.
-
-    Consecutive tracks with the same unit are one *family* sharing a time
-    axis: the power tracks (W) sample the sampler's ticks, the backlog
-    tracks (s) the decision times.  Each family gets a fresh timestamp
-    memo, dropped when the family ends, so every distinct time is
-    rendered once per family and the writer holds at most one axis.
     """
     events = iter_chrome_events(tracer)
     with open(path, "w") as fh:
@@ -292,11 +288,9 @@ def write_chrome_trace(
             fh.write(sep)
             fh.write(json.dumps(batch)[1:-1])
             sep = ", "
-        for _, family in groupby(counters or (), key=attrgetter("unit")):
-            stamps: dict = {}
-            for track in family:
-                for chunk in _counter_chunks(track, stamps):
-                    fh.write(sep)
-                    fh.write(chunk)
-                    sep = ", "
+        for track in counters or ():
+            for chunk in _counter_chunks(track):
+                fh.write(sep)
+                fh.write(chunk)
+                sep = ", "
         fh.write('], "displayTimeUnit": "ms"}')

@@ -96,18 +96,20 @@ class PowerSampler:
         ]
 
     def counter_tracks(self) -> list:
-        """One Perfetto counter track per device (instantaneous watts)."""
-        from repro.tools.chrometrace import CounterTrack
+        """One Perfetto counter track per device (instantaneous watts),
+        holding the samples where the device's draw changes
+        (:func:`~repro.tools.chrometrace.change_points`)."""
+        from repro.tools.chrometrace import CounterTrack, change_points
 
         samples = self.samples
-        times = tuple([float(s.time_s) for s in samples])
-        return [
-            CounterTrack(
-                f"power {device}", unit="W", times=times,
-                values=[float(s.device_w[device]) for s in samples],
-            )
-            for device in self.devices()
-        ]
+        times = [float(s.time_s) for s in samples]
+        tracks = []
+        for device in self.devices():
+            kept_times, watts = change_points(
+                times, [float(s.device_w[device]) for s in samples])
+            tracks.append(CounterTrack(f"power {device}", unit="W",
+                                       times=kept_times, values=watts))
+        return tracks
 
     def peak_w(self, device: Optional[str] = None) -> float:
         if not self.samples:

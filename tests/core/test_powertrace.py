@@ -7,6 +7,7 @@ from repro.linalg import assign_priorities, gemm_graph
 from repro.runtime import RuntimeSystem
 from repro.sim import Simulator
 from repro.tools import PowerSampler
+from repro.tools.chrometrace import change_points
 
 PERIOD = 0.002
 
@@ -96,7 +97,12 @@ def test_counter_tracks_cover_devices(sampled_run):
     assert set(tracks) == {f"power {d}" for d in sampler.devices()}
     track = tracks["power gpu0"]
     assert track.unit == "W"
-    assert len(track.series) == len(sampler.samples)
+    # The draw's change points, spanning every sample's time.
+    assert (list(track.times), list(track.values)) == change_points(
+        [s.time_s for s in sampler.samples],
+        [s.device_w["gpu0"] for s in sampler.samples])
+    assert track.times[-1] == sampler.samples[-1].time_s
+    assert len(set(track.values)) > 1
 
 
 def test_empty_sampler_views():

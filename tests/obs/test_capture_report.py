@@ -1,6 +1,7 @@
 """End-to-end tests: `repro trace` capture and `repro report` analysis."""
 
 import json
+from bisect import bisect_right
 
 import pytest
 
@@ -62,12 +63,28 @@ def test_metrics_registry_populated(traced):
     assert "# TYPE repro_task_duration_seconds histogram" in prom
 
 
+def _bits(value) -> tuple:
+    return type(value), repr(value)
+
+
 def test_trace_has_power_and_backlog_counters(traced):
     doc = json.loads((traced.outdir / "trace.json").read_text())
-    power = counter_series(doc, "power gpu0")
+    power = [(e["ts"], e["args"]["W"]) for e in doc["traceEvents"]
+             if e["name"] == "power gpu0"]
     backlog = counter_series(doc, "backlog gpu-w0")
-    assert len(power) == len(traced.sampler.samples)
     assert backlog and all(v >= 0 for _, v in backlog)
+    # Read as a step function, the power track is every sample at every
+    # sampler tick, and it holds only the points where the draw changes
+    # (its last point excepted: every track keeps its last).
+    stamps = [ts for ts, _ in power]
+    for sample in traced.sampler.samples:
+        i = bisect_right(stamps, sample.time_s * 1e6) - 1
+        assert _bits(power[i][1]) == _bits(sample.device_w["gpu0"])
+    assert power[-1][0] == traced.sampler.samples[-1].time_s * 1e6
+    for track in (power, backlog):
+        values = [_bits(v) for _, v in track[:-1]]
+        assert all(a != b for a, b in zip(values, values[1:]))
+    assert len(power) < len(traced.sampler.samples) / 4
 
 
 def test_events_stream_is_time_sorted_and_typed(traced):
@@ -159,13 +176,40 @@ def test_report_decision_coverage_counts_distinct_tasks(traced, tmp_path):
     rundir = tmp_path / "retried"
     shutil.copytree(traced.outdir, rundir)
     lines = (rundir / "decisions.jsonl").read_text().splitlines()
-    # Duplicate the first record (a retry re-decides the same tid).
-    (rundir / "decisions.jsonl").write_text(
-        "\n".join([lines[0]] + lines) + "\n"
-    )
+    # Repeat the first decision line (a retry re-decides the same tid).
+    first = next(i for i, line in enumerate(lines) if '"tid"' in line)
+    lines.insert(first, lines[first])
+    (rundir / "decisions.jsonl").write_text("\n".join(lines) + "\n")
     audit = RunReport.load(str(rundir)).decision_audit()
-    assert audit["n_decisions"] == len(lines) + 1
+    assert audit["n_decisions"] == len(traced.decisions) + 1
     assert audit["covers_all_tasks"] is True
+
+
+def test_report_reads_compact_and_full_logs_alike(tmp_path):
+    """`repro report` renders the same text from a governed run's compact
+    decisions.jsonl as from the same log written as full records."""
+    import shutil
+
+    from repro.faults.plan import preset_plan
+    from repro.govern import run_govern
+
+    compact = tmp_path / "compact"
+    gov = run_govern(PLATFORM, "gemm", "double", preset_plan("kill-throttle", seed=3),
+                     mix="shift", outdir=str(compact), seed=3, scale="tiny")
+    full = tmp_path / "full"
+    shutil.copytree(compact, full)
+    log = gov.decisions
+    (full / "decisions.jsonl").write_text("".join(
+        [json.dumps(rec.to_record()) + "\n" for rec in log.records]
+        + [json.dumps({"type": "annotation", **ann}) + "\n" for ann in log.annotations]
+    ))
+    assert (full / "decisions.jsonl").stat().st_size > 2 * (
+        compact / "decisions.jsonl").stat().st_size
+    assert log.annotations
+    text = RunReport.load(str(compact)).render()
+    assert "[decisions]" in text
+    assert text.replace(str(compact), "<run>") == RunReport.load(
+        str(full)).render().replace(str(full), "<run>")
 
 
 def test_cli_experiment_outdir(tmp_path, capsys):

@@ -78,8 +78,9 @@ def test_records_rebuild_what_the_scan_priced():
 
 def test_scan_and_appended_records_write_the_same_lines(tmp_path):
     # The same decisions, once as scan columns and once appended whole
-    # (verbatim costs, the log's own table): the same bytes, the same
-    # backlog tracks, the same replay.
+    # (verbatim costs, the log's own table).  The scan log writes compact
+    # lines and the appended one full lines; read back, both write the
+    # full lines, and both give the same backlog tracks and replay.
     scanned = _logged_potrf(4)
     appended = DecisionLog()
     for rec in scanned:
@@ -87,9 +88,12 @@ def test_scan_and_appended_records_write_the_same_lines(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     scanned.write_jsonl(str(a))
     appended.write_jsonl(str(b))
-    assert a.read_text() == b.read_text() == "".join(
-        json.dumps(rec.to_record()) + "\n" for rec in scanned
-    )
+    full = "".join(json.dumps(rec.to_record()) + "\n" for rec in scanned)
+    assert b.read_text() == full
+    assert len(a.read_text()) < len(full) / 2
+    a2 = tmp_path / "a2.jsonl"
+    DecisionLog.read_jsonl(str(a)).write_jsonl(str(a2))
+    assert a2.read_text() == full
     assert [(t.name, t.series) for t in backlog_counter_tracks(scanned)] == [
         (t.name, t.series) for t in backlog_counter_tracks(appended)
     ]
@@ -174,35 +178,46 @@ def test_a_track_built_from_columns_equals_one_built_from_pairs():
             CounterTrack("backlog w", unit="s", **columns)
 
 
-def test_a_negative_zero_far_into_the_log_is_spelled(tmp_path):
-    # The writer compares values with == only when no float in the log
-    # has its sign bit set; a -0.0 anywhere, however late, must turn that
-    # off, or the class memo would reuse the text of 0.0.
+def _scan_decisions(backlogs: list, table: dict = _TABLE) -> DecisionLog:
     log = DecisionLog()
-    for t in range(5000):
-        log.append(DecisionRecord(
-            tid=t, label="t", kind="gemm", time=1.0, chosen="w",
-            chosen_cost=1.0, candidates=(CandidateClass(
-                "k", ("w",), (0,), (0.0 if t < 4999 else -0.0,), (1.0,)),),
-        ))
+    for d, backlog in enumerate(backlogs):
+        task = SimpleNamespace(tid=d, label="t", op=SimpleNamespace(kind="gemm"),
+                               priority=0)
+        log.append_scan(task, 0.5, "w0", 1.0, table, backlog,
+                        [0, 1, 4], [1.0, 0.5, 1.0, 0.5, 0.0, 0.5], [2, 4, 6])
+    return log
+
+
+def _lines(log: DecisionLog, tmp_path) -> list[str]:
     path = tmp_path / "d.jsonl"
     log.write_jsonl(str(path))
-    lines = path.read_text().splitlines(keepends=True)
-    assert lines == [json.dumps(rec.to_record()) + "\n" for rec in log]
-    assert '"backlogs": [-0.0]' in lines[-1]
+    return path.read_text().splitlines(keepends=True)
 
 
-#: Positive finite floats: a log of these is plain, so its writer
-#: compares values with == and memoises texts.  1.7e308 overflows a fold.
+def test_a_negative_zero_far_into_the_log_is_spelled(tmp_path):
+    # 4,999 decisions that change nothing, then a -0.0 where 0.0 was: the
+    # last line's backlogs hold it, and nothing else.
+    log = _scan_decisions([[0.0, 1.0, 2.0, 0.5, 9.0]] * 4999
+                          + [[-0.0, 1.0, 2.0, 0.5, 9.0]])
+    lines = _lines(log, tmp_path)
+    assert len(lines) == 3 + 5000
+    assert [json.loads(line)["backlogs"] for line in lines[4:-1]] == [{}] * 4998
+    assert lines[-1].endswith('"backlogs": {"w0": -0.0}}\n')
+    assert DecisionLog.read_jsonl(str(tmp_path / "d.jsonl")).records == log.records
+
+
+#: Positive finite floats.  1.7e308 overflows a fold.
 _PLAIN = [0.0, 0.5, 1.5, 5e-324, 0.1 + 0.2, 1e300, 1.7e308, 2.0]
 
 
 @st.composite
 def plain_logs(draw) -> DecisionLog:
-    """Scan decisions over :data:`_TABLE`, whose classes' backlogs and
-    terms repeat or change in value and in number between decisions,
-    interleaved with appended records that carry verbatim costs."""
+    """Scan decisions over :data:`_TABLE` and the same table with ``w0``
+    excluded, whose classes' backlogs and terms repeat or change in value
+    and in number between decisions, interleaved with appended records
+    that carry verbatim costs."""
     value = st.sampled_from(_PLAIN)
+    excluded = {0: ("A", ("w3",), (3,)), **{k: _TABLE[k] for k in (1, 4)}}
     log = DecisionLog()
     classes = [("k0", ("a", "b"), (0, 1)), ("k1", ("c",), (2,))]
     for tid in range(draw(st.integers(0, 12))):
@@ -214,7 +229,8 @@ def plain_logs(draw) -> DecisionLog:
                                             draw(st.lists(value, min_size=5, max_size=5))]))
             # A policy's terms per class may change in number.
             ends = draw(st.sampled_from([[1, 2, 3], [2, 4, 6], [0, 1, 3]]))
-            log.append_scan(task, time, "w1", draw(value), _TABLE, backlog,
+            log.append_scan(task, time, "w1", draw(value),
+                            draw(st.sampled_from([_TABLE, excluded])), backlog,
                             [0, 1, 4], [draw(value)] * ends[-1], ends)
         else:
             log.append(DecisionRecord(
@@ -235,27 +251,33 @@ def plain_logs(draw) -> DecisionLog:
 def test_plain_logs_write_the_lines_json_dumps_writes(tmp_path_factory, log):
     path = tmp_path_factory.mktemp("plain") / "d.jsonl"
     log.write_jsonl(str(path))
-    assert path.read_text() == "".join(
-        json.dumps(rec.to_record()) + "\n" for rec in log
-    )
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines == [json.dumps(json.loads(line)) + "\n" for line in lines]
+    back = DecisionLog.read_jsonl(str(path))
+    assert back.records == log.records
+    assert [json.dumps(rec.to_record()) for rec in back] == [
+        json.dumps(rec.to_record()) for rec in log]
 
 
 def test_a_log_that_is_not_plain_is_spelled_decision_by_decision(tmp_path):
     # A -0.0, an int and a NaN among scan decisions that repeat their
-    # classes: the writer reuses no class text, and only the decisions
-    # it cannot spell go through json.dumps.
-    log = DecisionLog()
-    backlogs = [[0.5, 1.0, 2.0, 0.5, 9.0], [-0.0, 1.0, 2.0, 0.5, 9.0],
-                [0.0, 1.0, 2.0, 0.5, 9.0], [0, 1.0, 2.0, 0.5, 9.0],
-                [math.nan, 1.0, 2.0, 0.5, 9.0], [0.0, 1.0, 2.0, 0.5, 9.0]]
-    for d, backlog in enumerate(backlogs):
-        task = SimpleNamespace(tid=d, label="t", op=SimpleNamespace(kind="gemm"),
-                               priority=0)
-        log.append_scan(task, 0.5, "w0", 1.0, _TABLE, backlog,
-                        [0, 1, 4], [1.0, 0.5, 1.0, 0.5, 0.0, 0.5], [2, 4, 6])
-    path = tmp_path / "d.jsonl"
-    log.write_jsonl(str(path))
-    lines = path.read_text().splitlines(keepends=True)
-    assert lines == [json.dumps(rec.to_record()) + "\n" for rec in log]
-    assert '"backlogs": [-0.0, 0.5]' in lines[1]
-    assert '"backlogs": [0, 0.5]' in lines[3]
+    # classes: each decision's line holds its own changes, spelled by
+    # json.dumps; a table that names a worker twice is written whole.
+    log = _scan_decisions([[0.5, 1.0, 2.0, 0.5, 9.0], [-0.0, 1.0, 2.0, 0.5, 9.0],
+                           [0.0, 1.0, 2.0, 0.5, 9.0], [0, 1.0, 2.0, 0.5, 9.0],
+                           [math.nan, 1.0, 2.0, 0.5, 9.0], [0.0, 1.0, 2.0, 0.5, 9.0]])
+    lines = _lines(log, tmp_path)
+    assert lines == [json.dumps(json.loads(line)) + "\n" for line in lines]
+    assert [line[line.index('"backlogs"'):] for line in lines[4:]] == [
+        '"backlogs": {"w0": -0.0}}\n', '"backlogs": {"w0": 0.0}}\n',
+        '"backlogs": {"w0": 0}}\n', '"backlogs": {"w0": NaN}}\n',
+        '"backlogs": {"w0": 0.0}}\n',
+    ]
+    back = DecisionLog.read_jsonl(str(tmp_path / "d.jsonl"))
+    assert [json.dumps(rec.to_record()) for rec in back] == [
+        json.dumps(rec.to_record()) for rec in log]
+
+    twice = {**_TABLE, 4: ("G", ("w1",), (4,))}
+    log = _scan_decisions([[0.5, 1.0, 2.0, 0.5, 9.0]] * 2, twice)
+    assert _lines(log, tmp_path) == [
+        json.dumps(rec.to_record()) + "\n" for rec in log]

@@ -35,6 +35,7 @@ from repro.sim import Simulator, Tracer
 from repro.tools.chrometrace import (
     WRITE_CHUNK_EVENTS,
     CounterTrack,
+    change_points,
     to_chrome_trace,
     write_chrome_trace,
 )
@@ -172,12 +173,15 @@ def test_backlog_tracks_of_a_logged_run(tmp_path, monkeypatch, brute_force):
     if brute_force:
         assert all(len(c.workers) == 1 for r in log for c in r.candidates)
     doc = _assert_identical(tmp_path, tracer, decisions=log)
-    # Each worker's track is its backlog at every decision that priced it.
+    # Each worker's track is its backlog at every decision that priced
+    # it, cut to its change points.
     for worker in (w.name for w in runtime.workers):
         track = [(e["ts"], e["args"]["s"]) for e in doc["traceEvents"]
                  if e["name"] == f"backlog {worker}"]
-        assert track == [(r.time * 1e6, r.backlog_snapshot()[worker])
-                         for r in log if worker in r.backlog_snapshot()]
+        priced = [r for r in log if worker in r.backlog_snapshot()]
+        times, values = change_points([r.time * 1e6 for r in priced],
+                                      [r.backlog_snapshot()[worker] for r in priced])
+        assert track == list(zip(times, values))
         assert track
 
 

@@ -157,8 +157,9 @@ def test_pruned_scan_matches_brute_force(state):
     for policy in POLICIES:
         expected = _scheduler(policy, state, brute=True)._select_worker(task, 0.0)
         assert _scheduler(policy, state, brute=False)._select_worker(task, 0.0) == expected
-        # A logged scan folds every class: each member's cost is recorded,
-        # and equals the per-worker cost of the brute-force scan.
+        # A logged scan logs every class's terms and the backlogs, and the
+        # log folds each member's cost when read: it equals the per-worker
+        # cost of the brute-force scan.
         fast_log, brute_log = DecisionLog(), DecisionLog()
         logged = _scheduler(policy, state, brute=False, log=fast_log)
         assert logged._select_worker(task, 0.0) == expected

@@ -90,10 +90,10 @@ def _schedule(platform: str, scheduler: str, scale: str, logged: bool) -> dict:
 def _assert_same_placements(monkeypatch, platform, name, scale):
     unlogged = _schedule(platform, name, scale, logged=False)
     logged = _schedule(platform, name, scale, logged=True)
-    # An unlogged scan skips the classes its floor rules out, a logged one
-    # folds every class (the log records every member cost); both must
-    # still make the same placements and count the same evaluations and
-    # perf-model cache hits.
+    # Both scans skip the fold of the classes their floor rules out; a
+    # logged one also logs every class's terms and the backlogs, and the
+    # log folds the member costs when it is read.  Both must make the same
+    # placements and count the same evaluations and perf-model cache hits.
     assert unlogged == logged
     monkeypatch.setattr(DMScheduler, "brute_force_placement", True)
     brute = _schedule(platform, name, scale, logged=False)
