@@ -32,6 +32,8 @@ STORE_SCHEMA = 1
 
 ENTRIES_DIR = "entries"
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
 
 class CorruptEntry(ValueError):
     """An entry exists but fails integrity validation."""
@@ -57,7 +59,7 @@ class CacheStore:
     # ---------------------------------------------------------------- paths
 
     def path_for(self, key: str) -> Path:
-        if len(key) < 3 or not all(c in "0123456789abcdef" for c in key):
+        if len(key) < 3 or not _HEX_DIGITS.issuperset(key):
             raise ValueError(f"malformed cache key {key!r}")
         return self.root / ENTRIES_DIR / key[:2] / f"{key}.json"
 
@@ -78,7 +80,7 @@ class CacheStore:
             raise CorruptEntry(f"{path}: unreadable ({exc})") from exc
         try:
             doc = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # deep nesting recurses
             raise CorruptEntry(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict) or doc.get("schema") != STORE_SCHEMA:
             raise CorruptEntry(
@@ -88,7 +90,11 @@ class CacheStore:
         if doc.get("key") != key:
             raise CorruptEntry(f"{path}: stored under key {doc.get('key')!r}")
         payload = doc.get("payload")
-        if digest(payload) != doc.get("checksum"):
+        try:
+            checksum = digest(payload)
+        except (ValueError, RecursionError) as exc:  # NaN, or deep nesting
+            raise CorruptEntry(f"{path}: payload does not encode ({exc})") from exc
+        if checksum != doc.get("checksum"):
             raise CorruptEntry(f"{path}: payload checksum mismatch")
         return str(doc.get("kind", "")), payload
 

@@ -205,7 +205,7 @@ class FaultPlan:
         """Parse a plan; any malformed input raises :class:`FaultPlanError`."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise FaultPlanError(f"fault plan is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise FaultPlanError(

@@ -3,7 +3,10 @@
 Request flow for ``POST /v1/advise``::
 
     parse/validate (400 on bad input)
-      -> warm probe on the probe thread pool (all cache hits -> answer now)
+      -> answer memo on the event loop (a repeat of a query this server
+         already read back from disk -> answer now, no thread hop, no read)
+      -> warm probe on the probe thread pool (all cache hits -> answer now
+         and remember the advice bytes in the memo)
       -> coalesce on the canonical advise key
            join an in-flight computation        (no new work)
            or become leader:
@@ -28,6 +31,7 @@ import json
 import os
 import signal
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional
 
@@ -46,12 +50,28 @@ _LATENCY_BUCKETS = (
 )
 
 
+#: Advice documents the answer memo keeps, least recently used evicted
+#: first.  One entry is the canonical bytes of one advice document (~2 KB).
+MEMO_ENTRIES = 1024
+
+
+def _encode(doc: Any) -> bytes:
+    """Deterministic JSON bytes (sorted keys, no whitespace, no NaN)."""
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
+
+
 def _json_bytes(doc: Any) -> bytes:
     """Deterministic response encoding (sorted keys, no NaN)."""
-    return (
-        json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        + "\n"
-    ).encode("utf-8")
+    return _encode(doc) + b"\n"
+
+
+def _advice_body(advice: bytes, served: dict) -> bytes:
+    """``_json_bytes({"advice": ..., "served": served})`` for advice already
+    encoded by :func:`_encode`: only the volatile ``served`` block is
+    rendered per request."""
+    return b'{"advice":' + advice + b',"served":' + _encode(served) + b"}\n"
 
 
 class AdvisorServer:
@@ -59,9 +79,10 @@ class AdvisorServer:
 
     ``shards`` worker threads run cold computations (each drives
     ``parallel_starmap`` with ``jobs`` processes); ``probe_threads`` answer
-    warm queries from disk.  ``max_queue`` bounds *distinct* cold
-    computations in flight — joins of an existing computation are free and
-    never rejected.
+    warm queries from disk, and repeats of those are answered from an
+    in-memory memo of their advice bytes.  ``max_queue`` bounds
+    *distinct* cold computations in flight — joins of an existing
+    computation are free and never rejected.
     """
 
     def __init__(
@@ -95,6 +116,10 @@ class AdvisorServer:
 
         self.registry = MetricsRegistry()
         self.coalescer = Coalescer()
+        #: Advise key -> encoded advice, filled only by a successful disk
+        #: probe (LRU, at most ``MEMO_ENTRIES``).  The key holds the code
+        #: fingerprint, so an entry can never go stale.
+        self._memo: OrderedDict[str, bytes] = OrderedDict()
         #: Cold computations dispatched and not yet finished (queue depth).
         self.pending = 0
         self.draining = False
@@ -333,6 +358,10 @@ class AdvisorServer:
             "store": stats,
             "served": {
                 "warm_hits": self._counter_value("repro_service_advise_warm_total"),
+                "memo_hits": self._counter_value(
+                    "repro_service_advise_memo_hits_total"),
+                "memo_entries": len(self._memo),
+                "memo_capacity": MEMO_ENTRIES,
                 "computations": self._counter_value(
                     "repro_service_advise_computations_total"),
                 "coalesced": self._counter_value(
@@ -350,7 +379,7 @@ class AdvisorServer:
     async def _advise(self, request: http.Request):
         try:
             doc = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
             return 400, _json_bytes({"error": f"invalid JSON body: {exc}"}), None
         try:
             advise = parse_advise_request(doc)
@@ -364,25 +393,35 @@ class AdvisorServer:
         key = advise_key(advise, self.fingerprint)
         t0 = time.perf_counter()
 
+        # Memo path: a repeat of a query already read back from disk.
+        advice = self._memo.get(key)
+        if advice is not None:
+            self._memo.move_to_end(key)
+            self._count_warm()
+            self.registry.counter(
+                "repro_service_advise_memo_hits_total",
+                "Advise queries answered from the in-memory answer memo.",
+            ).inc()
+            return 200, _advice_body(advice, self._served(
+                t0, cache_hit=True, coalesced=False, computed=False,
+                cache=None, key=key, memo=True,
+            )), None
+
         # Warm path: all underlying entries already on disk.
         probed = await self._loop.run_in_executor(
             self._probe_pool, self._probe, advise, self.cache_dir,
             self.fingerprint,
         )
         if probed is not None:
-            advice, counts = probed
+            advice_doc, counts = probed
+            advice = _encode(advice_doc)
+            self._remember(key, advice)
             self._count_cache(counts)
-            self.registry.counter(
-                "repro_service_advise_warm_total",
-                "Advise queries answered from the cache alone.",
-            ).inc()
-            return 200, _json_bytes({
-                "advice": advice,
-                "served": self._served(
-                    t0, cache_hit=True, coalesced=False, computed=False,
-                    cache=counts, key=key,
-                ),
-            }), None
+            self._count_warm()
+            return 200, _advice_body(advice, self._served(
+                t0, cache_hit=True, coalesced=False, computed=False,
+                cache=counts, key=key,
+            )), None
 
         # Cold path: coalesce, then dispatch or join.  Joining an existing
         # computation adds no work and is never rejected; only a request
@@ -436,13 +475,10 @@ class AdvisorServer:
 
         if leader:
             self._count_cache(counts)
-        return 200, _json_bytes({
-            "advice": advice,
-            "served": self._served(
-                t0, cache_hit=False, coalesced=not leader, computed=leader,
-                cache=counts if leader else None, key=key,
-            ),
-        }), None
+        return 200, _advice_body(_encode(advice), self._served(
+            t0, cache_hit=False, coalesced=not leader, computed=leader,
+            cache=counts if leader else None, key=key,
+        )), None
 
     async def _run_computation(self, key: str, fut: asyncio.Future, advise) -> None:
         """Leader-side: run the cold computation on a shard and resolve."""
@@ -459,15 +495,31 @@ class AdvisorServer:
             self.pending -= 1
             self.registry.gauge("repro_service_queue_depth").set(self.pending)
 
-    def _served(self, t0, cache_hit, coalesced, computed, cache, key) -> dict:
+    def _served(self, t0, cache_hit, coalesced, computed, cache, key,
+                memo=False) -> dict:
         return {
             "cache_hit": cache_hit,
             "coalesced": coalesced,
             "computed": computed,
+            "memo": memo,
             "cache": cache,
             "key": key[:12],
             "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
         }
+
+    def _remember(self, key: str, advice: bytes) -> None:
+        """Keep one disk-probed answer, evicting least recently used first."""
+        self._memo[key] = advice
+        self._memo.move_to_end(key)
+        while len(self._memo) > MEMO_ENTRIES:
+            self._memo.popitem(last=False)
+
+    def _count_warm(self) -> None:
+        self.registry.counter(
+            "repro_service_advise_warm_total",
+            "Advise queries answered warm: from the answer memo or from the "
+            "cache alone.",
+        ).inc()
 
     def _count_cache(self, counts: dict) -> None:
         self.registry.counter(

@@ -6,6 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.cache.experiment import ExperimentCache
 from repro.cache.store import STORE_SCHEMA, CacheStore, CorruptEntry
 from repro.cache.keys import digest
 
@@ -60,6 +61,29 @@ def test_invalid_json_and_wrong_schema_and_wrong_key(tmp_path):
     os.replace(store.path_for(other), path)  # stored under the wrong name
     with pytest.raises(CorruptEntry, match="key"):
         store.read(key)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"schema": 1, "key": "%s", "kind": "json", "checksum": "", '
+    '"payload": NaN}',
+], ids=["deeply-nested", "nan-payload"])
+def test_undecodable_entry_is_corrupt_and_heals(tmp_path, text):
+    store = CacheStore(tmp_path)
+    good, bad = k(4), k(5)
+    store.write(good, "json", [1])
+    path = store.write(bad, "json", [2])
+    path.write_text(text.replace("%s", bad))
+    with pytest.raises(CorruptEntry):
+        store.read(bad)
+    # One rotten entry cannot poison a batch ...
+    batch = store.read_many([good, bad])
+    assert batch[good] == ("json", [1])
+    assert isinstance(batch[bad], CorruptEntry)
+    # ... and a cache lookup treats it as a miss and drops it.
+    cache = ExperimentCache(tmp_path, fingerprint="f")
+    assert cache.load(bad) == (False, None)
+    assert cache.corrupt == 1 and not path.exists()
 
 
 def test_stats_verify_and_clear(tmp_path):

@@ -80,7 +80,9 @@ def bad_plans(tmp_path):
     malformed.write_text('{"faults": [{"kind": "worker-kill", "target": "gpu-w0"}]}')
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
-    return {"malformed": str(malformed), "list": str(listed),
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    return {"malformed": str(malformed), "list": str(listed), "deep": str(deep),
             "missing": str(tmp_path / "missing.json"), "out": str(tmp_path / "out")}
 
 
@@ -145,6 +147,7 @@ def bad_plans(tmp_path):
     (["run", "--mix", "shift"], "--mix shift needs --allocator or --budget"),
     (["run"], "a run without a plan or budget needs --outdir"),
     (["govern", "--config", "HB"], "--config: a governed run's caps follow --budget"),
+    (["run", "--plan", "{deep}"], "fault plan is not valid JSON"),
 ])
 def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
                                                   capsys):

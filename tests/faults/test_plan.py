@@ -131,6 +131,7 @@ _KILL = '{"kind": "worker-kill", "target": "gpu-w0", "time": 0.1}'
     ('{"faults": [{"kind": "gpu-throttle", "target": "gpu0", "time": 0.1, '
      '"duration": 0.1, "magnitude": -Infinity}]}', "magnitude must be finite"),
     ('{"seed": "abc", "faults": []}', "field 'seed' must be an integer"),
+    ("[" * 100_000, "not valid JSON"),
 ])
 def test_malformed_plan_json_raises_fault_plan_error(text, field):
     with pytest.raises(FaultPlanError, match=field):

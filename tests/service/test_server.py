@@ -12,7 +12,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
+from repro.service import server as server_module
 from repro.service.client import AdvisorClient, advice_bytes
+from repro.service.server import _advice_body, _encode, _json_bytes
 
 
 def _fake_compute(delay_s=0.0, fail_first=0, payload="fake"):
@@ -37,6 +41,18 @@ def _fake_compute(delay_s=0.0, fail_first=0, payload="fake"):
 
 def _always_cold(advise, cache_dir, fingerprint):
     return None
+
+
+def _fake_probe():
+    """A stand-in for ``probe_advice`` that always finds its answer warm."""
+    state = {"calls": 0}
+
+    def probe(advise, cache_dir, fingerprint):
+        state["calls"] += 1
+        return {"payload": "probed", "request": advise.doc()}, {"hits": 2, "misses": 0}
+
+    probe.state = state
+    return probe
 
 
 # ------------------------------------------------------------- real compute
@@ -120,6 +136,10 @@ def test_routing_errors(start_server, client_for):
     assert bad_json.status == 400
     assert "invalid JSON" in bad_json.doc["error"]
 
+    deep_json = client._request("POST", "/v1/advise", b"[" * 100_000)
+    assert deep_json.status == 400
+    assert "invalid JSON body" in deep_json.doc["error"]
+
     bad_request = client.advise({"platform": "atlantis"})
     assert bad_request.status == 400
     assert "atlantis" in bad_request.doc["error"]
@@ -145,6 +165,104 @@ def test_metrics_and_cache_stats(start_server, client_for, tiny_request):
     assert stats.doc["served"]["computations"] == 1.0
     assert stats.doc["served"]["warm_hits"] == 1.0
     assert stats.doc["coalescer"]["inflight"] == 0
+
+
+# ---------------------------------------------------------------- answer memo
+
+def test_memo_answer_equals_disk_warm_and_cold(start_server, client_for,
+                                               tiny_request):
+    server = start_server()
+    client = client_for(server)
+
+    cold = client.advise(tiny_request)
+    disk = client.advise(tiny_request)
+    memo = client.advise(tiny_request)
+    assert [r.status for r in (cold, disk, memo)] == [200] * 3
+    assert [r.doc["served"]["memo"] for r in (cold, disk, memo)] == [
+        False, False, True]
+    assert memo.doc["served"]["cache_hit"] is True
+    assert memo.doc["served"]["computed"] is False
+    assert memo.doc["served"]["cache"] is None  # no cache entry was read
+    assert advice_bytes(memo) == advice_bytes(disk) == advice_bytes(cold)
+
+    # The spliced body is the full-document encoding, byte for byte.
+    served = memo.doc["served"]
+    assert memo.text.encode("utf-8") == _json_bytes(
+        {"advice": memo.doc["advice"], "served": served})
+
+    # A memo hit is a warm answer that read no cache entry.
+    disk_hits = disk.doc["served"]["cache"]["hits"]
+    assert server._counter_value("repro_service_advise_warm_total") == 2
+    assert server._counter_value("repro_service_advise_memo_hits_total") == 1
+    assert server._counter_value("repro_service_cache_hits_total") == (
+        cold.doc["served"]["cache"]["hits"] + disk_hits)
+    assert "repro_service_advise_memo_hits_total 1" in client.metrics()
+
+    stats = client.cache_stats().doc["served"]
+    assert stats["memo_hits"] == 1
+    assert stats["memo_entries"] == 1
+    assert stats["memo_capacity"] == server_module.MEMO_ENTRIES
+
+
+@pytest.mark.parametrize("advice", [
+    {"schema": 1, "candidates": [{"config": "HB", "score": 0.1 + 0.2}]},
+    {"name": "caf\u00e9 \u26a1", "nested": {"z": [1, 2.5e-300], "a": None}},
+    [],
+    "text",
+])
+def test_spliced_body_equals_json_bytes(advice):
+    served = {"cache_hit": True, "memo": True, "cache": None,
+              "key": "0123456789ab", "elapsed_ms": 0.125}
+    assert _advice_body(_encode(advice), served) == _json_bytes(
+        {"advice": advice, "served": served})
+
+
+def test_memo_evicts_least_recently_used_first(start_server, tiny_request,
+                                               monkeypatch):
+    monkeypatch.setattr(server_module, "MEMO_ENTRIES", 2)
+    server = start_server()
+    probe = _fake_probe()
+    server._probe = probe
+    server._compute = _fake_compute()
+
+    def memo(seed):
+        with AdvisorClient("127.0.0.1", server.port) as client:
+            response = client.advise(dict(tiny_request, seed=seed))
+        assert response.status == 200
+        return response.doc["served"]["memo"]
+
+    assert [memo(0), memo(1)] == [False, False]
+    assert memo(0) is True         # 0 is now the most recently used
+    assert memo(2) is False        # fills past capacity: evicts 1
+    assert len(server._memo) == 2
+    assert [memo(0), memo(2)] == [True, True]
+    assert memo(1) is False        # evicted, probed again: evicts 0
+    assert memo(0) is False
+    assert probe.state["calls"] == 5
+
+
+def test_memo_fills_only_from_a_disk_probe(start_server, tiny_request):
+    server = start_server(max_queue=4)
+    compute = _fake_compute(delay_s=0.3, fail_first=1)
+    server._compute = compute
+    server._probe = _always_cold
+
+    def query(_):
+        with AdvisorClient("127.0.0.1", server.port) as client:
+            return client.advise(tiny_request)
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        failed = list(pool.map(query, range(3)))  # one failing computation
+        assert [r.status for r in failed] == [500] * 3
+        joined = list(pool.map(query, range(3)))  # one leader, two joins
+    again = query(None)                           # a fresh computation
+
+    assert [r.status for r in joined + [again]] == [200] * 4
+    assert sum(r.doc["served"]["coalesced"] for r in joined) == 2
+    assert not any(r.doc["served"]["memo"] for r in joined + [again])
+    assert compute.state["calls"] == 3
+    assert len(server._memo) == 0
+    assert server._counter_value("repro_service_advise_memo_hits_total") == 0
 
 
 # ------------------------------------------------- injected compute behaviour
