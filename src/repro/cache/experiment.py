@@ -137,8 +137,8 @@ class ExperimentCache:
 
         One store traversal instead of N :meth:`load` calls, with per-key
         semantics identical to calling :meth:`load` on each distinct key in
-        input order; ``parallel_starmap`` and the planner use it to resolve
-        a whole grid before any pool work is submitted.
+        input order; ``parallel_starmap`` uses it to resolve a whole grid
+        before any pool work is submitted.
         """
         entries = self.store.read_many(keys)
         out: dict[str, tuple[bool, Any]] = {}

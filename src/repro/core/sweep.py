@@ -168,9 +168,9 @@ def simulated_sweep_gemm(
 ) -> list[SweepPoint]:
     """The discrete-event sweep: one Simulator run per cap, read via NVML.
 
-    Ground truth for the exactness gate — tests and the ``--planner`` bench
-    assert :func:`sweep_gemm`'s analytic replay matches this list
-    byte-for-byte on every catalog model and on ad-hoc specs.
+    Ground truth for the exactness gate: tests assert that
+    :func:`sweep_gemm`'s analytic replay matches this list byte-for-byte
+    on every catalog model and on ad-hoc specs.
     """
     spec = gpu_spec(model) if isinstance(model, str) else model
     sim = Simulator()

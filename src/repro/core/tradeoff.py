@@ -157,68 +157,3 @@ def run_config_set(
     )
     return {config.letters: m for config, m in zip(configs, metrics)}
 
-
-@dataclass(frozen=True)
-class RepeatedMetrics:
-    """Mean and spread over several seeded repetitions of one configuration.
-
-    The paper averages repeated runs per configuration; this is the same
-    methodology (each repetition re-seeds execution and calibration noise).
-    """
-
-    config: str
-    runs: tuple[ConfigMetrics, ...]
-
-    @property
-    def mean_gflops(self) -> float:
-        return sum(r.gflops for r in self.runs) / len(self.runs)
-
-    @property
-    def mean_energy_j(self) -> float:
-        return sum(r.energy_j for r in self.runs) / len(self.runs)
-
-    @property
-    def mean_efficiency(self) -> float:
-        return sum(r.efficiency for r in self.runs) / len(self.runs)
-
-    @property
-    def efficiency_spread(self) -> float:
-        """(max - min) / mean of efficiency across repetitions."""
-        effs = [r.efficiency for r in self.runs]
-        return (max(effs) - min(effs)) / self.mean_efficiency
-
-
-def run_repeated(
-    platform: str,
-    spec: OperationSpec,
-    config: CapConfig,
-    states: CapStates,
-    repeats: int = 3,
-    scheduler: str = "dmdas",
-    base_seed: int = 0,
-    cpu_caps: Optional[Mapping[int, float]] = None,
-    jobs: int = 1,
-    cache: Optional["ExperimentCache"] = None,
-) -> RepeatedMetrics:
-    """Run one configuration ``repeats`` times with distinct seeds.
-
-    Repetitions differ only by seed and are independent simulations, so
-    ``jobs > 1`` runs them across a process pool, bit-identically; each
-    seeded repetition is a distinct ``cache`` entry.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    from repro.experiments.parallel import parallel_starmap
-
-    runs = tuple(
-        parallel_starmap(
-            run_operation,
-            [
-                (platform, spec, config, states, scheduler, base_seed + i, cpu_caps)
-                for i in range(repeats)
-            ],
-            jobs=jobs,
-            cache=cache,
-        )
-    )
-    return RepeatedMetrics(config=config.letters, runs=runs)

@@ -44,6 +44,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.boundary import bounded_repr
+
 FAULT_KINDS = (
     "cap-set-error",
     "cap-silent-clamp",
@@ -79,7 +81,8 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise FaultPlanError(
-                f"unknown fault kind {self.kind!r}; known: {', '.join(FAULT_KINDS)}"
+                f"unknown fault kind {bounded_repr(self.kind)}; "
+                f"known: {', '.join(FAULT_KINDS)}"
             )
         for name in ("time", "duration", "magnitude"):
             if not math.isfinite(getattr(self, name)):
@@ -138,7 +141,7 @@ def _number(rec: dict, name: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise FaultPlanError(
-            f"field {name!r} must be a number, got {value!r}"
+            f"field {name!r} must be a number, got {bounded_repr(value)}"
         ) from None
 
 
@@ -224,7 +227,7 @@ class FaultPlan:
             seed = int(doc.get("seed", 0))
         except (TypeError, ValueError, OverflowError):
             raise FaultPlanError(
-                f"field 'seed' must be an integer, got {doc['seed']!r}"
+                f"field 'seed' must be an integer, got {bounded_repr(doc['seed'])}"
             ) from None
         return cls(
             faults=tuple(faults),
@@ -288,7 +291,7 @@ def preset_plan(name: str, seed: int = 0) -> FaultPlan:
         faults = _PRESETS[name]
     except KeyError:
         raise FaultPlanError(
-            f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}"
+            f"unknown preset {bounded_repr(name)}; known: {', '.join(PRESET_NAMES)}"
         ) from None
     return FaultPlan(faults=faults, seed=seed, relative=True, name=name)
 

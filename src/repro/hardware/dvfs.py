@@ -28,7 +28,6 @@ pair in :mod:`repro.hardware.catalog` is pinned to Table I/II of the paper.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 
@@ -97,26 +96,6 @@ class PowerProfile:
             else:
                 hi = mid
         return lo
-
-    def efficiency_curve(self, caps_w: list[float], activity: float = 1.0) -> list[tuple[float, float, float]]:
-        """For each cap, ``(freq, perf_scale, power)`` at the operating point."""
-        out = []
-        for cap in caps_w:
-            f = self.freq_at_cap(cap, activity)
-            out.append((f, self.perf_scale(f), self.power(f, activity)))
-        return out
-
-    def best_cap(self, cap_lo: float, cap_hi: float, step_w: float = 1.0, activity: float = 1.0) -> float:
-        """Cap in ``[cap_lo, cap_hi]`` maximising ``perf/power`` (grid search)."""
-        best_c, best_e = cap_hi, -1.0
-        n = max(1, int(round((cap_hi - cap_lo) / step_w)))
-        for i in range(n + 1):
-            cap = cap_lo + (cap_hi - cap_lo) * i / n
-            f = self.freq_at_cap(cap, activity)
-            e = self.perf_scale(f) / self.power(f, activity)
-            if e > best_e + 1e-15:
-                best_e, best_c = e, cap
-        return best_c
 
     def with_floor(self, f_min: float) -> "PowerProfile":
         return replace(self, f_min=f_min)
@@ -223,26 +202,3 @@ def cpu_freq_at_cap(cap_w: float, idle_w: float, tdp_w: float, f_min: float = 0.
         return f_min
     f = ((cap_w - idle_w) / (tdp_w - idle_w)) ** (1.0 / 3.0)
     return min(1.0, max(f_min, f))
-
-
-def efficiency_optimum(profile: PowerProfile, activity: float = 1.0) -> tuple[float, float]:
-    """Return ``(f*, P(f*))`` of the continuous efficiency optimum."""
-    lo, hi = profile.f_min, 1.0
-    # Ternary search on the unimodal efficiency curve.
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        e1 = profile.perf_scale(m1) / profile.power(m1, activity)
-        e2 = profile.perf_scale(m2) / profile.power(m2, activity)
-        if e1 < e2:
-            lo = m1
-        else:
-            hi = m2
-    f = 0.5 * (lo + hi)
-    return f, profile.power(f, activity)
-
-
-def _selfcheck() -> None:  # pragma: no cover - exercised via tests
-    prof = calibrate_profile(360.0, 216.0, 0.7707, cap_min=100.0)
-    f_opt, p_opt = efficiency_optimum(prof)
-    assert math.isclose(p_opt, 216.0, rel_tol=0.02), (f_opt, p_opt)

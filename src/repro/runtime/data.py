@@ -109,17 +109,15 @@ class DataHandle:
         """Node holding the sole dirty (MODIFIED) replica, else ``None``."""
         return self.valid.bit_length() - 1 if self.dirty else None
 
-    def check_invariants(self) -> None:
-        v = self.valid
-        if not v:
-            raise CoherenceError(f"{self}: no valid replica anywhere")
-        if self.dirty and v & (v - 1):
-            raise CoherenceError(
-                f"{self}: dirty but valid on {sorted(self.valid_nodes)}"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DataHandle #{self.hid} {self.label or ''} {self.nbytes}B>"
+
+
+def _incoherent(handle: DataHandle) -> CoherenceError:
+    """The error of a handle with no replica, or dirty with two or more."""
+    if not handle.valid:
+        return CoherenceError(f"{handle}: no valid replica anywhere")
+    return CoherenceError(f"{handle}: dirty but valid on {sorted(handle.valid_nodes)}")
 
 
 #: Shared empty eviction list for MemoryManager.add's resident fast path.
@@ -340,7 +338,7 @@ class DataManager:
             valid = handle.valid
             # Invariant tripwire: no replica, or dirty with two or more.
             if not valid or (handle.dirty and valid & (valid - 1)):
-                handle.check_invariants()  # raises CoherenceError
+                raise _incoherent(handle)
             if mgr is not None:
                 # Refresh the LRU position (or admit, evicting), then pin.
                 if handle in resident:
@@ -472,7 +470,7 @@ class DataManager:
                 elif count:
                     pinned[handle] = count - 1
             if not valid or (handle.dirty and valid & (valid - 1)):
-                handle.check_invariants()  # raises CoherenceError
+                raise _incoherent(handle)
 
     def abandon(
         self,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode, DataHandle
@@ -276,12 +276,6 @@ class TaskGraph:
             )
         return ops
 
-    def counts_by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for t in self.tasks:
-            out[t.op.kind] = out.get(t.op.kind, 0) + 1
-        return out
-
     # ------------------------------------------------------------- analysis
 
     @property
@@ -313,36 +307,6 @@ class TaskGraph:
             if n != built or (t.state is created and n != t.deps_remaining):
                 raise ValueError(f"dep count mismatch on {t.label}")
         self._validated = True
-
-    def critical_path(
-        self, weight: Optional[Callable[[Task], float]] = None
-    ) -> tuple[float, list[Task]]:
-        """Longest path through the DAG.
-
-        ``weight`` defaults to 1 per task (path length in tasks).  Returns
-        ``(length, path)``.
-        """
-        if weight is None:
-            weight = lambda t: 1.0  # noqa: E731
-        best: dict[int, float] = {}
-        best_succ: dict[int, Optional[Task]] = {}
-        # Reverse submission order is a reverse topological order.
-        for t in reversed(self.tasks):
-            w = weight(t)
-            if t.successors:
-                nxt = max(t.successors, key=lambda s: best[s.tid])
-                best[t.tid] = w + best[nxt.tid]
-                best_succ[t.tid] = nxt
-            else:
-                best[t.tid] = w
-                best_succ[t.tid] = None
-        if not self.tasks:
-            return 0.0, []
-        start = max(self.tasks, key=lambda t: best[t.tid])
-        path = [start]
-        while best_succ[path[-1].tid] is not None:
-            path.append(best_succ[path[-1].tid])
-        return best[start.tid], path
 
     def depth_priorities(self) -> None:
         """Assign each task's priority = longest path (in tasks) to a sink.

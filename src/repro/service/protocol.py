@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from repro.boundary import bounded_repr
 from repro.cache.keys import canonical_number
 from repro.core.capconfig import CapConfig
 from repro.core.tradeoff import OPERATIONS
@@ -93,10 +94,10 @@ class AdviseRequest:
 def _require_str(doc: Mapping, field: str, default: str, allowed) -> str:
     value = doc.get(field, default)
     if not isinstance(value, str):
-        raise ValidationError(f"{field} must be a string, got {value!r}")
+        raise ValidationError(f"{field} must be a string, got {bounded_repr(value)}")
     if value not in allowed:
         raise ValidationError(
-            f"unknown {field} {value!r}; have {sorted(allowed)}"
+            f"unknown {field} {bounded_repr(value)}; have {sorted(allowed)}"
         )
     return value
 
@@ -104,7 +105,7 @@ def _require_str(doc: Mapping, field: str, default: str, allowed) -> str:
 def _finite(value, field: str) -> float:
     """Boundary float: ``-0.0`` canonicalised, non-finite -> 400."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{field} must be a number, got {value!r}")
+        raise ValidationError(f"{field} must be a number, got {bounded_repr(value)}")
     try:
         return canonical_number(value, field)
     except ValueError as exc:
@@ -124,7 +125,8 @@ def parse_advise_request(doc: object) -> AdviseRequest:
     unknown = set(doc) - _ALLOWED_FIELDS
     if unknown:
         raise ValidationError(
-            f"unknown fields {sorted(unknown)}; allowed: {sorted(_ALLOWED_FIELDS)}"
+            f"unknown fields {bounded_repr(sorted(unknown))}; "
+            f"allowed: {sorted(_ALLOWED_FIELDS)}"
         )
 
     if "platform" not in doc:
@@ -141,7 +143,7 @@ def parse_advise_request(doc: object) -> AdviseRequest:
 
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+        raise ValidationError(f"seed must be an integer, got {bounded_repr(seed)}")
 
     objective, weights = _parse_objective(doc)
 
@@ -167,7 +169,7 @@ def _parse_objective(doc: Mapping):
     objective = doc.get("objective", "efficiency")
     if not isinstance(objective, str) or objective not in OBJECTIVES:
         raise ValidationError(
-            f"unknown objective {objective!r}; have {list(OBJECTIVES)}"
+            f"unknown objective {bounded_repr(objective)}; have {list(OBJECTIVES)}"
         )
     raw = doc.get("weights")
     if objective != "weighted":
@@ -184,7 +186,8 @@ def _parse_objective(doc: Mapping):
     unknown = set(raw) - set(WEIGHT_KEYS)
     if unknown:
         raise ValidationError(
-            f"unknown weight keys {sorted(unknown)}; allowed: {list(WEIGHT_KEYS)}"
+            f"unknown weight keys {bounded_repr(sorted(unknown))}; "
+            f"allowed: {list(WEIGHT_KEYS)}"
         )
     weights = tuple(
         (key, _finite(raw[key], f"weights[{key}]"))
@@ -205,14 +208,16 @@ def _parse_configs(raw, n_gpus: int) -> Optional[tuple[str, ...]]:
     out: list[str] = []
     for item in raw:
         if not isinstance(item, str):
-            raise ValidationError(f"configs entries must be strings, got {item!r}")
+            raise ValidationError(
+                f"configs entries must be strings, got {bounded_repr(item)}"
+            )
         try:
             config = CapConfig(item.upper())
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
         if config.n_gpus != n_gpus:
             raise ValidationError(
-                f"config {config.letters!r} has {config.n_gpus} states for a "
+                f"config {bounded_repr(config.letters)} has {config.n_gpus} states for a "
                 f"{n_gpus}-GPU platform"
             )
         if config.letters not in out:
@@ -233,7 +238,7 @@ def _parse_cpu_caps(raw) -> Optional[tuple[tuple[int, float], ...]]:
             idx = int(pkg)
         except (TypeError, ValueError):
             raise ValidationError(
-                f"cpu_caps package {pkg!r} is not an integer index"
+                f"cpu_caps package {bounded_repr(pkg)} is not an integer index"
             ) from None
         w = _finite(watts, f"cpu_caps[{pkg}]")
         if w <= 0:

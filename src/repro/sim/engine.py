@@ -31,11 +31,10 @@ uses whenever no fault injector needs a cancel hook, and it is measurably
 faster than :meth:`Simulator.schedule`.
 
 :meth:`Simulator.run` drains in a single loop — cancelled fronts are
-discarded and live events fired in the same pass (no separate
-``peek``/``step`` scan pair) — and the bounded path (``until`` /
-``max_events``) delivers bursts of equal-timestamp events as one batch:
-the stop conditions are evaluated once per distinct timestamp, not once
-per event.
+discarded and live events fired in the same pass — and the bounded path
+(``until`` / ``max_events``) delivers bursts of equal-timestamp events as
+one batch: the stop conditions are evaluated once per distinct timestamp,
+not once per event.
 
 Time is a float in **seconds**.
 """
@@ -62,11 +61,10 @@ class SimulationError(RuntimeError):
 class EngineTotals:
     """Process-wide accumulation of engine work across all Simulators.
 
-    Every :meth:`Simulator.run` (and every directly driven
-    :meth:`Simulator.step`) flushes its deltas here, so tools that compare
-    whole workloads (e.g. the warm-vs-cold cache benchmark) can report how
-    much simulation work actually happened without threading a registry
-    into every engine.  Counters only reflect work done in *this* process —
+    Every :meth:`Simulator.run` flushes its deltas here, so tools that
+    compare whole workloads (e.g. the warm-vs-cold cache benchmark) can
+    report how much simulation work actually happened without threading a
+    registry into every engine.  Counters only reflect work done in *this* process —
     pool workers accumulate their own.
     """
 
@@ -167,10 +165,6 @@ class Simulator:
         self._flushed_events = 0
         self._flushed_compactions = 0
         self._flushed_cancelled = 0
-
-    def n_pending(self) -> int:
-        """Number of queued entries (cancelled-but-undiscarded included)."""
-        return len(self._tail) + len(self._spill)
 
     # ------------------------------------------------------------- scheduling
 
@@ -296,37 +290,6 @@ class Simulator:
                 heappop(spill)
             self._n_cancelled -= 1
 
-    def _pop_front(self, entry: tuple) -> None:
-        """Remove ``entry`` (the current live front) from its source."""
-        tail = self._tail
-        if tail and tail[0] is entry:
-            tail.popleft()
-        else:
-            heappop(self._spill)
-
-    def peek(self) -> Optional[float]:
-        """Timestamp of the next pending event, or ``None`` if idle."""
-        entry = self._front()
-        return None if entry is None else entry[_TIME]
-
-    def step(self) -> bool:
-        """Process exactly one event.  Returns ``False`` if none are pending.
-
-        Unlike :meth:`run`, ``step`` flushes :data:`ENGINE_TOTALS` on every
-        call, so callers driving the engine event-by-event (without ever
-        entering ``run``) still keep the process-wide totals current.
-        """
-        entry = self._front()
-        if entry is None:
-            self._flush_totals()
-            return False
-        self._pop_front(entry)
-        self.now = entry[_TIME]
-        self.n_processed += 1
-        self._flush_totals()
-        entry[_FN](*entry[_ARGS])
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the pending set drains, ``until`` is reached, or
         ``max_events`` have been processed.
@@ -336,8 +299,7 @@ class Simulator:
         behaves.
 
         The drain is a single loop: cancelled fronts are discarded and live
-        events fired in the same pass (no separate ``peek``/``step``
-        scans).  The unbounded path is a tight pop-check-fire loop; the
+        events fired in the same pass.  The unbounded path is a tight pop-check-fire loop; the
         bounded path batches equal-timestamp bursts so the stop conditions
         are evaluated once per distinct timestamp.
         """
@@ -379,7 +341,10 @@ class Simulator:
                         break
                     if max_events is not None and processed >= max_events:
                         break
-                    self._pop_front(entry)
+                    if tail and tail[0] is entry:
+                        popleft()
+                    else:
+                        pop(spill)
                     self.now = time
                     processed += 1
                     entry[_FN](*entry[_ARGS])
@@ -425,7 +390,3 @@ class Simulator:
         self._flushed_events = self.n_processed
         self._flushed_compactions = self.n_compactions
         self._flushed_cancelled = self.n_cancelled_total
-
-    def idle(self) -> bool:
-        """True when no (non-cancelled) events are pending."""
-        return self._front() is None

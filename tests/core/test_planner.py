@@ -1,4 +1,4 @@
-"""Unit tests for the analytic bound-and-prune sweep planner."""
+"""Unit tests for the planner: analytic sweep replay, objectives, grid scans."""
 
 import itertools
 
@@ -7,12 +7,9 @@ import pytest
 from repro.core import planner as planner_mod
 from repro.core.bestcap import best_cap_watts
 from repro.core.capconfig import CapConfig, CapStates, standard_configs
+from repro.core.efficiency import ConfigMetrics
 from repro.core.planner import (
-    ENERGY_SLACK,
-    MAKESPAN_SLACK,
     OBJECTIVES,
-    OperationModel,
-    audit_plan,
     best_ladder_under_budget,
     best_sweep_point,
     get_objective,
@@ -184,7 +181,7 @@ def test_best_cap_watts_objective_passthrough():
     assert eff < gfl
 
 
-# ------------------------------------------------------------ plan-and-prune
+# ------------------------------------------------------------- grid scans
 
 _PLATFORM = "24-Intel-2-V100"
 
@@ -219,10 +216,23 @@ def test_plan_matches_exhaustive_scan(objective):
     winner, metrics = _exhaustive_best(
         _PLATFORM, spec, configs, states, objective, cpu_caps
     )
-    # Byte-identical winner AND metrics — the exactness gate.
     assert plan.winner == winner
     assert plan.metrics == metrics
-    assert plan.report.n_simulated + plan.report.n_pruned == len(configs)
+    assert plan.report.n_configs == plan.report.n_simulated == len(configs)
+
+
+def test_plan_ties_break_toward_earlier_grid_position(monkeypatch):
+    spec, states, configs = _tiny_case()
+    tied = ConfigMetrics(config="", makespan_s=1.0, total_flops=1e12,
+                         energy_j=100.0, device_energy_j={})
+    monkeypatch.setattr(
+        planner_mod, "run_config_set",
+        lambda platform, spec, grid, states, **kw: {c.letters: tied for c in grid},
+    )
+    for grid in (configs, configs[::-1]):
+        for objective in ("efficiency", "energy"):
+            plan = plan_configs(_PLATFORM, spec, grid, states, objective=objective)
+            assert plan.winner == grid[0].letters
 
 
 def test_plan_single_config_grid():
@@ -230,38 +240,14 @@ def test_plan_single_config_grid():
     plan = plan_configs(_PLATFORM, spec, [CapConfig("HH")], states)
     assert plan.winner == "HH"
     assert plan.report.n_simulated == 1
-    assert plan.report.n_pruned == 0
 
 
 def test_plan_empty_and_duplicate_grids_rejected():
     spec, states, _ = _tiny_case()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty"):
         plan_configs(_PLATFORM, spec, [], states)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate"):
         plan_configs(_PLATFORM, spec, [CapConfig("HH"), CapConfig("HH")], states)
-
-
-def test_plan_all_pruned_but_one(monkeypatch):
-    """Pruning mechanics: a grid whose estimates leave one possible winner."""
-    spec, states, configs = _tiny_case()
-    real_estimate = OperationModel.estimate
-
-    def skewed(self, cfgs):
-        est = real_estimate(self, cfgs)
-        # Push every config except the first far outside any slack window.
-        first = cfgs[0].letters
-        return {
-            letters: (t, e) if letters == first else (t * 1e6, e * 1e6)
-            for letters, (t, e) in est.items()
-        }
-
-    monkeypatch.setattr(OperationModel, "estimate", skewed)
-    plan = plan_configs(
-        _PLATFORM, spec, configs, states, objective="makespan", chunk_size=1
-    )
-    assert plan.report.n_simulated == 1
-    assert plan.report.n_pruned == len(configs) - 1
-    assert plan.winner == configs[0].letters
 
 
 def test_plan_resolves_cache_hits_without_simulating(tmp_path):
@@ -275,7 +261,7 @@ def test_plan_resolves_cache_hits_without_simulating(tmp_path):
     plan = plan_configs(
         _PLATFORM, spec, configs, states, cpu_caps=cpu_caps, cache=cache
     )
-    assert plan.report.n_cache_hits == len(configs)
+    assert cache.hits == len(configs)
     assert plan.report.n_simulated == 0
     winner, metrics = _exhaustive_best(
         _PLATFORM, spec, configs, states, "efficiency", cpu_caps
@@ -291,7 +277,6 @@ def test_plan_looks_each_config_up_once(tmp_path):
     configs = config_list(_PLATFORM)
     cold = ExperimentCache(tmp_path, fingerprint="t")
     plan = plan_configs(_PLATFORM, spec, configs, states, cache=cold)
-    # One lookup per configuration; nothing on this grid is pruned.
     assert cold.misses == len(configs) == plan.report.n_simulated
     assert cold.hits == 0
     warm = ExperimentCache(tmp_path, fingerprint="t")
@@ -299,35 +284,6 @@ def test_plan_looks_each_config_up_once(tmp_path):
     assert (warm.hits, warm.misses) == (len(configs), 0)
     assert replan.report.n_simulated == 0
     assert (replan.winner, replan.metrics) == (plan.winner, plan.metrics)
-
-
-# -------------------------------------------------------------- bound checks
-
-
-@pytest.mark.parametrize("op", ["gemm", "potrf"])
-def test_bounds_sound_on_tiny_grid(op):
-    spec, states, configs = _tiny_case(op)
-    cpu_caps = PAPER_CPU_CAPS[_PLATFORM]
-    model = OperationModel(_PLATFORM, spec, states, cpu_caps)
-    estimates = model.estimate(configs)
-    metrics = run_config_set(_PLATFORM, spec, configs, states, cpu_caps=cpu_caps)
-    for config in configs:
-        t_est, e_est = estimates[config.letters]
-        m = metrics[config.letters]
-        assert t_est / MAKESPAN_SLACK <= m.makespan_s <= t_est * MAKESPAN_SLACK
-        assert e_est / ENERGY_SLACK <= m.energy_j <= e_est * ENERGY_SLACK
-
-
-def test_audit_plan_reports_sound_bounds():
-    spec, states, configs = _tiny_case()
-    cpu_caps = PAPER_CPU_CAPS[_PLATFORM]
-    plan = plan_configs(
-        _PLATFORM, spec, configs, states, objective="makespan", cpu_caps=cpu_caps
-    )
-    audit = audit_plan(plan, _PLATFORM, spec, states, cpu_caps=cpu_caps, sample=5)
-    assert audit["n_sampled"] == min(5, audit["n_pruned"])
-    assert audit["bounds_sound"] is True
-    assert audit["beaten_by"] == []
 
 
 # ------------------------------------------------------------- ladder scans
@@ -366,9 +322,6 @@ def test_best_ladder_under_budget_infeasible():
         )
 
 
-# ------------------------------------------------- simulations eliminated
-
-
 @pytest.fixture
 def count_simulators(monkeypatch):
     """Count every :class:`repro.sim.Simulator` construction."""
@@ -385,14 +338,9 @@ def count_simulators(monkeypatch):
     return counter
 
 
-def test_planner_pipeline_runs_five_times_fewer_simulations(count_simulators):
-    """The catalog sweeps and the Figs. 3/4 tiny config scans, old vs new.
-
-    The old pipeline simulated one kernel per sweep cap point and one run
-    per configuration.  The analytic sweep builds no Simulator at all and
-    the planner simulates only possible winners, yet both answer
-    byte-identically to the exhaustive pipeline.
-    """
+def test_analytic_sweep_builds_no_simulator(count_simulators):
+    """Every catalog sweep is answered without a Simulator, byte-identically
+    to the simulated sweep, which builds one per call."""
     combos = [
         (model, precision)
         for model in sorted(gpu_models())
@@ -401,22 +349,8 @@ def test_planner_pipeline_runs_five_times_fewer_simulations(count_simulators):
     analytic = [sweep_gemm(m, 2880, p) for m, p in combos]
     assert count_simulators["n"] == 0
     simulated = [simulated_sweep_gemm(m, 2880, p) for m, p in combos]
+    assert count_simulators["n"] == len(combos)
     assert analytic == simulated
-
-    exhaustive_sims = sum(len(points) for points in simulated)
-    planner_sims = 0
-    cpu_caps = PAPER_CPU_CAPS[_PLATFORM]
-    for op in ("gemm", "potrf"):
-        spec, states, configs = _tiny_case(op)
-        plan = plan_configs(_PLATFORM, spec, configs, states, cpu_caps=cpu_caps)
-        winner, metrics = _exhaustive_best(
-            _PLATFORM, spec, configs, states, "efficiency", cpu_caps
-        )
-        assert (plan.winner, plan.metrics) == (winner, metrics)
-        exhaustive_sims += len(configs)
-        planner_sims += plan.report.n_simulated
-
-    assert exhaustive_sims >= 5 * planner_sims
 
 
 def test_plan_full_h100_ladder_matches_exhaustive():

@@ -1,5 +1,7 @@
 """Tests for the command-line driver."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -82,7 +84,10 @@ def bad_plans(tmp_path):
     listed.write_text("[1, 2]")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
+    longkind = tmp_path / "longkind.json"
+    longkind.write_text(json.dumps({"faults": [{"kind": "k" * 200_000, "time": 0.1}]}))
     return {"malformed": str(malformed), "list": str(listed), "deep": str(deep),
+            "longkind": str(longkind),
             "missing": str(tmp_path / "missing.json"), "out": str(tmp_path / "out")}
 
 
@@ -148,6 +153,7 @@ def bad_plans(tmp_path):
     (["run"], "a run without a plan or budget needs --outdir"),
     (["govern", "--config", "HB"], "--config: a governed run's caps follow --budget"),
     (["run", "--plan", "{deep}"], "fault plan is not valid JSON"),
+    (["run", "--plan", "{longkind}"], "faults[0]: unknown fault kind 'kkk"),
 ])
 def test_bad_boundary_inputs_exit_2_with_one_line(argv, message, bad_plans,
                                                   capsys):

@@ -6,6 +6,7 @@ insurance that no combination silently regresses.
 """
 
 import pytest
+from coherence_oracle import check_invariants
 
 from repro.apps import stencil_graph
 from repro.hardware.catalog import build_platform, platform_names
@@ -45,7 +46,7 @@ def test_operation_on_platform_dmdas(platform, op):
     assert all(t.state is TaskState.DONE for t in graph.tasks)
     assert res.total_energy_j > 0 and res.makespan_s > 0
     for handle in graph.handles:
-        handle.check_invariants()
+        check_invariants(handle)
 
 
 @pytest.mark.parametrize("scheduler", ["eager", "ws", "dm", "dmdar", "dmdae"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.capconfig import CapConfig
-from repro.core.tradeoff import run_config_set, run_repeated
+from repro.core.tradeoff import run_config_set
 from repro.experiments import fig5_breakdown, fig6_cpucap
 from repro.experiments.figs34 import _baseline
 from repro.experiments.parallel import default_jobs, parallel_starmap
@@ -59,13 +59,6 @@ def test_run_config_set_jobs_bit_identical():
     spec, states, configs = _fixture()
     serial = run_config_set(_PLATFORM, spec, configs, states, jobs=1)
     pooled = run_config_set(_PLATFORM, spec, configs, states, jobs=4)
-    assert serial == pooled
-
-
-def test_run_repeated_jobs_bit_identical():
-    spec, states, configs = _fixture()
-    serial = run_repeated(_PLATFORM, spec, configs[0], states, repeats=3, jobs=1)
-    pooled = run_repeated(_PLATFORM, spec, configs[0], states, repeats=3, jobs=3)
     assert serial == pooled
 
 

@@ -27,6 +27,24 @@ def test_unknown_kind_rejected():
         FaultSpec(kind="disk-on-fire", time=0.0)
 
 
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("kind, echo", [
+    ("k" * 200_000, "'kkk"),
+    (_nested(980), "[[["),
+], ids=["long-string", "deep-list"])
+def test_huge_kind_is_echoed_bounded(kind, echo):
+    with pytest.raises(FaultPlanError) as err:
+        FaultSpec.from_record({"kind": kind, "time": 0.0})
+    assert str(err.value).startswith(f"unknown fault kind {echo}")
+    assert len(str(err.value)) < 200
+
+
 def test_negative_time_rejected():
     with pytest.raises(FaultPlanError):
         FaultSpec(kind="gpu-throttle", time=-1.0, target="gpu0",

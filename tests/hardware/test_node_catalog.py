@@ -1,6 +1,7 @@
 """Unit tests for node assembly and the platform catalog."""
 
 import pytest
+from dvfs_oracle import efficiency_optimum
 
 from repro.hardware.catalog import (
     PLATFORMS,
@@ -9,7 +10,6 @@ from repro.hardware.catalog import (
     gpu_spec,
     platform_names,
 )
-from repro.hardware.dvfs import efficiency_optimum
 from repro.hardware.node import MEM_HOST, Node
 from repro.sim import Simulator
 

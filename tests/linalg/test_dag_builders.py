@@ -1,6 +1,7 @@
 """Unit tests for the GEMM/POTRF DAG builders (structure + paper formulas)."""
 
 import pytest
+from graph_stats import counts_by_kind, critical_path
 
 from repro.linalg import (
     TileMatrix,
@@ -17,14 +18,14 @@ from repro.runtime.graph import TaskGraph
 def test_gemm_task_count_is_nt_cubed():
     g, *_ = gemm_graph(256 * 5, 256, "double")
     assert len(g) == 125
-    assert g.counts_by_kind() == {"gemm": 125}
+    assert counts_by_kind(g) == {"gemm": 125}
 
 
 def test_gemm_accumulation_chains():
     """Each C tile's k-updates must serialise; distinct C tiles are parallel."""
     g, *_ = gemm_graph(128 * 3, 128, "double")
     assert len(g.roots()) == 9  # one root per C tile (k = 0)
-    length, _ = g.critical_path()
+    length, _ = critical_path(g)
     assert length == 3  # the k chain
 
 
@@ -49,7 +50,7 @@ def test_potrf_task_counts_match_paper_formula(nt):
     """Paper: N(N+1)(N+2)/6 vertices for an N x N tile matrix."""
     g, _ = potrf_graph(64 * nt, 64, "double")
     expected = potrf_task_counts(nt)
-    counts = g.counts_by_kind()
+    counts = counts_by_kind(g)
     assert len(g) == expected["total"] == nt * (nt + 1) * (nt + 2) // 6
     assert counts.get("potrf", 0) == expected["potrf"]
     assert counts.get("trsm", 0) == expected["trsm"]
@@ -72,7 +73,7 @@ def test_potrf_requires_symmetric_matrix():
 def test_potrf_critical_path_alternates_panel_ops():
     """The critical path is potrf -> trsm -> (syrk|gemm) -> potrf ..."""
     g, _ = potrf_graph(64 * 5, 64, "double")
-    _, path = g.critical_path()
+    _, path = critical_path(g)
     kinds = [t.op.kind for t in path]
     assert kinds[0] == "potrf" and kinds[-1] == "potrf"
     assert len(path) >= 3 * (5 - 1) + 1

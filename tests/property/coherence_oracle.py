@@ -13,6 +13,9 @@ an earlier, evicted prefetch.  The production model has the same fix.
 
 It shares :class:`~repro.runtime.data.MemoryManager` (through its public
 ``add``/``pin``/``unpin``/``touch`` methods only) and the platform's links.
+
+:func:`check_invariants` states the MSI invariants of a production
+:class:`~repro.runtime.data.DataHandle`.
 """
 
 from __future__ import annotations
@@ -22,9 +25,25 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.hardware.node import MEM_HOST, Node
-from repro.runtime.data import MEMORY_HEADROOM, AccessMode, CoherenceError, MemoryManager
+from repro.runtime.data import (
+    MEMORY_HEADROOM,
+    AccessMode,
+    CoherenceError,
+    DataHandle,
+    MemoryManager,
+)
 
 _handle_ids = itertools.count()
+
+
+def check_invariants(handle: DataHandle) -> None:
+    """Raise :class:`CoherenceError` unless ``handle`` has a valid replica
+    and, when dirty, exactly one."""
+    v = handle.valid
+    if not v:
+        raise CoherenceError(f"{handle}: no valid replica anywhere")
+    if handle.dirty and v & (v - 1):
+        raise CoherenceError(f"{handle}: dirty but valid on {sorted(handle.valid_nodes)}")
 
 
 @dataclass(eq=False)

@@ -1,63 +1,14 @@
-"""Property tests: the planner is indistinguishable from the exhaustive scan.
+"""Property test: the analytic sweep replay equals the simulated sweep.
 
-Two invariants, sampled across random platforms/operations/objectives/seeds:
-
-1. ``plan_configs`` returns the byte-identical winner and metrics that the
-   brute-force ``run_config_set`` + argmin would — pruning must be invisible.
-2. The analytic sweep replay equals the discrete-event sweep point-for-point
-   for arbitrary (model, size, step) combinations, including steps whose
-   percentage grid is not exactly representable in binary.
+The replay equals the discrete-event sweep point-for-point for arbitrary
+(model, size, step) combinations, including steps whose percentage grid is
+not exactly representable in binary.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.planner import _rank, get_objective, plan_configs
 from repro.core.sweep import simulated_sweep_gemm, sweep_gemm
-from repro.core.tradeoff import run_config_set
-from repro.experiments.platforms import (
-    PAPER_CPU_CAPS,
-    cap_states,
-    config_list,
-    operation_spec,
-)
-from repro.hardware.catalog import platform_names
-
-_OBJECTIVES = st.sampled_from(["efficiency", "edp", "ed2p", "energy", "makespan"])
-
-
-@settings(max_examples=4, deadline=None)
-@given(
-    platform=st.sampled_from(sorted(platform_names())),
-    op=st.sampled_from(["gemm", "potrf"]),
-    precision=st.sampled_from(["double", "single"]),
-    objective=_OBJECTIVES,
-    seed=st.integers(min_value=0, max_value=3),
-)
-def test_pruned_argmin_equals_exhaustive_argmin(
-    platform, op, precision, objective, seed
-):
-    spec = operation_spec(platform, op, precision, "tiny")
-    states = cap_states(platform, op, precision, "tiny")
-    configs = config_list(platform)
-    cpu_caps = PAPER_CPU_CAPS.get(platform)
-
-    plan = plan_configs(
-        platform, spec, configs, states,
-        objective=objective, seed=seed, cpu_caps=cpu_caps,
-    )
-
-    obj = get_objective(objective)
-    metrics = run_config_set(
-        platform, spec, configs, states, seed=seed, cpu_caps=cpu_caps
-    )
-    order = {c.letters: i for i, c in enumerate(configs)}
-    winner = min(
-        metrics,
-        key=lambda lt: (_rank(obj, obj.score(metrics[lt])), order[lt]),
-    )
-    assert plan.winner == winner
-    assert plan.metrics == metrics[winner]
 
 
 @settings(max_examples=6, deadline=None)

@@ -2,7 +2,7 @@
 
 from types import SimpleNamespace
 
-from coherence_oracle import OracleDataManager, OracleHandle
+from coherence_oracle import OracleDataManager, OracleHandle, check_invariants
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.catalog import build_platform
@@ -40,7 +40,7 @@ def test_msi_invariants_hold_under_any_access_sequence(program):
         assert ready >= now
         dm.release([(h, mode)], target)
         # MSI invariants after every operation:
-        h.check_invariants()
+        check_invariants(h)
         if mode.reads and h.owner is None:
             assert target in h.valid_nodes
         if mode.writes:

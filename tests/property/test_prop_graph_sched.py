@@ -10,6 +10,7 @@ invariants checked are the correctness contract of the whole runtime:
 - POTRF closed-form task counts hold for all tile counts.
 """
 
+from graph_stats import critical_path
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.catalog import build_platform
@@ -62,7 +63,7 @@ def test_graph_structurally_valid(program):
 @given(task_programs())
 def test_critical_path_at_most_task_count(program):
     graph = _build(program)
-    length, path = graph.critical_path()
+    length, path = critical_path(graph)
     assert 1 <= length <= len(graph)
     assert len(path) == length
 

@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 import pytest
+from coherence_oracle import check_invariants
 
 from repro.hardware.catalog import build_platform
 from repro.runtime.data import (
@@ -37,7 +38,7 @@ def test_access_mode_semantics():
 def test_handle_starts_valid_at_home():
     h = DataHandle(100)
     assert h.valid_nodes == {0} and h.owner is None
-    h.check_invariants()
+    check_invariants(h)
 
 
 def test_handle_rejects_nonpositive_size():
@@ -55,7 +56,7 @@ def test_invariant_dirty_must_be_sole_replica():
     h.valid = 0b101  # nodes 0 and 2
     h.dirty = True
     with pytest.raises(CoherenceError):
-        h.check_invariants()
+        check_invariants(h)
 
 
 def test_acquire_and_release_trip_on_corrupted_handle(dm):

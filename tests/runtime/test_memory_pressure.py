@@ -8,6 +8,7 @@ memory instead of growing the matrix.
 
 from dataclasses import replace
 
+from coherence_oracle import check_invariants
 
 from repro.hardware.catalog import PCIE4_X16, XEON_GOLD_6126, gpu_spec
 from repro.hardware.node import Node
@@ -63,6 +64,6 @@ def test_dirty_tiles_survive_eviction_roundtrip():
     assign_priorities(graph)
     rt.run(graph)
     for handle in graph.handles:
-        handle.check_invariants()
+        check_invariants(handle)
         assert 0 in handle.valid_nodes
         assert handle.owner is None

@@ -1,6 +1,7 @@
 """Unit tests for implicit dependency inference and graph analysis."""
 
 import pytest
+from graph_stats import counts_by_kind, critical_path
 
 from repro.hardware.catalog import build_platform
 from repro.kernels.tile_kernels import TileOp
@@ -81,7 +82,7 @@ def test_roots_and_counts():
     g.add_task(OP, [(b, AccessMode.W)])
     g.add_task(TileOp("syrk", 64, "double"), [(a, AccessMode.R), (b, AccessMode.RW)])
     assert len(g.roots()) == 2
-    assert g.counts_by_kind() == {"gemm": 2, "syrk": 1}
+    assert counts_by_kind(g) == {"gemm": 2, "syrk": 1}
     assert len(g) == 3
 
 
@@ -106,7 +107,7 @@ def test_critical_path_of_chain():
     h = _h()
     for _ in range(6):
         g.add_task(OP, [(h, AccessMode.RW)])
-    length, path = g.critical_path()
+    length, path = critical_path(g)
     assert length == 6 and len(path) == 6
 
 
@@ -115,12 +116,12 @@ def test_critical_path_weighted():
     h = _h()
     g.add_task(OP, [(h, AccessMode.RW)])
     g.add_task(OP, [(h, AccessMode.RW)])
-    length, _ = g.critical_path(weight=lambda t: 2.5)
+    length, _ = critical_path(g, weight=lambda t: 2.5)
     assert length == 5.0
 
 
 def test_critical_path_empty_graph():
-    assert TaskGraph().critical_path() == (0.0, [])
+    assert critical_path(TaskGraph()) == (0.0, [])
 
 
 def test_depth_priorities_decrease_along_chain():

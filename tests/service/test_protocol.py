@@ -51,6 +51,27 @@ def test_unknown_field_rejected():
         parse_advise_request({**BASE, "platfrom": "typo"})
 
 
+@pytest.mark.parametrize("doc", [
+    {"platform": "x" * 200_000},
+    {**BASE, "x" * 200_000: 1},
+    {**BASE, "seed": "7" * 200_000},
+    {**BASE, "objective": "x" * 200_000},
+    {**BASE, "configs": ["H" * 200_000]},
+    {**BASE, "cpu_caps": {"x" * 200_000: 60.0}},
+])
+def test_huge_values_are_echoed_bounded(doc):
+    # A bounded echo plus the message's own text (at most the allowed list).
+    with pytest.raises(ValidationError) as err:
+        parse_advise_request(doc)
+    assert len(str(err.value)) < 250
+
+
+def test_huge_platform_names_the_field_in_a_short_message():
+    with pytest.raises(ValidationError, match="unknown platform 'xxx") as err:
+        parse_advise_request({"platform": "x" * 200_000})
+    assert len(str(err.value)) < 200
+
+
 @pytest.mark.parametrize("field,value", [
     ("platform", "no-such-node"),
     ("op", "fft"),

@@ -21,7 +21,7 @@ def test_compaction_triggers_and_preserves_order():
         h.cancel()
     assert sim.n_compactions >= 1
     # Dead entries are actually gone from the pending set, not just flagged.
-    assert sim.n_pending() <= 500 - 400 + Simulator.COMPACT_MIN_SIZE
+    assert len(sim._tail) + len(sim._spill) <= 500 - 400 + Simulator.COMPACT_MIN_SIZE
     sim.run()
     assert fired == list(range(400, 500))
 
@@ -58,18 +58,20 @@ def test_compaction_spans_out_of_order_entries():
     assert fired == [1.0, 10.0, 20.0]
 
 
-def test_peek_and_idle_agree_after_compaction_removes_top():
+def test_bounded_run_after_compaction_removes_top():
     sim = Simulator()
+    fired: list[float] = []
     doomed = [sim.schedule(1.0 + i, lambda: None) for i in range(200)]
-    keep = sim.schedule(500.0, lambda: None)
+    sim.schedule(500.0, fired.append, 500.0)
+    late = sim.schedule(600.0, fired.append, 600.0)
     for h in doomed:  # includes the earliest entry — the queue front
         h.cancel()
     assert sim.n_compactions >= 1
-    assert sim.peek() == 500.0
-    assert not sim.idle()
-    keep.cancel()
-    assert sim.peek() is None
-    assert sim.idle()
+    sim.run(max_events=1)
+    assert fired == [500.0] and sim.now == 500.0
+    late.cancel()
+    sim.run()
+    assert fired == [500.0] and sim.n_processed == 1
 
 
 def test_cancel_is_idempotent_for_the_counter():
@@ -100,7 +102,7 @@ def test_lazy_discard_keeps_counter_consistent():
     h1 = sim.schedule(1.0, fired.append, 1)
     sim.schedule(2.0, fired.append, 2)
     h1.cancel()
-    assert sim.peek() == 2.0  # discards the cancelled front lazily
-    assert sim._n_cancelled == 0
+    sim.run(until=1.5)  # discards the cancelled front lazily
+    assert fired == [] and sim._n_cancelled == 0
     sim.run()
     assert fired == [2]

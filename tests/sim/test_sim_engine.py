@@ -109,20 +109,6 @@ def test_run_max_events():
     assert out == [0, 1]
 
 
-def test_step_returns_false_when_idle():
-    sim = Simulator()
-    assert sim.step() is False
-    assert sim.idle()
-
-
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    h = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    h.cancel()
-    assert sim.peek() == 2.0
-
-
 def test_run_not_reentrant():
     sim = Simulator()
     seen = []
