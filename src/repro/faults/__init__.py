@@ -40,7 +40,6 @@ from repro.faults.plan import (
     FaultPlanError,
     FaultSpec,
     preset_plan,
-    random_plan,
 )
 from repro.faults.recovery import RecoveryManager
 
@@ -56,7 +55,6 @@ __all__ = [
     "RecoveryManager",
     "apply_caps_verified",
     "preset_plan",
-    "random_plan",
     "run_chaos",
     "set_power_limit_verified",
 ]

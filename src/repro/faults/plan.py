@@ -40,9 +40,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
-import numpy as np
 
 from repro.boundary import bounded_repr
 
@@ -295,49 +294,3 @@ def preset_plan(name: str, seed: int = 0) -> FaultPlan:
         ) from None
     return FaultPlan(faults=faults, seed=seed, relative=True, name=name)
 
-
-def random_plan(
-    seed: int,
-    n_faults: int = 4,
-    n_gpus: int = 2,
-    kinds: Optional[tuple[str, ...]] = None,
-) -> FaultPlan:
-    """A seeded random relative plan (property-style chaos testing).
-
-    Only mid-run fault kinds are drawn (cap-set faults act at setup time and
-    are better expressed explicitly).  Times land in [0.1, 0.8) of the
-    baseline makespan so every fault hits a busy run.
-    """
-    if kinds is None:
-        kinds = ("gpu-throttle", "worker-kill", "worker-hang",
-                 "meter-dropout", "transfer-stall")
-    bad = set(kinds) - set(FAULT_KINDS)
-    if bad:
-        raise FaultPlanError(f"unknown kinds {sorted(bad)}")
-    rng = np.random.default_rng(seed)
-    faults = []
-    for _ in range(n_faults):
-        kind = kinds[int(rng.integers(len(kinds)))]
-        time = float(rng.uniform(0.1, 0.8))
-        duration = float(rng.uniform(0.05, 0.3))
-        gpu = int(rng.integers(n_gpus))
-        if kind == "worker-kill":
-            # Transient deaths only: a random plan must never kill every
-            # worker capable of a kernel for good.
-            faults.append(FaultSpec(kind, time, f"gpu-w{gpu}", duration=duration))
-        elif kind == "worker-hang":
-            faults.append(FaultSpec(kind, time, f"gpu-w{gpu}", duration=duration))
-        elif kind == "gpu-throttle":
-            frac = float(rng.uniform(0.4, 0.8))
-            faults.append(
-                FaultSpec(kind, time, f"gpu{gpu}", duration=duration, magnitude=frac)
-            )
-        elif kind == "meter-dropout":
-            faults.append(FaultSpec(kind, time, duration=duration))
-        else:  # transfer-stall
-            faults.append(
-                FaultSpec(kind, time, f"gpu{gpu}", duration=duration * 0.2)
-            )
-    return FaultPlan(
-        faults=tuple(faults), seed=seed, relative=True, name=f"random-{seed}"
-    )

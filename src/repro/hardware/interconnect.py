@@ -49,16 +49,12 @@ class Link:
         """Completion time of the last booked transfer in ``direction``."""
         return self._avail_at[direction]
 
-    def earliest_start(self, direction: Direction, not_before: Optional[float] = None) -> float:
-        """When a new transfer in ``direction`` could begin."""
-        floor = self._clock.now if not_before is None else max(self._clock.now, not_before)
-        return max(floor, self._avail_at[direction])
-
     def estimate(self, nbytes: int, direction: Direction) -> float:
         """Completion-time estimate for a transfer submitted now (seconds
         from now), including queueing behind in-flight transfers."""
-        start = self.earliest_start(direction)
-        return (start - self._clock.now) + self._transfer_time(nbytes)
+        now = self._clock.now
+        avail = self._avail_at[direction]
+        return ((avail if avail > now else now) - now) + self._transfer_time(nbytes)
 
     def stall_until(self, time: float, label: str = "") -> None:
         """Block both directions of the link until an absolute time.
@@ -83,9 +79,20 @@ class Link:
         """Book a transfer; returns absolute ``(start, end)`` times."""
         if direction not in DIRECTIONS:
             raise ValueError(f"bad direction {direction!r}")
-        start = self.earliest_start(direction, not_before)
-        end = start + self._transfer_time(nbytes)
-        self._avail_at[direction] = end
+        # The start: the latest of now, not_before and the queue's end
+        # (the earlier one on a tie, as max() picks).
+        start = self._clock.now
+        if not_before is not None and not_before > start:
+            start = not_before
+        avail_at = self._avail_at
+        avail = avail_at[direction]
+        if avail > start:
+            start = avail
+        tt = self._tt_memo.get(nbytes)
+        if tt is None:
+            tt = self._transfer_time(nbytes)
+        end = start + tt
+        avail_at[direction] = end
         self.bytes_moved[direction] += nbytes
         self.n_transfers[direction] += 1
         if self._tracer is not None and nbytes > 0:

@@ -63,18 +63,6 @@ _handle_ids = itertools.count()
 _HOST_BIT = 1 << MEM_HOST
 
 
-def _pick_source(valid: int) -> int:
-    """Node a read of a handle with replica mask ``valid`` copies from.
-
-    The owner, else the host, else the lowest valid node.  A dirty replica
-    is the only valid one and never the host's, so the owner is the lowest
-    set bit whenever the host bit is clear.
-    """
-    if valid & _HOST_BIT:
-        return MEM_HOST
-    return (valid & -valid).bit_length() - 1
-
-
 @dataclass(eq=False)
 class DataHandle:
     """One logical data block registered with the runtime.
@@ -228,8 +216,11 @@ class DataManager:
         # Uncontended transfer time of each node's link (0.0 for the
         # host), by handle size; tiles come in a handful of sizes.
         self._transfer_times: dict[int, list[float]] = {}
-        # Bitmask of each target tuple transfer_estimates is asked for.
-        self._target_masks: dict[tuple[int, ...], int] = {}
+        # transfer_estimates' last target tuple and its bitmask.  The
+        # scheduler builds its tuple once per change of placement classes,
+        # so an identity test stands in for hashing the tuple per decision.
+        self._mask_targets: Optional[Sequence[int]] = None
+        self._target_mask = 0
         # The memory nodes whose bits a mask sets, for every mask.
         n_nodes = len(self._links)
         self._nodes_of = [
@@ -253,8 +244,8 @@ class DataManager:
     def transfer_estimates(
         self,
         handles: Sequence[tuple[DataHandle, AccessMode]],
-        targets: tuple[int, ...],
-    ) -> dict[int, float]:
+        targets: Sequence[int],
+    ) -> list[float]:
         """:meth:`transfer_estimate` for several distinct targets in one pass.
 
         One scheduling decision scores every placement class, and the
@@ -264,16 +255,21 @@ class DataManager:
         missing read costs the source's d2h leg (queueing delay plus
         uncontended transfer time; zero when the host holds a copy) plus
         the target's h2d leg, summed per target in handle order.
+
+        The totals come back as a list indexed by memory node; a node not
+        in ``targets`` reads 0.0.
         """
-        totals = dict.fromkeys(targets, 0.0)
-        target_mask = self._target_masks.get(targets)
-        if target_mask is None:
+        if targets is not self._mask_targets:
             target_mask = 0
             for t in targets:
                 target_mask |= 1 << t
-            self._target_masks[targets] = target_mask
-        now = self.node.clock.now
+            self._mask_targets = targets
+            self._target_mask = target_mask
+        target_mask = self._target_mask
         links = self._links
+        transfer_times = self._transfer_times
+        totals = [0.0] * len(links)
+        now = self.node.clock.now
         nodes_of = self._nodes_of
         # The h2d addend of a target depends only on the handle size, so it
         # is priced once per size per call, indexed by node; the host's is
@@ -289,7 +285,7 @@ class DataManager:
             nbytes = handle.nbytes
             if nbytes != h2d_size:
                 h2d_size = nbytes
-                times = self._transfer_times_of(nbytes)
+                times = transfer_times.get(nbytes) or self._transfer_times_of(nbytes)
                 h2d = [0.0] * len(links)
                 for t in targets:
                     if t != MEM_HOST:
@@ -298,7 +294,7 @@ class DataManager:
             if valid & _HOST_BIT:
                 d2h = 0.0
             else:
-                # _pick_source inlined: the owner is the lowest set bit.
+                # The read's source: the owner is the lowest set bit.
                 source = (valid & -valid).bit_length() - 1
                 avail = links[source]._avail_at["d2h"]
                 d2h = (avail - now if avail > now else 0.0) + times[source]
@@ -396,20 +392,23 @@ class DataManager:
         # direct GPU-GPU path is modelled).
         valid = handle.valid
         nbytes = handle.nbytes
+        label = label or handle.label
         end = 0.0
-        source = _pick_source(valid)
-        if source != MEM_HOST:
-            link = self._links[source]
-            _, end = link.reserve(nbytes, "d2h", label or handle.label, not_before=now)
-            self._account(nbytes)
+        if not valid & _HOST_BIT:
+            # The owner, else the lowest valid node: a dirty replica is the
+            # only valid one and never the host's, so the lowest set bit.
+            source = (valid & -valid).bit_length() - 1
+            _, end = self._links[source].reserve(nbytes, "d2h", label, now)
+            self.bytes_transferred += nbytes
+            self.n_transfers += 1
         if target != MEM_HOST:
-            link = self._links[target]
-            _, end2 = link.reserve(
-                nbytes, "h2d", label or handle.label, not_before=now if now >= end else end
+            _, end2 = self._links[target].reserve(
+                nbytes, "h2d", label, now if now >= end else end
             )
             if end2 > end:
                 end = end2
-            self._account(nbytes)
+            self.bytes_transferred += nbytes
+            self.n_transfers += 1
         handle.valid = valid | _HOST_BIT | 1 << target
         handle.dirty = False
         if end > 0.0:
@@ -422,7 +421,8 @@ class DataManager:
             # Dirty owner: write back to host before dropping.
             link = self._links[node_id]
             link.reserve(victim.nbytes, "d2h", f"wb:{victim.label or label}")
-            self._account(victim.nbytes)
+            self.bytes_transferred += victim.nbytes
+            self.n_transfers += 1
             victim.valid = _HOST_BIT
             victim.dirty = False
         else:
@@ -495,10 +495,7 @@ class DataManager:
             if handle.dirty:
                 link = self._links[handle.owner]
                 link.reserve(handle.nbytes, "d2h", f"flush:{handle.label}")
-                self._account(handle.nbytes)
+                self.bytes_transferred += handle.nbytes
+                self.n_transfers += 1
                 handle.dirty = False
                 handle.valid |= _HOST_BIT
-
-    def _account(self, nbytes: int) -> None:
-        self.bytes_transferred += nbytes
-        self.n_transfers += 1

@@ -92,7 +92,7 @@ class DMScheduler(Scheduler):
     # --------------------------------------------------------------- scoring
 
     def placement_terms(
-        self, task: Task, worker: WorkerType, now: float, xfer: Optional[dict] = None
+        self, task: Task, worker: WorkerType, now: float, xfer: Optional[list] = None
     ) -> tuple[float, ...]:
         """Cost addends beyond the worker's backlog, in fold order.
 
@@ -101,10 +101,11 @@ class DMScheduler(Scheduler):
         Every term must depend on the worker only through its placement
         class (:meth:`Scheduler.placement_class_key`), and ``terms[0]``
         must be the duration estimate (it feeds the backlog accounting).
-        ``xfer`` is the class scan's per-decision transfer table (memory
-        node -> seconds) for a :attr:`data_aware` policy, ``None`` outside
-        the scan.  Subclasses overriding :meth:`placement_cost` must keep
-        this method consistent or set :attr:`brute_force_placement`.
+        ``xfer`` is the class scan's per-decision transfer table (seconds,
+        indexed by memory node) for a :attr:`data_aware` policy, ``None``
+        outside the scan.  Subclasses overriding :meth:`placement_cost`
+        must keep this method consistent or set
+        :attr:`brute_force_placement`.
         """
         return (self.estimate(task, worker),)
 

@@ -24,7 +24,7 @@ class DMDAScheduler(DMScheduler):
     _inline_terms = True
 
     def placement_terms(
-        self, task: Task, worker: WorkerType, now: float, xfer: Optional[dict] = None
+        self, task: Task, worker: WorkerType, now: float, xfer: Optional[list] = None
     ) -> tuple[float, ...]:
         # Flattened (no super() chain): terms[0] must stay the duration
         # estimate.  Outside the class scan (the brute-force path, or

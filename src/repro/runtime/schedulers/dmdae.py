@@ -41,7 +41,7 @@ class DMDAEScheduler(DMDASScheduler):
         return duration * power
 
     def placement_terms(
-        self, task: Task, worker: WorkerType, now: float, xfer: Optional[dict] = None
+        self, task: Task, worker: WorkerType, now: float, xfer: Optional[list] = None
     ) -> tuple[float, ...]:
         energy = self.task_energy_estimate(task, worker)
         return super().placement_terms(task, worker, now, xfer) + (

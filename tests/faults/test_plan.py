@@ -9,7 +9,6 @@ from repro.faults.plan import (
     FaultPlanError,
     FaultSpec,
     preset_plan,
-    random_plan,
 )
 
 
@@ -110,17 +109,6 @@ def test_dropout_windows_come_from_meter_faults():
         FaultSpec(kind="transfer-stall", time=2.0, target="gpu0", duration=0.1),
     ))
     assert plan.dropout_windows() == [(1.0, 1.5)]
-
-
-def test_random_plan_is_seed_deterministic():
-    a = random_plan(seed=3, n_faults=6)
-    b = random_plan(seed=3, n_faults=6)
-    c = random_plan(seed=4, n_faults=6)
-    assert a == b
-    assert a != c
-    assert len(a) == 6
-    for spec in a.faults:
-        assert spec.kind in FAULT_KINDS
 
 
 _KILL = '{"kind": "worker-kill", "target": "gpu-w0", "time": 0.1}'
