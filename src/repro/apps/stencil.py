@@ -16,12 +16,35 @@ global barrier.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode
-from repro.runtime.graph import TaskGraph
+from repro.runtime.graph import Task, TaskGraph
+from repro.linalg.numeric import label_indices
 from repro.linalg.tilematrix import TileMatrix
+
+
+class StencilRecipe(NamedTuple):
+    """The tile updates ``jacobi[it](i,j)`` of :func:`stencil_graph`:
+    iteration ``it`` reads ``grids[it % 2]`` and writes the other grid."""
+
+    grids: tuple[TileMatrix, TileMatrix]
+
+    def apply(self, task: Task) -> None:
+        _, (it, i, j) = label_indices(task.label)
+        cur, nxt = self.grids[it % 2], self.grids[1 - it % 2]
+        nb = cur.nb
+        padded = np.pad(cur.array, 1)  # zero Dirichlet boundary
+        x0, y0 = i * nb + 1, j * nb + 1
+        block = padded[x0 : x0 + nb, y0 : y0 + nb]
+        up = padded[x0 - 1 : x0 - 1 + nb, y0 : y0 + nb]
+        down = padded[x0 + 1 : x0 + 1 + nb, y0 : y0 + nb]
+        left = padded[x0 : x0 + nb, y0 - 1 : y0 - 1 + nb]
+        right = padded[x0 : x0 + nb, y0 + 1 : y0 + 1 + nb]
+        nxt.tile(i, j)[:] = (block + up + down + left + right) / 5.0
 
 
 def stencil_graph(
@@ -41,46 +64,32 @@ def stencil_graph(
     grid_b = TileMatrix(n, nb, precision, label="U1")
     graph = TaskGraph()
     op = TileOp("stencil", nb, precision)
+    recipe = StencilRecipe((grid_a, grid_b))
     nt = grid_a.nt
+    # One access pair per tile and mode, shared by every task that uses it.
+    pairs: dict = {}
+
+    def access(m: TileMatrix, i: int, j: int, mode: AccessMode) -> tuple:
+        pair = (m.handle(i, j), mode)
+        return pairs.setdefault(pair, pair)
+
     cur, nxt = grid_a, grid_b
     for it in range(iterations):
         for i in range(nt):
             for j in range(nt):
-                accesses = [(nxt.handle(i, j), AccessMode.W), (cur.handle(i, j), AccessMode.R)]
+                accesses = [access(nxt, i, j, AccessMode.W), access(cur, i, j, AccessMode.R)]
                 for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
                     ni, nj = i + di, j + dj
                     if 0 <= ni < nt and 0 <= nj < nt:
-                        accesses.append((cur.handle(ni, nj), AccessMode.R))
-                graph.add_task(
-                    op,
-                    accesses,
-                    label=f"jacobi[{it}]({i},{j})",
-                    payload={
-                        "kind": "stencil",
-                        "cur": cur, "nxt": nxt, "i": i, "j": j,
-                    },
-                )
+                        accesses.append(access(cur, ni, nj, AccessMode.R))
+                graph.add_task(op, accesses, label=f"jacobi[{it}]({i},{j})",
+                               recipe=recipe)
         cur, nxt = nxt, cur
     return graph, grid_a, grid_b
 
 
 def stencil_task_count(nt: int, iterations: int) -> int:
     return nt * nt * iterations
-
-
-def apply_stencil_task(payload: dict) -> None:
-    """Numeric semantics of one tile update (used by the numeric executor)."""
-    cur: TileMatrix = payload["cur"]
-    nxt: TileMatrix = payload["nxt"]
-    i, j, nb = payload["i"], payload["j"], cur.nb
-    padded = np.pad(cur.array, 1)  # zero Dirichlet boundary
-    x0, y0 = i * nb + 1, j * nb + 1
-    block = padded[x0 : x0 + nb, y0 : y0 + nb]
-    up = padded[x0 - 1 : x0 - 1 + nb, y0 : y0 + nb]
-    down = padded[x0 + 1 : x0 + 1 + nb, y0 : y0 + nb]
-    left = padded[x0 : x0 + nb, y0 - 1 : y0 - 1 + nb]
-    right = padded[x0 : x0 + nb, y0 + 1 : y0 + 1 + nb]
-    nxt.tile(i, j)[:] = (block + up + down + left + right) / 5.0
 
 
 def reference_jacobi(grid: np.ndarray, iterations: int) -> np.ndarray:

@@ -27,10 +27,11 @@ OPERATIONS = ("gemm", "potrf")
 def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector; restore the caller's state.
 
-    Building a paper-scale graph leaves ~376 k container objects alive,
-    which triggers repeated full collections that find nothing: task
-    graphs hold no reference cycles (edges point forward only, see
-    :mod:`repro.runtime.graph`), so refcounting alone frees them.  Pausing
+    Building a paper-scale graph leaves ~119 k container objects alive
+    (about three per task), which would trigger repeated collections that
+    find nothing: task graphs hold no reference cycles (edges point
+    forward only, see :mod:`repro.runtime.graph`), so refcounting alone
+    frees them.  Pausing
     only defers collection; whatever the caller had enabled is re-enabled
     on exit, exception or not.  A graph re-run after
     :meth:`~repro.runtime.graph.TaskGraph.reset` is not built again, so it

@@ -13,17 +13,26 @@ Otherwise it submits them through
 :meth:`~repro.runtime.graph.TaskGraph.add_task`, whose hazard inference
 stays the reference: an emitted graph equals the inferred one field for
 field.  A second product into the same C, for one, depends on the first
-one's C writers, which only inference sees.
+one's C writers, which only inference sees.  The mixed-precision GEMM
+(:mod:`repro.linalg.mixed`) builds through the same loop,
+:func:`product_tasks`.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from typing import Sequence
 
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode
 from repro.runtime.graph import TaskGraph
+from repro.linalg.numeric import GemmRecipe
 from repro.linalg.tilematrix import TileMatrix
+
+
+def check_geometry(a: TileMatrix, b: TileMatrix, c: TileMatrix) -> None:
+    if not (a.nt == b.nt == c.nt and a.nb == b.nb == c.nb):
+        raise ValueError("A, B, C must share tile geometry")
 
 
 def build_gemm(
@@ -34,51 +43,62 @@ def build_gemm(
     priority: int = 0,
 ) -> TaskGraph:
     """Append the tasks of ``C += A @ B`` to ``graph``."""
-    if not (a.nt == b.nt == c.nt and a.nb == b.nb == c.nb):
-        raise ValueError("A, B, C must share tile geometry")
+    check_geometry(a, b, c)
     if not (a.precision == b.precision == c.precision):
         raise ValueError("A, B, C must share precision")
-    nt = a.nt
     op = TileOp("gemm", a.nb, a.precision)
+    return product_tasks(graph, a, b, c, [(op, "gemm")] * a.nt, priority,
+                         GemmRecipe(a, b, c))
+
+
+def product_tasks(
+    graph: TaskGraph,
+    a: TileMatrix,
+    b: TileMatrix,
+    c: TileMatrix,
+    kinds: Sequence[tuple[TileOp, str]],
+    priority: int,
+    recipe: GemmRecipe,
+) -> TaskGraph:
+    """Append ``gemm[i,j,k]`` for every tile triple, in ``i, j, k`` order.
+
+    ``kinds[k]`` is the op and the label's name of the updates at ``k``.
+    """
+    nt = a.nt
     R, RW = AccessMode.R, AccessMode.RW
     if c is a or c is b or any(
         map(graph.knows, chain(a.handles(), b.handles(), c.handles()))
     ):
         # C aliases an input, or earlier tasks touch these tiles: only
         # inference sees those edges.
-        def submit(op, accesses, deps, priority, label, payload):
-            return graph.add_task(op, accesses, priority, label, payload)
+        def submit(op, accesses, deps, priority, label, recipe):
+            return graph.add_task(op, accesses, priority, label, recipe)
     else:
         submit = graph.emit
-    # Local handle rows, filled at the tasks that first touch each tile, so
-    # handles are created in the same order as one lookup per access:
-    # row i of A during j == 0, column j of B during i == 0.
+    # One access pair per tile of each operand, shared by every task that
+    # touches it.  Local pair rows are filled at the tasks that first touch
+    # each tile, so handles are created in the same order as one lookup
+    # per access: row i of A during j == 0, column j of B during i == 0.
     b_cols: list[list] = [[] for _ in range(nt)]
     for i in range(nt):
         a_row: list = []
         for j in range(nt):
-            cij = c.handle(i, j)
+            cij = (c.handle(i, j), RW)
             b_col = b_cols[j]
             deps: tuple = ()  # the chain's last writer of C[i,j]
             for k in range(nt):
                 if j == 0:
-                    a_row.append(a.handle(i, k))
+                    a_row.append((a.handle(i, k), R))
                 if i == 0:
-                    b_col.append(b.handle(k, j))
+                    b_col.append((b.handle(k, j), R))
+                op, name = kinds[k]
                 deps = (submit(
                     op,
-                    ((cij, RW), (a_row[k], R), (b_col[k], R)),
+                    (cij, a_row[k], b_col[k]),
                     deps,
                     priority,
-                    f"gemm[{i},{j},{k}]",
-                    {
-                        "kind": "gemm",
-                        "C": (c, i, j),
-                        "A": (a, i, k),
-                        "B": (b, k, j),
-                        "alpha": 1.0,
-                        "transb": False,
-                    },
+                    f"{name}[{i},{j},{k}]",
+                    recipe,
                 ),)
     return graph
 

@@ -10,13 +10,16 @@ the cost of accumulating rounding error the numeric mode quantifies.
 The ``by_k`` rule demotes the *first* ``round(fraction * nt)`` k-indices of
 every C tile to single precision — deterministic, uniform across tiles, and
 leaves the final updates in double so the last writes re-absorb some error.
+The tasks and edges are tiled GEMM's (:func:`repro.linalg.gemm.product_tasks`);
+only each k's op and label differ.
 """
 
 from __future__ import annotations
 
 from repro.kernels.tile_kernels import TileOp
-from repro.runtime.data import AccessMode
 from repro.runtime.graph import TaskGraph
+from repro.linalg.gemm import check_geometry, product_tasks
+from repro.linalg.numeric import GemmRecipe
 from repro.linalg.tilematrix import TileMatrix
 
 
@@ -30,39 +33,18 @@ def build_gemm_mixed(
     """``C += A @ B`` with a fraction of k-updates in single precision.
 
     Matrices are stored in the precision of ``c`` (double expected); demoted
-    tasks cast on the fly, as mixed-precision BLAS kernels do.
+    tasks (labelled ``gemms``, the others ``gemmd``) cast on the fly, as
+    mixed-precision BLAS kernels do.
     """
     if not 0.0 <= single_fraction <= 1.0:
         raise ValueError("single_fraction must be within [0, 1]")
-    if not (a.nt == b.nt == c.nt and a.nb == b.nb == c.nb):
-        raise ValueError("A, B, C must share tile geometry")
+    check_geometry(a, b, c)
     nt = a.nt
     n_single = round(single_fraction * nt)
-    op_single = TileOp("gemm", a.nb, "single")
-    op_double = TileOp("gemm", a.nb, "double")
-    for i in range(nt):
-        for j in range(nt):
-            for k in range(nt):
-                demoted = k < n_single
-                graph.add_task(
-                    op_single if demoted else op_double,
-                    [
-                        (c.handle(i, j), AccessMode.RW),
-                        (a.handle(i, k), AccessMode.R),
-                        (b.handle(k, j), AccessMode.R),
-                    ],
-                    label=f"gemm{'s' if demoted else 'd'}[{i},{j},{k}]",
-                    payload={
-                        "kind": "gemm",
-                        "C": (c, i, j),
-                        "A": (a, i, k),
-                        "B": (b, k, j),
-                        "alpha": 1.0,
-                        "transb": False,
-                        "compute_precision": "single" if demoted else "double",
-                    },
-                )
-    return graph
+    single = (TileOp("gemm", a.nb, "single"), "gemms")
+    double = (TileOp("gemm", a.nb, "double"), "gemmd")
+    kinds = [single if k < n_single else double for k in range(nt)]
+    return product_tasks(graph, a, b, c, kinds, 0, GemmRecipe(a, b, c, n_single))
 
 
 def gemm_mixed_graph(

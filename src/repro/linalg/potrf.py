@@ -30,6 +30,7 @@ from __future__ import annotations
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode
 from repro.runtime.graph import TaskGraph
+from repro.linalg.numeric import PotrfRecipe
 from repro.linalg.tilematrix import TileMatrix
 
 
@@ -44,80 +45,83 @@ def build_potrf(graph: TaskGraph, a: TileMatrix) -> TaskGraph:
     op_trsm = TileOp("trsm", nb, prec)
     op_syrk = TileOp("syrk", nb, prec)
     op_gemm = TileOp("gemm", nb, prec)
+    recipe = PotrfRecipe(a)
     R, RW = AccessMode.R, AccessMode.RW
     if any(map(graph.knows, a.handles())):
         # Earlier tasks touch these tiles: only inference sees their edges.
-        def submit(op, accesses, deps, priority, label, payload):
-            return graph.add_task(op, accesses, priority, label, payload)
+        def submit(op, accesses, deps, priority, label, recipe):
+            return graph.add_task(op, accesses, priority, label, recipe)
     else:
         submit = graph.emit
-    # cols[j][i - j] is tile (i, j) of the lower triangle, and
-    # writers[j][i - j] its last writer so far.  A column is fetched whole
-    # at its first touch (column 0 at the first POTRF, column n at the
-    # first SYRK on it), which creates its handles in exactly the order
-    # the tasks below would first touch them one by one.
-    cols: list = [None] * nt
+    # reads[j][i - j] and updates[j][i - j] are the (handle, R) and
+    # (handle, RW) access pairs of tile (i, j) of the lower triangle, one
+    # of each per tile, shared by every task that touches it;
+    # writers[j][i - j] is the tile's last writer so far.  A column is
+    # fetched whole at its first touch (column 0 at the first POTRF,
+    # column n at the first SYRK on it), which creates its handles in
+    # exactly the order the tasks below would first touch them one by one.
+    reads: list = [None] * nt
+    updates: list = [None] * nt
     writers: list = [None] * nt
+
+    def fetch(j: int) -> None:
+        col = [a.handle(i, j) for i in range(j, nt)]
+        reads[j] = [(h, R) for h in col]
+        updates[j] = [(h, RW) for h in col]
+        writers[j] = [None] * (nt - j)
+
     for k in range(nt):
-        ck = cols[k]
-        if ck is None:
-            ck = cols[k] = [a.handle(i, k) for i in range(k, nt)]
-            writers[k] = [None] * (nt - k)
+        if writers[k] is None:
+            fetch(k)
+        rk = reads[k]
+        uk = updates[k]
         wk = writers[k]
-        akk = ck[0]
+        akk = rk[0]
         prev = wk[0]
         panel = wk[0] = submit(
             op_potrf,
-            ((akk, RW),),
+            (uk[0],),
             () if prev is None else (prev,),
             0,
             f"potrf[{k}]",
-            {"kind": "potrf", "A": (a, k, k)},
+            recipe,
         )
         for m in range(k + 1, nt):
             prev = wk[m - k]
             wk[m - k] = submit(
                 op_trsm,
-                ((akk, R), (ck[m - k], RW)),
+                (akk, uk[m - k]),
                 (panel,) if prev is None else (panel, prev),
                 0,
                 f"trsm[{m},{k}]",
-                {"kind": "trsm", "L": (a, k, k), "A": (a, m, k)},
+                recipe,
             )
         for n in range(k + 1, nt):
-            cn = cols[n]
-            if cn is None:
-                cn = cols[n] = [a.handle(i, n) for i in range(n, nt)]
-                writers[n] = [None] * (nt - n)
+            if writers[n] is None:
+                fetch(n)
+            un = updates[n]
             wn = writers[n]
-            ank = ck[n - k]
+            ank = rk[n - k]
             trsm_n = wk[n - k]
             prev = wn[0]
             wn[0] = submit(
                 op_syrk,
-                ((ank, R), (cn[0], RW)),
+                (ank, un[0]),
                 (trsm_n,) if prev is None else (trsm_n, prev),
                 0,
                 f"syrk[{n},{k}]",
-                {"kind": "syrk", "A": (a, n, k), "C": (a, n, n)},
+                recipe,
             )
             for m in range(n + 1, nt):
                 prev = wn[m - n]
                 wn[m - n] = submit(
                     op_gemm,
-                    ((cn[m - n], RW), (ck[m - k], R), (ank, R)),
+                    (un[m - n], rk[m - k], ank),
                     (wk[m - k], trsm_n) if prev is None
                     else (prev, wk[m - k], trsm_n),
                     0,
                     f"gemm[{m},{n},{k}]",
-                    {
-                        "kind": "gemm",
-                        "C": (a, m, n),
-                        "A": (a, m, k),
-                        "B": (a, n, k),
-                        "alpha": -1.0,
-                        "transb": True,
-                    },
+                    recipe,
                 )
     return graph
 

@@ -20,6 +20,14 @@ tasks and handles back as they were built, so a run of the same operation on
 another runtime can skip the build and its hazard inference.  What a run
 derives from the structure (its validation, roots and flop total) is
 computed once per graph and survives the reset.
+
+A graph holds only what a run reads, plus one shared reference per task
+for numeric verification: a builder passes every task of a build the same
+immutable *recipe*, from which :mod:`repro.linalg.numeric` derives the
+task's operand tiles (see :class:`Task`).  Builders also pass the same
+``(handle, mode)`` tuple for every access of one tile in one mode.  No
+task, handle or access refers back to a task that refers to it, so a
+graph holds no reference cycle: refcounting alone frees it.
 """
 
 from __future__ import annotations
@@ -41,7 +49,13 @@ class TaskState(Enum):
 
 
 class Task:
-    """One schedulable tile task."""
+    """One schedulable tile task.
+
+    ``recipe`` is shared by every task of one build and never read by a
+    run: an object whose ``apply(task)`` performs the task's kernel on
+    materialised tiles, found from the task's label.  ``None`` when the
+    task has no numeric semantics.
+    """
 
     __slots__ = (
         "tid",
@@ -49,7 +63,7 @@ class Task:
         "accesses",
         "priority",
         "label",
-        "payload",
+        "recipe",
         "state",
         "deps_remaining",
         "successors",
@@ -65,14 +79,14 @@ class Task:
         accesses: Sequence[tuple[DataHandle, AccessMode]],
         priority: int = 0,
         label: str = "",
-        payload: Optional[dict] = None,
+        recipe: object = None,
     ) -> None:
         self.tid = tid
         self.op = op
         self.accesses = tuple(accesses)
         self.priority = priority
         self.label = label or f"{op.kind}#{tid}"
-        self.payload = payload or {}
+        self.recipe = recipe
         self.state = TaskState.CREATED
         self.deps_remaining = 0
         self.successors: list[Task] = []
@@ -124,10 +138,10 @@ class TaskGraph:
         accesses: Sequence[tuple[DataHandle, AccessMode]],
         priority: int = 0,
         label: str = "",
-        payload: Optional[dict] = None,
+        recipe: object = None,
     ) -> Task:
         """Submit a task; dependencies are inferred from data hazards."""
-        task = Task(next(self._tid), op, accesses, priority, label, payload)
+        task = Task(next(self._tid), op, accesses, priority, label, recipe)
         if self._n_hazard != task.tid:
             self._fold_hazards(self.tasks[self._n_hazard:])
         handles = self._handles
@@ -166,7 +180,7 @@ class TaskGraph:
         deps: Sequence[Task],
         priority: int = 0,
         label: str = "",
-        payload: Optional[dict] = None,
+        recipe: object = None,
     ) -> Task:
         """Append a task whose predecessors the caller already knows.
 
@@ -177,7 +191,7 @@ class TaskGraph:
         registers them, and the hazard state catches up at the next
         :meth:`add_task`, so later submissions see the same hazards.
         """
-        task = Task(next(self._tid), op, accesses, priority, label, payload)
+        task = Task(next(self._tid), op, accesses, priority, label, recipe)
         handles = self._handles
         for handle, _ in task.accesses:
             handles[handle.hid] = handle

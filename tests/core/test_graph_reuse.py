@@ -53,10 +53,9 @@ def _task_slots(task: Task) -> dict:
             value = [s.tid for s in value]
         elif name == "accesses":
             value = [(h.label, m) for h, m in value]
-        elif name == "payload":
-            # Tile references name their matrix object; keep the indices.
-            value = {k: v[1:] if isinstance(v, tuple) else v
-                     for k, v in value.items()}
+        elif name == "recipe":
+            # A recipe names its build's matrix objects; keep its kind.
+            value = type(value)
         out[name] = value
     return out
 

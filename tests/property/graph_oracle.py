@@ -11,7 +11,7 @@ ids, successor lists, dependency counts, edge counts and handle order.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode, DataHandle
@@ -35,9 +35,9 @@ class OracleTaskGraph:
         accesses: Sequence[tuple[DataHandle, AccessMode]],
         priority: int = 0,
         label: str = "",
-        payload: Optional[dict] = None,
+        recipe: object = None,
     ) -> Task:
-        task = Task(next(self._tid), op, accesses, priority, label, payload)
+        task = Task(next(self._tid), op, accesses, priority, label, recipe)
         deps: dict[int, Task] = {}
         for handle, mode in task.accesses:
             self._handles[handle.hid] = handle

@@ -1,4 +1,5 @@
-"""Test-only statistics of a built task graph: counts and critical path."""
+"""Test-only statistics of a built task graph: counts, critical path and
+shared accesses."""
 
 from __future__ import annotations
 
@@ -13,6 +14,17 @@ def counts_by_kind(graph: TaskGraph) -> dict[str, int]:
     for t in graph.tasks:
         out[t.op.kind] = out.get(t.op.kind, 0) + 1
     return out
+
+
+def unshared_accesses(graph: TaskGraph) -> int:
+    """Accesses whose ``(handle, mode)`` tuple is not the first tuple of
+    that pair in task order: 0 when each pair is one shared object."""
+    first: dict = {}
+    return sum(
+        first.setdefault(pair, pair) is not pair
+        for t in graph.tasks
+        for pair in t.accesses
+    )
 
 
 def critical_path(

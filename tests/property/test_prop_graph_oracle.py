@@ -7,12 +7,18 @@ handle twice, go through both :class:`repro.runtime.graph.TaskGraph` and
 The POTRF and GEMM builders emit their edges from tile indices instead of
 inferring them; each emitted graph must equal the one ``add_task`` infers
 when the same tasks are re-submitted in task order, field by field, and a
-later ``add_task`` must see the same hazards on both.
+later ``add_task`` must see the same hazards on both.  With
+``REPRO_SLOW=1`` this is checked for every Table II graph at its own size.
 """
 
+import os
+
+import pytest
 from graph_oracle import OracleTaskGraph
+from graph_stats import unshared_accesses
 from hypothesis import example, given, settings, strategies as st
 
+from repro.experiments.platforms import TABLE2_PAPER, operation_spec
 from repro.kernels.tile_kernels import TileOp
 from repro.linalg import TileMatrix, build_gemm, build_potrf
 from repro.runtime.data import AccessMode, DataHandle
@@ -84,13 +90,13 @@ def _replay(graph):
     """The reference: the same tasks re-submitted through ``add_task``."""
     ref = TaskGraph()
     for t in graph.tasks:
-        ref.add_task(t.op, t.accesses, t.priority, t.label, t.payload)
+        ref.add_task(t.op, t.accesses, t.priority, t.label, t.recipe)
     return ref
 
 
 def _fields(graph):
     return (
-        [(t.tid, t.label, t.op, t.accesses, t.payload, t.priority,
+        [(t.tid, t.label, t.op, t.accesses, t.recipe, t.priority,
           [s.tid for s in t.successors], t.deps_remaining)
          for t in graph.tasks],
         graph._built_deps,
@@ -186,4 +192,16 @@ def test_builds_over_known_or_aliased_tiles_infer():
         graph = _CountingGraph()
         build_gemm(graph, *args)
         assert graph.n_inferred == nt ** 3
+        _assert_same_graph(graph, _replay(graph))
+
+
+@pytest.mark.skipif(os.environ.get("REPRO_SLOW") != "1",
+                    reason="set REPRO_SLOW=1 for paper-scale runs")
+def test_emitted_graphs_equal_inferred_ones_at_the_papers_sizes():
+    """Every Table II graph at its own size (POTRF nt 50, 40, 60; GEMM nt
+    15, 12, 13), built as a run builds it, equals the graph ``add_task``
+    infers for the same tasks, and shares one tuple per access pair."""
+    for platform, op, precision in TABLE2_PAPER:
+        graph = operation_spec(platform, op, precision, "paper").build_graph()
+        assert unshared_accesses(graph) == 0, (platform, op, precision)
         _assert_same_graph(graph, _replay(graph))

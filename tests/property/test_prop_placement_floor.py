@@ -11,11 +11,17 @@ to sit on the edges: exact 0.0, the smallest subnormal, residues such as
 cost, and worker orders where a class's members are not consecutive.
 """
 
+import inspect
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.kernels.tile_kernels import TileOp
 from repro.obs.decisions import DecisionLog
+from repro.runtime.data import DataManager
 from repro.runtime.graph import Task
+from repro.runtime.perfmodel import PerfModelSet
+from repro.runtime.worker import Worker
 from repro.runtime.schedulers.dm import DMScheduler
 from repro.runtime.schedulers.dmda import DMDAScheduler
 
@@ -43,11 +49,30 @@ class _Data:
     def __init__(self, table):
         self.table = table
 
-    def transfer_estimates(self, accesses, targets):
-        return {t: self.table[t] for t in targets}
+    def transfer_estimates(self, handles, targets):
+        totals = [0.0] * len(MEM_NODES)
+        for t in targets:
+            totals[t] = self.table[t]
+        return totals
 
-    def transfer_estimate(self, accesses, mem_node):
-        return self.table[mem_node]
+    def transfer_estimate(self, handles, target):
+        return self.table[target]
+
+
+@pytest.mark.parametrize("stub, real", [
+    (_Worker, Worker), (_Perf, PerfModelSet), (_Data, DataManager),
+])
+def test_stub_methods_take_the_real_parameters(stub, real):
+    """Each stub method stands in for the real one: same parameter names
+    and kinds, so a scheduler calls both the same way."""
+    for name, method in vars(stub).items():
+        if name.startswith("__"):
+            continue
+        assert (
+            list(inspect.signature(method).parameters.values())
+            == [p.replace(annotation=p.empty)
+                for p in inspect.signature(getattr(real, name)).parameters.values()]
+        ), name
 
 
 class _WithExtraTerm(DMDAScheduler):

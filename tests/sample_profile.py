@@ -4,6 +4,7 @@ Not a test: run it by hand from the repository root (about 15 s)::
 
     python tests/sample_profile.py                 # 3 configs x 3 seeds
     python tests/sample_profile.py --seeds 0 --top 40 --interval-ms 1
+    python tests/sample_profile.py --memory        # the graph's memory
 
 It runs paper-scale double POTRF on 32-AMD-4-A100 under ``dmdas`` (the
 ``potrf-paper`` perfbench workload's body: ``run_operation`` for HHHH, HHBB
@@ -21,13 +22,22 @@ is the ``repro`` package a function lives in, split as perfbench's
 small, frequent calls, a sample adds no per-call cost.  CPython runs the
 handler at its next function entry or loop back-edge, so a sample taken in
 straight-line code can be charged to the next function called.
+
+``--memory`` profiles the paper-scale POTRF graph instead of its runs.  It
+builds the graph once (``OperationSpec.build_graph``, as every run does)
+and prints the GC-tracked objects it adds per task, the time of one full
+collection over it and the process's ``ru_maxrss``; then it builds the
+graph again under ``tracemalloc`` and prints the lines that allocated the
+most of it.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import gc
 import os
+import resource
 import signal
 import sys
 import time
@@ -105,11 +115,54 @@ class Sampler:
         return "\n".join(lines)
 
 
+def memory_report(spec, top: int) -> str:
+    """Tracked objects, collection time, peak RSS and top allocating lines
+    of one built ``spec`` graph."""
+    import tracemalloc
+
+    gc.collect()
+    before = len(gc.get_objects())
+    t0 = time.perf_counter()
+    graph = spec.build_graph()
+    build_s = time.perf_counter() - t0
+    tracked = len(gc.get_objects()) - before
+    t0 = time.perf_counter()
+    gc.collect()
+    collect_ms = (time.perf_counter() - t0) * 1e3
+    n_tasks = len(graph)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    del graph
+    gc.collect()
+    tracemalloc.start()
+    graph = spec.build_graph()
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    stats = snapshot.statistics("lineno")
+    total = sum(s.size for s in stats)
+    lines = [
+        f"{n_tasks} tasks, built in {build_s:.3f} s",
+        f"GC-tracked objects added: {tracked} ({tracked / n_tasks:.2f} per task)",
+        f"one full collection over the graph: {collect_ms:.1f} ms",
+        f"ru_maxrss after the build: {rss_mb:.1f} MB",
+        "", f"tracemalloc: {total / 2**20:.1f} MB live after the build",
+        "", "| line | MB | blocks |", "|---|---|---|",
+    ]
+    for stat in stats[:top]:
+        frame = stat.traceback[0]
+        name = os.path.relpath(frame.filename, ROOT)
+        lines.append(f"| `{name}:{frame.lineno}` | {stat.size / 2**20:.1f} "
+                     f"| {stat.count} |")
+    del graph
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--interval-ms", type=float, default=2.0)
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--memory", action="store_true",
+                    help="profile the built graph's memory, not the runs")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -118,6 +171,10 @@ def main(argv=None) -> int:
     from repro.experiments.platforms import cap_states, operation_spec
 
     spec = operation_spec(PLATFORM, "potrf", "double", "paper")
+    if args.memory:
+        print(f"paper-scale POTRF graph, {PLATFORM}")
+        print(memory_report(spec, args.top))
+        return 0
     states = cap_states(PLATFORM, "potrf", "double", "paper")
     sampler = Sampler(args.interval_ms / 1e3)
     t0 = time.perf_counter()
