@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode
-from repro.runtime.graph import Task, TaskGraph
-from repro.linalg.numeric import label_indices
+from repro.runtime.graph import Task, TaskGraph, label_indices
 from repro.linalg.tilematrix import TileMatrix
 
 

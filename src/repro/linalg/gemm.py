@@ -21,13 +21,39 @@ one's C writers, which only inference sees.  The mixed-precision GEMM
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode
-from repro.runtime.graph import TaskGraph
-from repro.linalg.numeric import GemmRecipe
+from repro.runtime.graph import Task, TaskGraph, label_indices
 from repro.linalg.tilematrix import TileMatrix
+
+
+class GemmRecipe(NamedTuple):
+    """The tasks of ``C += A @ B`` labelled ``<name>[i,j,k]``
+    (:mod:`repro.linalg.numeric`).
+
+    The update of a task with ``k < n_single`` into a double C is computed
+    in float32 and accumulated in the stored double tile, the mixed-GEMM
+    kernel contract (:mod:`repro.linalg.mixed`).
+    """
+
+    a: TileMatrix
+    b: TileMatrix
+    c: TileMatrix
+    n_single: int = 0
+
+    def apply(self, task: Task) -> None:
+        _, (i, j, k) = label_indices(task.label)
+        c = self.c.tile(i, j)
+        a = self.a.tile(i, k)
+        b = self.b.tile(k, j)
+        if k < self.n_single and c.dtype == np.float64:
+            c += (a.astype(np.float32) @ b.astype(np.float32)).astype(np.float64)
+        else:
+            c += a @ b
 
 
 def check_geometry(a: TileMatrix, b: TileMatrix, c: TileMatrix) -> None:

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.graph import TaskGraph
-from repro.linalg.gemm import check_geometry, product_tasks
-from repro.linalg.numeric import GemmRecipe
+from repro.linalg.gemm import GemmRecipe, check_geometry, product_tasks
 from repro.linalg.tilematrix import TileMatrix
 
 

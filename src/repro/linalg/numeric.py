@@ -7,16 +7,15 @@ dependencies, access modes and kernel semantics all have to be correct for
 the factorisation to come out right.
 
 A task carries no operands of its own.  Every task of one build shares
-one immutable *recipe* (:class:`PotrfRecipe`, :class:`GemmRecipe`,
+one immutable *recipe* (:class:`~repro.linalg.potrf.PotrfRecipe`,
+:class:`~repro.linalg.gemm.GemmRecipe`,
 :class:`~repro.apps.stencil.StencilRecipe`) that holds the build's
 matrices; its ``apply(task)`` reads the task's kernel and tile indices off
-the label the builder gave it.
+the label the builder gave it, so each label format is known only to the
+module that writes it.
 """
 
 from __future__ import annotations
-
-import re
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,71 +25,6 @@ from repro.linalg.tilematrix import TileMatrix
 
 class NumericError(RuntimeError):
     """Raised when a graph's numeric execution is impossible or wrong."""
-
-
-def label_indices(label: str) -> tuple[str, list[int]]:
-    """A builder's task label as its kernel name and its indices:
-    ``"gemm[3,1,0]"`` -> ``("gemm", [3, 1, 0])``."""
-    name, _, rest = label.partition("[")
-    return name, [int(x) for x in re.findall(r"\d+", rest)]
-
-
-class PotrfRecipe(NamedTuple):
-    """The tasks of :func:`~repro.linalg.potrf.build_potrf` over ``a``,
-    labelled ``potrf[k]``, ``trsm[m,k]``, ``syrk[n,k]`` and
-    ``gemm[m,n,k]``."""
-
-    a: TileMatrix
-
-    def apply(self, task: Task) -> None:
-        kind, idx = label_indices(task.label)
-        tile = self.a.tile
-        if kind == "potrf":
-            (k,) = idx
-            akk = tile(k, k)
-            akk[:] = np.linalg.cholesky(akk)
-        elif kind == "trsm":
-            import scipy.linalg  # only numeric verification needs scipy
-
-            m, k = idx
-            amk = tile(m, k)
-            # A <- A * L^{-T}  (right solve against the transposed panel factor)
-            amk[:] = scipy.linalg.solve_triangular(tile(k, k), amk.T, lower=True).T
-        elif kind == "syrk":
-            n, k = idx
-            ank = tile(n, k)
-            cnn = tile(n, n)
-            cnn -= ank @ ank.T
-        elif kind == "gemm":
-            m, n, k = idx
-            cmn = tile(m, n)
-            cmn -= tile(m, k) @ tile(n, k).T
-        else:
-            raise NumericError(f"{task.label} is not a POTRF task")
-
-
-class GemmRecipe(NamedTuple):
-    """The tasks of ``C += A @ B`` labelled ``<name>[i,j,k]``.
-
-    The update of a task with ``k < n_single`` into a double C is computed
-    in float32 and accumulated in the stored double tile, the mixed-GEMM
-    kernel contract (:mod:`repro.linalg.mixed`).
-    """
-
-    a: TileMatrix
-    b: TileMatrix
-    c: TileMatrix
-    n_single: int = 0
-
-    def apply(self, task: Task) -> None:
-        _, (i, j, k) = label_indices(task.label)
-        c = self.c.tile(i, j)
-        a = self.a.tile(i, k)
-        b = self.b.tile(k, j)
-        if k < self.n_single and c.dtype == np.float64:
-            c += (a.astype(np.float32) @ b.astype(np.float32)).astype(np.float64)
-        else:
-            c += a @ b
 
 
 def apply_task(task: Task) -> None:

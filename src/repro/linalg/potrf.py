@@ -27,11 +27,50 @@ field.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import numpy as np
+
 from repro.kernels.tile_kernels import TileOp
 from repro.runtime.data import AccessMode
-from repro.runtime.graph import TaskGraph
-from repro.linalg.numeric import PotrfRecipe
+from repro.runtime.graph import Task, TaskGraph, label_indices
 from repro.linalg.tilematrix import TileMatrix
+
+
+class PotrfRecipe(NamedTuple):
+    """The tasks of :func:`build_potrf` over ``a``, labelled ``potrf[k]``,
+    ``trsm[m,k]``, ``syrk[n,k]`` and ``gemm[m,n,k]``
+    (:mod:`repro.linalg.numeric`)."""
+
+    a: TileMatrix
+
+    def apply(self, task: Task) -> None:
+        kind, idx = label_indices(task.label)
+        tile = self.a.tile
+        if kind == "potrf":
+            (k,) = idx
+            akk = tile(k, k)
+            akk[:] = np.linalg.cholesky(akk)
+        elif kind == "trsm":
+            import scipy.linalg  # only numeric verification needs scipy
+
+            m, k = idx
+            amk = tile(m, k)
+            # A <- A * L^{-T}  (right solve against the transposed panel factor)
+            amk[:] = scipy.linalg.solve_triangular(tile(k, k), amk.T, lower=True).T
+        elif kind == "syrk":
+            n, k = idx
+            ank = tile(n, k)
+            cnn = tile(n, n)
+            cnn -= ank @ ank.T
+        elif kind == "gemm":
+            m, n, k = idx
+            cmn = tile(m, n)
+            cmn -= tile(m, k) @ tile(n, k).T
+        else:
+            from repro.linalg.numeric import NumericError
+
+            raise NumericError(f"{task.label} is not a POTRF task")
 
 
 def build_potrf(graph: TaskGraph, a: TileMatrix) -> TaskGraph:

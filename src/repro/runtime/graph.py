@@ -23,8 +23,8 @@ computed once per graph and survives the reset.
 
 A graph holds only what a run reads, plus one shared reference per task
 for numeric verification: a builder passes every task of a build the same
-immutable *recipe*, from which :mod:`repro.linalg.numeric` derives the
-task's operand tiles (see :class:`Task`).  Builders also pass the same
+immutable *recipe*, which derives the task's operand tiles from its label
+(see :class:`Task` and :func:`label_indices`).  Builders also pass the same
 ``(handle, mode)`` tuple for every access of one tile in one mode.  No
 task, handle or access refers back to a task that refers to it, so a
 graph holds no reference cycle: refcounting alone frees it.
@@ -33,6 +33,7 @@ graph holds no reference cycle: refcounting alone frees it.
 from __future__ import annotations
 
 import itertools
+import re
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -46,6 +47,13 @@ class TaskState(Enum):
     READY = "ready"
     RUNNING = "running"
     DONE = "done"
+
+
+def label_indices(label: str) -> tuple[str, list[int]]:
+    """A builder's task label as its kernel name and its indices:
+    ``"gemm[3,1,0]"`` -> ``("gemm", [3, 1, 0])``."""
+    name, _, rest = label.partition("[")
+    return name, [int(x) for x in re.findall(r"\d+", rest)]
 
 
 class Task:

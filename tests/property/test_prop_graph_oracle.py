@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments.platforms import TABLE2_PAPER, operation_spec
 from repro.kernels.tile_kernels import TileOp
-from repro.linalg import TileMatrix, build_gemm, build_potrf
+from repro.linalg import TileMatrix, assign_priorities, build_gemm, build_potrf
 from repro.runtime.data import AccessMode, DataHandle
 from repro.runtime.graph import TaskGraph
 
@@ -200,8 +200,14 @@ def test_builds_over_known_or_aliased_tiles_infer():
 def test_emitted_graphs_equal_inferred_ones_at_the_papers_sizes():
     """Every Table II graph at its own size (POTRF nt 50, 40, 60; GEMM nt
     15, 12, 13), built as a run builds it, equals the graph ``add_task``
-    infers for the same tasks, and shares one tuple per access pair."""
+    infers for the same tasks, and shares one tuple per access pair.  Its
+    built priorities equal the ones ``assign_priorities`` gives the
+    inferred graph afresh."""
     for platform, op, precision in TABLE2_PAPER:
         graph = operation_spec(platform, op, precision, "paper").build_graph()
         assert unshared_accesses(graph) == 0, (platform, op, precision)
-        _assert_same_graph(graph, _replay(graph))
+        ref = _replay(graph)
+        assign_priorities(ref)
+        assert ([t.priority for t in graph.tasks]
+                == [t.priority for t in ref.tasks]), (platform, op, precision)
+        _assert_same_graph(graph, ref)
