@@ -143,31 +143,56 @@ class RegressionModel:
 class PerfModelSet:
     """History model + regression fallback + a pessimistic default.
 
-    :meth:`estimate` sits on the scheduler's placement hot path (one lookup
-    per placement class per pushed task), so resolved estimates are cached
-    per ``(key, arch)``; :meth:`record` invalidates exactly the entry it
-    refreshes, and wholesale model changes (:meth:`clear`,
-    :meth:`enable_regression`) drop the cache entirely.
+    Resolved estimates sit on the scheduler's placement hot path, so they
+    are kept in one *row* per model key, indexed by :meth:`arch_slot`
+    (``None`` where unresolved): the dm class scan fetches a task's
+    :meth:`row` once per decision and calls :meth:`estimate` only for an
+    empty slot.  :meth:`record` empties exactly the slot it refreshes,
+    :meth:`invalidate_arch` one slot of every row, and wholesale model
+    changes (:meth:`clear`, :meth:`enable_regression`) drop the rows.
     """
 
     history: HistoryModel = field(default_factory=HistoryModel)
     default_estimate_s: float = 1e-3
     _regression: Optional[RegressionModel] = None
-    _cache: dict[tuple[ModelKey, str], float] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Estimate-cache traffic, exported by the observability layer.
+    _rows: dict[ModelKey, list] = field(default_factory=dict, repr=False, compare=False)
+    _slots: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    #: Estimate-cache traffic, exported by the observability layer.  A
+    #: caller that reads a filled slot of a :meth:`row` adds its hits here.
     n_cache_hits: int = 0
     n_cache_misses: int = 0
 
+    def arch_slot(self, arch: str) -> int:
+        """The index of ``arch``'s entry in every row, assigned on first use."""
+        slot = self._slots.get(arch)
+        if slot is None:
+            slot = self._slots[arch] = len(self._slots)
+            for row in self._rows.values():
+                row.append(None)
+        return slot
+
+    def row(self, op: TileOp) -> list:
+        """``op``'s resolved estimates, indexed by :meth:`arch_slot`."""
+        row = self._rows.get(op.key)
+        if row is None:
+            row = self._rows[op.key] = [None] * len(self._slots)
+        return row
+
     def record(self, op: TileOp, arch: str, duration: float) -> None:
-        key = model_key(op)
+        key = op.key
         self.history.record(key, arch, duration)
-        self._cache.pop((key, arch), None)
+        row = self._rows.get(key)
+        if row is not None and arch in self._slots:
+            row[self._slots[arch]] = None
 
     def estimate(self, op: TileOp, arch: str) -> float:
         key = op.key
-        cached = self._cache.get((key, arch))
+        slot = self._slots.get(arch)
+        row = self._rows.get(key)
+        if slot is None or row is None:
+            slot = self.arch_slot(arch)
+            row = self.row(op)
+        cached = row[slot]
         if cached is not None:
             self.n_cache_hits += 1
             return cached
@@ -177,7 +202,7 @@ class PerfModelSet:
             est = self._regression.estimate(key, arch)
         if est is None:
             est = self.default_estimate_s
-        self._cache[(key, arch)] = est
+        row[slot] = est
         return est
 
     def is_calibrated(self, op: TileOp, arch: str) -> bool:
@@ -186,12 +211,12 @@ class PerfModelSet:
     def enable_regression(self) -> None:
         self._regression = RegressionModel(self.history)
         self._regression.refit()
-        self._cache.clear()
+        self._rows.clear()
 
     def clear(self) -> None:
         self.history.clear()
         self._regression = None
-        self._cache.clear()
+        self._rows.clear()
 
     def invalidate_arch(self, arch: str) -> None:
         """Drop one architecture's history and estimates.
@@ -203,6 +228,6 @@ class PerfModelSet:
         self.history.drop_arch(arch)
         if self._regression is not None:
             self._regression.refit()
-        stale = [k for k in self._cache if k[1] == arch]
-        for k in stale:
-            del self._cache[k]
+        slot = self.arch_slot(arch)
+        for row in self._rows.values():
+            row[slot] = None

@@ -78,14 +78,17 @@ class Scheduler(ABC):
         """Group workers by :meth:`placement_class_key` into one flat record
         per class, in worker order both across and within classes.
 
-        Each record is ``(w0, is_gpu, arch, mem_node, index, members,
+        Each record is ``(w0, is_gpu, arch, mem_node, slot, index, members,
         get_members)``: the class's first worker and the three fields
-        placement reads from it; ``index``, the first worker's position in
-        ``self.workers`` (tie-breaks match a brute-force scan); ``members``,
-        the ``(index, worker)`` pairs; and ``get_members``, an
-        :func:`operator.itemgetter` that picks the class's entries, in
-        member order, out of any worker-position-indexed sequence (e.g. the
-        dm backlog list), or ``None`` for a singleton class.  Members need
+        placement reads from it; ``slot``, the arch's index into the perf
+        model's estimate rows (:meth:`PerfModelSet.arch_slot`; ``None``
+        for a policy that reads no model); ``index``, the first worker's
+        position in ``self.workers`` (tie-breaks match a brute-force
+        scan); ``members``, the ``(index, worker)`` pairs; and
+        ``get_members``, an :func:`operator.itemgetter` that picks the
+        class's entries, in member order, out of any
+        worker-position-indexed sequence (e.g. the dm backlog list), or
+        ``None`` for a singleton class.  Members need
         not be consecutive: exclusions can punch holes in a class.
         Excluded (quarantined) workers are left out entirely.
         """
@@ -97,6 +100,9 @@ class Scheduler(ABC):
                 (index, worker)
             )
         records = []
+        #: The perf model whose rows the slots index (see the dm class scan).
+        self._slots_perf = self.perf if self.uses_perfmodel else None
+        arch_slot = self.perf.arch_slot if self.uses_perfmodel else None
         for members in classes.values():
             index, w0 = members[0]
             get_members = (
@@ -104,6 +110,7 @@ class Scheduler(ABC):
             )
             records.append((
                 w0, w0.is_gpu, w0.arch, getattr(w0, "mem_node", None),
+                arch_slot(w0.arch) if arch_slot else None,
                 index, members, get_members,
             ))
         self._placement_records = records
@@ -133,7 +140,7 @@ class Scheduler(ABC):
                 tuple(w.name for _, w in members),
                 tuple(i for i, _ in members),
             )
-            for w0, _, _, _, index, members, _ in self._placement_records
+            for w0, _, _, _, _, index, members, _ in self._placement_records
         }
         return table
 

@@ -153,9 +153,17 @@ class DMScheduler(Scheduler):
             return best, self.estimate(task, best)
         op = task.op
         runs_on_gpu = op.runs_on_gpu
-        estimate = self.perf.estimate
+        perf = self.perf
+        if perf is not self._slots_perf:
+            self._rebuild_placement_classes()
+        estimate = perf.estimate
         backlog = self._backlog
         inline = self._inline_terms
+        # The task's estimates, indexed by each class's arch slot: one
+        # fetch per decision; estimate() resolves only an empty slot, and
+        # every other read is a cache hit, counted once per decision.
+        row = perf.row(op) if inline else None
+        misses = 0
         # One walk over the task's handles prices every candidate memory
         # node at once (the d2h leg of each miss is shared across targets),
         # instead of one walk per placement class.
@@ -177,7 +185,7 @@ class DMScheduler(Scheduler):
         best_index = -1
         best_est = 0.0
         n_evals = 0
-        for w0, is_gpu, arch, mem_node, index, members, get_members in self._placement_records:
+        for w0, is_gpu, arch, mem_node, slot, index, members, get_members in self._placement_records:
             if is_gpu and not runs_on_gpu:
                 continue
             n_evals += 1
@@ -185,7 +193,10 @@ class DMScheduler(Scheduler):
             # in fold order.  Stock policies compute them inline (no method
             # call); overrides go through placement_terms.
             if inline:
-                est = estimate(op, arch)
+                est = row[slot]
+                if est is None:
+                    est = estimate(op, arch)
+                    misses += 1
                 rest = () if xfer is None else (xfer[mem_node],)
             else:
                 terms = self.placement_terms(task, w0, now, xfer)
@@ -231,6 +242,8 @@ class DMScheduler(Scheduler):
                         members[i][1], cost, member_index, est,
                     )
         self.n_placement_evals += n_evals
+        if inline:
+            perf.n_cache_hits += n_evals - misses
         if best is None:
             raise RuntimeError(f"no worker can run {task.op.kind!r}")
         if logged is not None:

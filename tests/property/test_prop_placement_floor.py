@@ -40,6 +40,16 @@ class _Worker:
 class _Perf:
     def __init__(self, table):
         self.table = table
+        self.archs = []
+        self.n_cache_hits = 0
+
+    def arch_slot(self, arch):
+        if arch not in self.archs:
+            self.archs.append(arch)
+        return self.archs.index(arch)
+
+    def row(self, op):
+        return [self.table[op.kind, arch] for arch in self.archs]
 
     def estimate(self, op, arch):
         return self.table[op.kind, arch]
@@ -64,7 +74,10 @@ class _Data:
 ])
 def test_stub_methods_take_the_real_parameters(stub, real):
     """Each stub method stands in for the real one: same parameter names
-    and kinds, so a scheduler calls both the same way."""
+    and kinds, so a scheduler calls both the same way.  The perf stub
+    defines the estimate-row accessors that the class scan reads."""
+    if stub is _Perf:
+        assert {"arch_slot", "row", "estimate"} <= set(vars(stub))
     for name, method in vars(stub).items():
         if name.startswith("__"):
             continue
